@@ -42,13 +42,18 @@ def hadamard_transform(values: np.ndarray) -> np.ndarray:
     size = values.size
     if size & (size - 1) or size == 0:
         raise ValueError(f"table length must be a power of two, got {size}")
-    out = np.array(values, dtype=complex)
+    out = np.array(values, dtype=complex).reshape(size)
+    scratch = np.empty(size // 2, dtype=complex)
     h = 1
     while h < size:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bot = out[:, 0, :] - out[:, 1, :]
-        out = np.concatenate((top[:, None, :], bot[:, None, :]), axis=1).reshape(size)
+        # In place on the two halves of each butterfly, with one half-size
+        # temporary for the differences.
+        pairs = out.reshape(-1, 2, h)
+        top, bot = pairs[:, 0, :], pairs[:, 1, :]
+        diff = scratch.reshape(-1, h)
+        np.subtract(top, bot, out=diff)
+        top += bot
+        bot[...] = diff
         h *= 2
     return out
 

@@ -10,7 +10,11 @@ class DomainError(HypflowError):
 
 
 class AccuracyError(HypflowError):
-    """Adaptive quadrature failed to stabilize before hitting the node cap."""
+    """A value is not accurate enough to judge.
+
+    Adaptive quadrature failed to stabilize before hitting the node cap, or a
+    flow sample came out non-finite.
+    """
 
 
 class EvaluatorMismatchError(HypflowError):

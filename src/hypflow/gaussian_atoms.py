@@ -37,10 +37,6 @@ class GaussianAtom:
         y = np.asarray(y, dtype=complex)
         return self.amplitude * np.exp(-self.quad * y * y + self.lin * y)
 
-    def scale_argument(self, c: complex) -> "GaussianAtom":
-        """The atom y -> self(c*y)."""
-        return GaussianAtom(self.amplitude, self.quad * c * c, self.lin * c)
-
 
 def exp_tilt(zeta: complex) -> GaussianAtom:
     """The tilted exponential x -> exp(zeta*x - zeta^2/2) as an atom."""
@@ -132,15 +128,6 @@ def fourier_transform_atom(atom: GaussianAtom) -> GaussianAtom:
     _require_damping(a, "Fourier transform of atom")
     amp = c * np.sqrt(np.pi / a) * np.exp(b * b / (4.0 * a))
     return GaussianAtom(complex(amp), np.pi**2 / a, -1.0j * np.pi * b / a)
-
-
-def atom_sum_values(atoms: Sequence[GaussianAtom], y: np.ndarray) -> np.ndarray:
-    """Values of sum_l atom_l(y) on an array of points."""
-    y = np.asarray(y, dtype=complex)
-    total = np.zeros_like(y)
-    for atom in atoms:
-        total = total + atom(y)
-    return total
 
 
 def _atom_sum_abs_pow_times_exp(

@@ -109,19 +109,38 @@ def gaussian_extremizer_input(p: float) -> HYInput:
     return HYInput(p=p, f_atom=GaussianAtom(1.0, np.pi, 0.0))
 
 
-def _mehler_atom_grid(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
-    """Vectorized scaled Mehler image of one atom over an argument array."""
+def _mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
+    """log |scaled Mehler image of one atom| over an argument array, in closed form.
+
+    With s_k, A and B as in mehler_atom_scaled, this is the real part of
+    log(amplitude * sqrt(s_k / A)) + B^2/(4A) - s_k*arg^2; the magnitude
+    itself overflows where the image grows like exp(+c arg^2).
+    """
     sigma = complex(sigma)
+    with np.errstate(divide="ignore"):  # a zero atom has log-magnitude -inf
+        log_amp = np.log(abs(atom.amplitude))
     if sigma == 1.0:
-        return atom(arg)
+        return log_amp + np.real(-atom.quad * arg * arg + atom.lin * arg)
     s_k = 1.0 / (2.0 * (1.0 - sigma))
     big_a = atom.quad + s_k
     if big_a.real <= DOMAIN_EPS:
         raise DomainError("Mehler image of atom outside its convergence domain")
     big_b = atom.lin + 2.0 * s_k * arg
-    return atom.amplitude * np.sqrt(s_k / big_a) * np.exp(
+    return log_amp + 0.5 * math.log(abs(s_k / big_a)) + np.real(
         big_b * big_b / (4.0 * big_a) - s_k * arg * arg
     )
+
+
+def _outer_average_log(log_abs: np.ndarray, rule: QuadratureRule, p: float, q: float) -> float:
+    """_outer_average for an integrand given as log|inner(u, x)|.
+
+    The weights enter as logs, so a node whose weight underflowed to zero
+    contributes exactly 0 however large |inner| is there.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = np.log(rule.weights)
+    x_avg = np.exp(q * log_abs + log_w).sum(axis=1)
+    return float(np.dot(rule.weights, x_avg ** (p / q)))
 
 
 def phi_flow(
@@ -148,8 +167,7 @@ def phi_flow(
 
             def evaluate(r: QuadratureRule, sigma=sigma, rs=rs, rc=rc, atom=atom) -> float:
                 big_x = rs * r.nodes[:, None] + z * rc * r.nodes[None, :]
-                inner = _mehler_atom_grid(sigma, atom, big_x)
-                return _outer_average(inner, r, p, q)
+                return _outer_average_log(_mehler_atom_log_abs(sigma, atom, big_x), r, p, q)
 
             j_val = _auto_outer(evaluate, rule)
         values.append((j_val * bridge) ** (1.0 / p))

@@ -8,21 +8,26 @@ so the rules produced here are stated directly for that measure: nodes are
 real, weights are positive and sum to 1, and an N-point rule integrates
 polynomials up to degree 2N-1 exactly.
 
-Construction is Golub-Welsch: the monic orthogonal polynomials for dgamma
-satisfy p_{m+1} = x p_m - m p_{m-1}, so the Jacobi matrix is symmetric
-tridiagonal with zero diagonal and off-diagonal sqrt(m).  Eigenvalues give
-the nodes; a Newton polish on the orthonormal recurrence then restores full
-float accuracy, and weights come from the Christoffel identity
-w_i = 1 / sum_m phat_m(x_i)^2.
+The monic orthogonal polynomials for dgamma satisfy p_{m+1} = x p_m - m p_{m-1},
+so the Jacobi matrix J is symmetric tridiagonal with zero diagonal and
+off-diagonal sqrt(m), and its eigenvalues are the nodes (Golub-Welsch).  The
+zero diagonal makes J^2 split into its even- and odd-index blocks, and the
+even block, tridiagonal of size ceil(N/2), has the squared nonnegative nodes
+as eigenvalues.  Only those eigenvalues are computed (no eigenvectors).  A
+Newton polish on the orthonormal recurrence, run on the nonnegative nodes
+only, restores full float accuracy, and its last pass also gives the weights
+by Christoffel-Darboux, w_i = 1 / (N phat_{N-1}(x_i)^2).  The rule is then
+mirrored, so its symmetry is exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError
 
@@ -36,9 +41,12 @@ MAX_NODES = 512
 class QuadratureRule:
     """Nodes and weights for expectation against dgamma.
 
-    Invariants: nodes symmetric about 0, weights positive and summing to 1,
-    exact on polynomials of degree <= 2*node_count - 1.  Past ~300 nodes the
-    extreme-node weights fall below float64 range and round to exact zeros.
+    Built from the nonnegative half of the rule (half-size eigenproblem,
+    Newton polish, Christoffel-Darboux weights) and then mirrored, so nodes
+    and weights are exactly symmetric about 0.  Weights sum to 1, and the
+    rule is exact on polynomials of degree <= 2*node_count - 1.  Past ~300
+    nodes the extreme-node weights fall below float64 range and round to
+    exact zeros.
     """
 
     nodes: np.ndarray
@@ -63,26 +71,28 @@ class QuadratureRule:
             total = total + self.weights[half] * vals[half]
         return complex(total)
 
-    def integrate_values(self, values: np.ndarray) -> complex:
-        """E against dgamma when f has already been sampled at the nodes."""
-        return complex(np.dot(self.weights, values))
 
+def _orthonormal_ladder(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal (phat_{n-1}(x), phat_n(x)) as (prev, last, exponent).
 
-def _orthonormal_hermite_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values of (phat_{n-1}, phat_n) at x, up to a common positive factor.
-
-    The pair is renormalized whenever it grows past 1e150: only the ratio
-    reaches the Newton step, and the raw values overflow float64 near the
-    extreme nodes of rules beyond ~500 points.
+    The true values are prev and last times 2**exponent.  Every 32 steps,
+    and after the last, the pair is rescaled by a power of two so that the
+    larger of the two lies in [0.5, 1).  That is exact, and keeps the pair in
+    float range for extreme nodes of any rule size: one step grows it by at
+    most a factor |x| + 1.
     """
-    pm = np.zeros_like(x)
-    pc = np.ones_like(x)
+    root = np.sqrt(np.arange(n + 1.0))
+    prev = np.zeros_like(x)
+    last = np.ones_like(x)
+    exponent = np.zeros(x.shape, dtype=np.int64)
     for m in range(n):
-        pm, pc = pc, (x * pc - np.sqrt(m) * pm) / np.sqrt(m + 1.0)
-        scale = np.where(np.abs(pc) > 1e150, 1e-150, 1.0)
-        pm = pm * scale
-        pc = pc * scale
-    return pm, pc
+        prev, last = last, (x * last - root[m] * prev) / root[m + 1]
+        if m % 32 == 31 or m == n - 1:
+            _, e = np.frexp(np.maximum(np.abs(prev), np.abs(last)))
+            prev = np.ldexp(prev, -e)
+            last = np.ldexp(last, -e)
+            exponent += e
+    return prev, last, exponent
 
 
 def gh_rule(n: int) -> QuadratureRule:
@@ -98,40 +108,28 @@ def gh_rule(n: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _gh_rule_cached(n: int) -> QuadratureRule:
-    if n == 1:
-        nodes = np.array([0.0])
-        weights = np.array([1.0])
-    else:
-        nodes, _ = eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n)))
-        # Newton polish on phat_n; phat_n'(x) = sqrt(n) * phat_{n-1}(x).
-        for _ in range(2):
-            pnm1, pn = _orthonormal_hermite_pair(nodes, n)
-            nodes = nodes - pn / (np.sqrt(n) * pnm1)
-        # Christoffel weights w_i = 1 / sum_m phat_m(x_i)^2.  The ladder is
-        # renormalized per node with the log of the factor recorded, so the
-        # sum stays in float range at any rule size; weights far below float
-        # resolution come out as exact zeros.
-        acc = np.zeros_like(nodes)
-        pm = np.zeros_like(nodes)
-        pc = np.ones_like(nodes)
-        log_scale = np.zeros_like(nodes)
-        for m in range(n):
-            acc += pc * pc
-            pm, pc = pc, (nodes * pc - np.sqrt(m) * pm) / np.sqrt(m + 1.0)
-            big = np.abs(pc) > 1e100
-            if big.any():
-                factor = np.where(big, 1e-100, 1.0)
-                pm = pm * factor
-                pc = pc * factor
-                acc = acc * factor * factor
-                log_scale += np.where(big, np.log(1e-100), 0.0)
-        weights = np.exp(2.0 * log_scale - np.log(acc))
-        # Enforce the exact symmetry of the measure.
-        nodes = 0.5 * (nodes - nodes[::-1])
-        if n % 2 == 1:
-            nodes[n // 2] = 0.0
-        weights = 0.5 * (weights + weights[::-1])
-        weights = weights / weights.sum()
+    # Even block of J^2: diagonal 2i+1 (n-1 in the last row when n-1 is
+    # even), off-diagonal sqrt((i+1)(i+2)), over even i < n.
+    i = np.arange(0, n, 2, dtype=float)
+    diag = 2.0 * i + 1.0
+    if n % 2:
+        diag[-1] = n - 1.0
+    squares = eigvalsh_tridiagonal(diag, np.sqrt((i[:-1] + 1.0) * (i[:-1] + 2.0)))
+    x = np.sqrt(np.maximum(squares, 0.0))
+    if n % 2:
+        x[0] = 0.0
+    # Newton on phat_n, whose derivative is sqrt(n) phat_{n-1}.  The weights
+    # come from the last pass, whose nodes are already polished to a few ulp.
+    # At a node |phat_n| << |phat_{n-1}|, so the scaled prev lies in [0.5, 1),
+    # and the tiny weights underflow to exact zeros in the final ldexp.
+    for _ in range(2):
+        prev, last, exponent = _orthonormal_ladder(x, n)
+        x = x - last / (math.sqrt(n) * prev)
+    w = np.ldexp(1.0 / (n * prev * prev), -2 * exponent)
+    half = n // 2
+    nodes = np.concatenate((-x[::-1][:half], x))
+    weights = np.concatenate((w[::-1][:half], w))
+    weights /= weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)

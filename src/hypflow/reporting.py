@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import AccuracyError
+
 # Monotonicity is flagged only beyond quadrature noise.
 DEFAULT_TOL_ABS = 1e-10
 DEFAULT_TOL_REL = 1e-10
@@ -58,9 +60,18 @@ class FlowReport:
         return [p for p, _ in self.samples]
 
     def verdict(self) -> MonotoneVerdict:
-        """A decrease counts only if it exceeds tol_abs + tol_rel * |previous value|."""
+        """A decrease counts only if it exceeds tol_abs + tol_rel * |previous value|.
+
+        Raises AccuracyError if a sample is not finite: no comparison with
+        it means anything.
+        """
         worst_i, worst_d = None, 0.0
         vals = self.values
+        for param, value in self.samples:
+            if not np.isfinite(value):
+                raise AccuracyError(
+                    f"flow sample at {self.parameter_name} = {param:g} is {value}"
+                )
         for i in range(len(vals) - 1):
             allowed = self.tol_abs + self.tol_rel * abs(vals[i])
             deficit = vals[i] - vals[i + 1]

@@ -1,8 +1,11 @@
 """CLI harness: exit codes, CSV schemas, determinism, config handling."""
 import json
+import math
 
 import pytest
 
+import hypflow.cli
+from hypflow.errors import AccuracyError
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
 from hypflow.reporting import (
     ConvergenceRow,
@@ -205,6 +208,19 @@ def test_flow_report_verdict_tolerances():
     assert abs(verdict.deficit - 1e-6) <= 1e-9
     with pytest.raises(ValueError):
         FlowReport(parameter_name="s", samples=((0.0, 1.0), (0.0, 2.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_flow_sample_is_never_a_pass(bad, tmp_path, monkeypatch):
+    rep = FlowReport(parameter_name="s", samples=((0.0, 1.0), (0.5, bad), (1.0, 1.0)))
+    with pytest.raises(AccuracyError):
+        rep.verdict()
+    with pytest.raises(AccuracyError):
+        write_flow_csv(rep, tmp_path / "flow.csv")
+    monkeypatch.setattr(hypflow.cli, "phi_flow", lambda *args, **kwargs: rep)
+    code, out = run(["hy-flow", "--p", "1.5", "--gaussian"], tmp_path)
+    assert code == EXIT_VIOLATION
+    assert json.loads((out / "manifest.json").read_text())["verdict"] == "fails-with-witness"
 
 
 def test_run_command_unknown():

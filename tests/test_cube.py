@@ -11,6 +11,7 @@ from hypflow.cube import (
     apply_Tzk,
     beckner_expand,
     binomial_split_check,
+    hadamard_transform,
     mixed_norm,
     mixed_norm_collapsed,
     phi_block_eval,
@@ -33,6 +34,35 @@ def test_walsh_round_trip_and_parseval():
     assert np.max(np.abs(back - values)) <= 1e-13 * np.max(np.abs(values))
     energy = np.mean(np.abs(values) ** 2)
     assert abs(energy - np.sum(np.abs(f.coeffs) ** 2)) <= 1e-12 * energy
+
+
+def _reference_butterfly(values):
+    # the allocating butterfly the in-place transform must reproduce bit for bit
+    out = np.array(values, dtype=complex)
+    size, h = out.size, 1
+    while h < size:
+        out = out.reshape(-1, 2, h)
+        top = out[:, 0, :] + out[:, 1, :]
+        bot = out[:, 0, :] - out[:, 1, :]
+        out = np.concatenate((top[:, None, :], bot[:, None, :]), axis=1).reshape(size)
+        h *= 2
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_hadamard_transform_bitwise(n):
+    rng = np.random.default_rng(n)
+    size = 1 << n
+    masks = np.arange(size)
+    signs = 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & masks[None, :]) & 1)
+    # integer-valued entries make the brute-force sum exact in any order
+    ints = rng.integers(-50, 50, size) + 1j * rng.integers(-50, 50, size)
+    brute = signs @ ints
+    assert np.array_equal(hadamard_transform(ints).view(np.float64), brute.view(np.float64))
+    floats = rng.normal(size=size) + 1j * rng.normal(size=size)
+    assert np.array_equal(
+        hadamard_transform(floats).view(np.float64), _reference_butterfly(floats).view(np.float64)
+    )
 
 
 def test_walsh_synthesize_examples():

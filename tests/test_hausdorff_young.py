@@ -92,6 +92,17 @@ def test_phi_flow_gaussian_extremizer_is_constant():
     assert abs(rep.values[0] - q ** (-1 / (2 * q))) <= 1e-8
 
 
+@pytest.mark.parametrize("p", [4 / 3, 1.5, 2.0])
+def test_phi_flow_gaussian_extremizer_default_grid(p):
+    # at p = 2 the atom integrand grows like exp(+c x^2) where the weights
+    # underflow; the log-domain average keeps every sample finite
+    inp = gaussian_extremizer_input(p)
+    rep = phi_flow(inp)
+    q = inp.q
+    assert all(abs(v - q ** (-1 / (2 * q))) <= 1e-9 for v in rep.values)
+    assert rep.verdict().label == "nondecreasing"
+
+
 def test_phi_flow_hermite_nondecreasing_and_bridges_endpoints():
     inp = HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 1.0]))
     rep = phi_flow(inp)

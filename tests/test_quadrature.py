@@ -1,8 +1,11 @@
 """Quadrature rules: exactness, symmetry, and the recentred line integral."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import roots_hermitenorm
 
-from hypflow.quadrature import converged_value, gh_rule, integrate_entire
+from hypflow.quadrature import _gh_rule_cached, converged_value, gh_rule, integrate_entire
 
 
 def gaussian_moment(m: int) -> float:
@@ -59,6 +62,40 @@ def test_symmetry_and_normalization(n):
     np.testing.assert_allclose(rule.weights, rule.weights[::-1], atol=0)
     assert np.all(rule.weights > 0)
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [150, 513, 1024, 4096])
+def test_rule_matches_independent_scipy_rule(n):
+    # roots_hermitenorm uses its own asymptotic method above 150 nodes
+    rule = gh_rule(n)
+    nodes, weights = roots_hermitenorm(n)
+    weights = weights / weights.sum()
+    np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-12)
+    big = weights > 1e-250
+    np.testing.assert_allclose(rule.weights[big], weights[big], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n", [150, 151, 512, 513, 4095, 4096])
+def test_large_rules_are_exactly_symmetric_and_normalized(n):
+    # past ~300 nodes the extreme weights underflow to exact zeros
+    rule = gh_rule(n)
+    np.testing.assert_array_equal(rule.nodes, -rule.nodes[::-1])
+    np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert np.all(rule.weights >= 0)
+    assert abs(rule.weights.sum() - 1.0) <= 1e-14
+
+
+def test_cold_build_of_large_rule_stays_small_in_memory():
+    # forming the 4096 x 4096 eigenvector matrix alone would take 128 MiB
+    _gh_rule_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        gh_rule(4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_invalid_node_count_rejected():
