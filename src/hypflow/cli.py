@@ -2,16 +2,17 @@
 
 Subcommands: two-point-scan, discrete-flow, janson-flow, converge, hy-flow,
 hy-exp, selftest.  Every run writes CSV output plus a manifest.json into the
-output directory; identical configurations (including the seed) produce
-byte-identical CSV files.
+output directory; identical configurations produce byte-identical CSV files.
 
 Exit codes: 0 when every asserted inequality and identity held within the
 configured tolerances, 2 when a violation was detected (the witness lands in
 the manifest), 1 for usage or configuration errors.
 
-All randomness flows from the single 64-bit --seed through numpy's
-SeedSequence spawning, so counterexample witnesses are reproducible; the
-env var HYPFLOW_THREADS caps scan parallelism (default 1).
+Only selftest draws random numbers: its suites get independent streams from
+the single 64-bit --seed through numpy's SeedSequence spawning.  Every other
+command is deterministic and ignores --seed; its witnesses come from fixed
+grids and searches.  The env var HYPFLOW_THREADS caps scan parallelism
+(default 1).
 """
 from __future__ import annotations
 
@@ -109,12 +110,7 @@ def _retolerance(report: FlowReport, tol: float | None) -> FlowReport:
     """Apply a --tol override to the monotonicity verdict (tol = 0 flags noise)."""
     if tol is None:
         return report
-    return FlowReport(
-        parameter_name=report.parameter_name,
-        samples=report.samples,
-        tol_abs=tol,
-        tol_rel=tol,
-    )
+    return dataclasses.replace(report, tol_abs=tol, tol_rel=tol)
 
 
 def _monotone_verdicts(report: FlowReport) -> dict:
@@ -158,7 +154,7 @@ def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     ks = [int(k) for k in str(params["ks"]).split(",")] if params.get("ks") else None
     report = _retolerance(discrete_flow(spec, ExponentTriple(p, q, z), ks=ks), config.tol)
     write_flow_csv(report, out / "flow.csv")
-    manifest = {"n": n, "p": p, "q": q, "z": z, **_monotone_verdicts(report)}
+    manifest = {"n": n, "p": p, "q": q, "z": z, **_monotone_verdicts(report), **report.diagnostics}
     return (EXIT_OK if report.verdict().nondecreasing else EXIT_VIOLATION), manifest
 
 
@@ -348,7 +344,13 @@ def _common_flags(target: argparse.ArgumentParser, suppress: bool) -> None:
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     target.add_argument("--config", help="JSON file with a full RunConfig; flags override it", **kw)
     target.add_argument("--out", help="output directory (default: current directory)", **kw)
-    target.add_argument("--seed", type=int, help="64-bit seed for all randomness", **kw)
+    target.add_argument(
+        "--seed",
+        type=int,
+        help="64-bit seed for selftest, the only command that draws random numbers; "
+        "every other command is deterministic",
+        **kw,
+    )
     target.add_argument(
         "--nodes", type=int, help="fixed quadrature node count (default: adaptive)", **kw
     )

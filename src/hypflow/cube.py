@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import binom as _binom
-from scipy.special import gammaln as _gammaln
 
 from .hermite import hermite_eval
 
@@ -277,23 +276,6 @@ def beckner_expand(n: int, ell: int) -> BecknerExpansion:
     return BecknerExpansion(n=n, ell=ell, coeffs=coeffs, max_residual=residual)
 
 
-def log_binomial_weights(count: int) -> np.ndarray:
-    """Probabilities binom(count, j) / 2^count for j = 0..count, computed in log space.
-
-    Stable up to count ~ 10^4, where the raw binomials overflow long before
-    the probabilities do.
-    """
-    j = np.arange(count + 1)
-    logw = (
-        _gammaln(count + 1.0)
-        - _gammaln(j + 1.0)
-        - _gammaln(count - j + 1.0)
-        - count * math.log(2.0)
-    )
-    w = np.exp(logw)
-    return w / w.sum()
-
-
 def mixed_norm(values: np.ndarray, k: int, p: float, q: float) -> float:
     """E^k ( E_{n-k} |f|^q )^{p/q} over the full 2^n value table.
 
@@ -311,23 +293,6 @@ def mixed_norm(values: np.ndarray, k: int, p: float, q: float) -> float:
     table = np.abs(values.reshape(1 << (n - k), 1 << k)) ** q
     inner = table.mean(axis=0)
     return float(np.mean(inner ** (p / q)))
-
-
-def mixed_norm_collapsed(table: np.ndarray, n: int, k: int, p: float, q: float) -> float:
-    """Collapsed mixed norm for block-symmetric functions.
-
-    `table[a, b]` holds the function value at any point with a (+1)s in the
-    first block and b in the second; the averages become binomially weighted
-    sums over the counts.
-    """
-    _check_exponents(p, q)
-    table = np.asarray(table, dtype=complex)
-    if table.shape != (k + 1, n - k + 1):
-        raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
-    w_first = log_binomial_weights(k)
-    w_second = log_binomial_weights(n - k)
-    inner = (np.abs(table) ** q) @ w_second
-    return float(np.dot(w_first, inner ** (p / q)))
 
 
 def _check_exponents(p: float, q: float) -> None:
@@ -368,39 +333,242 @@ class SymmetricSpec:
         return walsh_analyze(level_values[plus_counts])
 
 
-def _block_phi_matrix(l_max: int, n: int, total: int, scale: complex) -> np.ndarray:
-    """U[j, c] = phi_j of a block with c entries scale and total-c entries -scale.
+# ------------------------------------------------- collapsed backend
+#
+# A block-symmetric function takes one value per pair (a, b) of +1 counts in
+# the two blocks, so the mixed norm becomes a binomially weighted double sum
+# over a (k+1) x (n-k+1) table.  The table is kept factored as U^T M V and
+# only the rows and columns that carry weight are formed; what is dropped is
+# bounded and the bound is checked against the kept value.
 
-    Expanded binomially: phi_j = j! * sum_i C(c, i) C(total-c, j-i)
-    scale^j (-1)^{j-i}, vectorized over the whole count range c = 0..total.
+# Certified relative effect the dropped binomial tails may have on one value.
+TAIL_RTOL = 1e-15
+# Share of an axis' bound mass a dropped tail may hold when the cut is
+# chosen.  The bound overestimates the value by orders of magnitude, so this
+# sits far below TAIL_RTOL, and the check after the fact rarely fails.
+_CUT_SHARE = 1e-20
+
+
+def log_binomial_weights(count: int) -> np.ndarray:
+    """Probabilities C(count, j) / 2^count for j = 0..count.
+
+    Products of the exact ratios C(T, j+1) / C(T, j) = (T - j) / (j + 1),
+    taken outward from the mode j = T // 2 in both directions, then
+    normalised to sum 1.  An entry's rounding errors come from the ratios
+    between it and the mode and partly cancel: every entry above the
+    underflow range is within a few 1e-15 relative of the exact value
+    (4.1e-15 at T = 4096).  Entries below ~1e-308 go subnormal or to zero.
     """
-    counts = np.arange(total + 1, dtype=float)
-    out = np.zeros((l_max + 1, total + 1), dtype=complex)
+    mode = count // 2
+    down = np.arange(mode, 0, -1)
+    up = np.arange(mode, count)
+    w = np.concatenate(
+        (
+            np.cumprod(down / (count - down + 1.0))[::-1],
+            [1.0],
+            np.cumprod((count - up) / (up + 1.0)),
+        )
+    )
+    return w / w.sum()
+
+
+def _block_phi_matrix(l_max: int, n: int, total: int) -> np.ndarray:
+    """U[j, c] = phi_j of a block with c entries 1/sqrt(n) and total-c entries -1/sqrt(n).
+
+    U[j, c] = j! n^{-j/2} K_j(c), where K_j(c) = e_j of the block's +-1
+    entries (a Krawtchouk polynomial in c) is an integer.  With S = 2c - total,
+
+        (j+1) K_{j+1} = S K_j - (total - j + 1) K_{j-1},   K_0 = 1,  K_1 = S.
+
+    |K_j| <= C(total, j), so every intermediate is an integer of size at most
+    (total + j) C(total, j).  While that stays below 2^53 the recurrence runs
+    exactly in float64, above it on Python ints.  So U is exact up to the one
+    rounding of the scale j! n^{-j/2} and of the final product: bit-identical
+    to the binomial double sum wherever that sum was exact (total <= 2000 at
+    l_max = 5), and correctly rounded K_j beyond.
+    """
+    exact_in_float = all((total + j) * math.comb(total, j) < 2**53 for j in range(l_max))
+    dtype = float if exact_in_float else object
+    s = np.arange(-total, total + 1, 2).astype(dtype)
+    kraw = np.zeros((l_max + 1, total + 1), dtype=dtype)
+    kraw[0] = 1
+    if l_max:
+        kraw[1] = s
+    for j in range(1, l_max):
+        step = s * kraw[j] - (total - j + 1) * kraw[j - 1]
+        kraw[j + 1] = step / (j + 1) if exact_in_float else step // (j + 1)
+    scale = 1.0 / math.sqrt(n)
+    out = np.empty((l_max + 1, total + 1))
     for j in range(l_max + 1):
-        acc = np.zeros(total + 1, dtype=complex)
-        for i in range(j + 1):
-            acc += _binom(counts, i) * _binom(total - counts, j - i) * (-1.0) ** (j - i)
-        out[j] = math.factorial(j) * scale**j * acc
+        out[j] = (math.factorial(j) * scale**j) * kraw[j].astype(float)
     return out
 
 
-def symmetric_tzk_table(spec: SymmetricSpec, z: complex, k: int) -> np.ndarray:
-    """Values of T_z^k f_n on the collapsed (a, b) grid, shape (k+1, n-k+1).
+def _real_gemm(coeffs: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of coeffs @ v for complex coeffs and real v, by one real GEMM."""
+    stacked = np.concatenate((coeffs.real, coeffs.imag)) @ v
+    return stacked[: len(coeffs)], stacked[len(coeffs) :]
+
+
+@dataclass(frozen=True)
+class CollapsedTable:
+    """T_z^k f_n on the (a, b) count grid, kept factored as U^T M V.
+
+    table[a, b] = sum_{j,m} first[j, a] mix[j, m] second[m, b], with the real
+    block matrices of the first k and the last n - k coordinates and the
+    complex coupling mix[j, m] = a_{j+m} C(j+m, m) z^m.  np.asarray gives the
+    dense table; mixed_norm_collapsed forms only the cells it keeps.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    mix: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.first.shape[1], self.second.shape[1]
+
+    def row_coefficients(self) -> np.ndarray:
+        """C[a, m] = sum_j first[j, a] mix[j, m], so that table = C @ second."""
+        return self.first.T @ self.mix
+
+    def __array__(self, dtype=None, copy=None):
+        re, im = _real_gemm(self.row_coefficients(), self.second)
+        return (re + 1j * im).astype(dtype or complex, copy=False)
+
+
+class TailCut(NamedTuple):
+    """What one collapsed mixed norm dropped.
+
+    bound is the certified relative effect of the dropped cells on the value
+    (0 when every cell was kept); cells_kept of the table's cells were kept.
+    """
+
+    bound: float
+    cells_kept: int
+    cells: int
+
+
+def _mixed_value(re, im, w_first, w_second, p: float, q: float):
+    """(sum_a w_first (sum_b w_second |f|^q)^{p/q}, inner sums) with |f|^2 = re^2 + im^2; overwrites re, im."""
+    re *= re
+    im *= im
+    re += im
+    np.power(re, q / 2.0, out=re)
+    inner = re @ w_second
+    return float(np.dot(w_first, inner ** (p / q))), inner
+
+
+def _window(mass: np.ndarray) -> tuple[slice, np.ndarray]:
+    """The narrowest index window each of whose two tails holds at most
+    _CUT_SHARE / 2 of every row of `mass` (nonnegative, one row per
+    constraint), and each row's sum outside it.  The whole range if a row
+    sum is not finite."""
+    left = np.cumsum(mass, axis=1)
+    right = np.cumsum(mass[:, ::-1], axis=1)
+    size = mass.shape[1]
+    budget = 0.5 * _CUT_SHARE * left[:, -1:]
+    lo = int(np.min(np.sum(left <= budget, axis=1), initial=size))
+    hi = size - int(np.min(np.sum(right <= budget, axis=1), initial=size))
+    if lo >= hi or not np.all(np.isfinite(budget)):
+        return slice(0, size), np.zeros(mass.shape[0])
+    tail = np.zeros(mass.shape[0])
+    if lo:
+        tail += left[:, lo - 1]
+    if hi < size:
+        tail += right[:, size - hi - 1]
+    return slice(lo, hi), tail
+
+
+def _cut_norm(table: CollapsedTable, w_first, w_second, p: float, q: float) -> tuple[float, TailCut]:
+    """The mixed norm over the kept cells, with the certified bound on the rest.
+
+    Row a of the table is f(a, b) = sum_m C[a, m] V[m, b] over the N columns
+    m of mix that are not zero.  By the power mean inequality
+    |f|^q <= N^{q-1} sum_m |C[a, m]|^q |V[m, b]|^q, so the inner sum over
+    the dropped columns is at most B(a) = N^{q-1} sum_m |C[a, m]|^q G[m],
+    with G[m] those columns' sum of w |V[m, b]|^q.  For a kept row with kept
+    inner sum A and r = p/q <= 1, (A + B)^r - A^r <= min(B^r, r A^{r-1} B)
+    by the subadditivity and the concavity of x^r; a dropped row adds at
+    most B(a)^r with G over all columns.  Dropping cells only lowers the
+    value.  If the summed bound exceeds TAIL_RTOL times the kept value,
+    every cell is formed instead.
+    """
+    r = p / q
+    active = np.any(table.mix != 0, axis=0)
+    spread = float(np.count_nonzero(active)) ** (q - 1.0)
+    coeffs = table.row_coefficients()[:, active]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs_q = np.abs(coeffs) ** q
+        col_mass = w_second * np.abs(table.second[active]) ** q
+        cols, col_tail = _window(col_mass)
+        rows, row_tail = _window((w_first * (spread * coeffs_q @ col_mass.sum(axis=1)) ** r)[None, :])
+    kept = (rows.stop - rows.start) * (cols.stop - cols.start)
+    cells = table.shape[0] * table.shape[1]
+    parts = _real_gemm(coeffs[rows], table.second[active][:, cols])
+    value, inner = _mixed_value(*parts, w_first[rows], w_second[cols], p, q)
+    if kept == cells:
+        return value, TailCut(0.0, cells, cells)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        col_bound = spread * coeffs_q[rows] @ col_tail
+        tangent = r * col_bound / inner ** (1.0 - r)
+        dropped = float(row_tail[0]) + float(np.dot(w_first[rows], np.fmin(col_bound**r, tangent)))
+    bound = 0.0 if not dropped else dropped / value if value > 0 else math.inf
+    if bound <= TAIL_RTOL:
+        return value, TailCut(bound, kept, cells)
+    value, _ = _mixed_value(*_real_gemm(coeffs, table.second[active]), w_first, w_second, p, q)
+    return value, TailCut(0.0, cells, cells)
+
+
+def mixed_norm_collapsed(
+    table: CollapsedTable | np.ndarray,
+    n: int,
+    k: int,
+    p: float,
+    q: float,
+    cuts: list[TailCut] | None = None,
+) -> float:
+    """Collapsed mixed norm for block-symmetric functions.
+
+    `table[a, b]` holds the function value at any point with a (+1)s in the
+    first block and b in the second; the averages become binomially weighted
+    sums over the counts.  A CollapsedTable (from symmetric_tzk_table) is
+    cut to the rows and columns that carry weight, with a certified bound
+    (see _cut_norm); a dense table is summed whole.  If `cuts` is given, the
+    TailCut of this call is appended to it.
+    """
+    _check_exponents(p, q)
+    if tuple(np.shape(table)) != (k + 1, n - k + 1):
+        raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
+    w_first, w_second = log_binomial_weights(k), log_binomial_weights(n - k)
+    if isinstance(table, CollapsedTable):
+        value, cut = _cut_norm(table, w_first, w_second, p, q)
+    else:
+        table = np.asarray(table, dtype=complex)
+        value, _ = _mixed_value(table.real.copy(), table.imag.copy(), w_first, w_second, p, q)
+        cut = TailCut(0.0, table.size, table.size)
+    if cuts is not None:
+        cuts.append(cut)
+    return value
+
+
+def symmetric_tzk_table(spec: SymmetricSpec, z: complex, k: int) -> CollapsedTable:
+    """Values of T_z^k f_n on the collapsed (a, b) grid, shape (k+1, n-k+1), factored.
 
     Uses the block convolution identity: with u_j = phi_j(first block) and
     v_m = phi_m(second block, undamped), the damped symmetric function is
     sum_{j,m} a_{j+m} C(j+m, m) z^m u_j v_m, i.e. a small matrix sandwich
-    U^T C V.  Cost O(L^2 * n) instead of O(L^2) per cell.
+    U^T C V.  Each block matrix takes O(L n): the integer Krawtchouk
+    recurrence (j+1) K_{j+1} = S K_j - (T - j + 1) K_{j-1} in the block's
+    count sum S and size T, scaled once by j! n^{-j/2}, so it is exact up to
+    that one rounding (see _block_phi_matrix).
     """
     n = spec.n
     if not 0 <= k <= n:
         raise ValueError(f"split index must satisfy 0 <= k <= {n}")
     l_max = spec.degree
-    c = 1.0 / math.sqrt(n)
-    u = _block_phi_matrix(l_max, n, k, c)
-    v = _block_phi_matrix(l_max, n, n - k, c)
     mix = np.zeros((l_max + 1, l_max + 1), dtype=complex)
     for j in range(l_max + 1):
         for m in range(l_max + 1 - j):
             mix[j, m] = spec.a[j + m] * math.comb(j + m, m) * complex(z) ** m
-    return u.T @ mix @ v
+    return CollapsedTable(_block_phi_matrix(l_max, n, k), _block_phi_matrix(l_max, n, n - k), mix)

@@ -38,6 +38,7 @@ from .cube import (
     BlockCounts,
     CubeFunction,
     SymmetricSpec,
+    TailCut,
     apply_Tzk,
     log_binomial_weights,
     mixed_norm,
@@ -77,7 +78,10 @@ def discrete_flow(
     """The discrete monotone map over the requested split indices.
 
     CubeFunction inputs are enumerated (n <= 24); SymmetricSpec inputs go to
-    the collapsed block-count backend and scale to n in the thousands.
+    the collapsed block-count backend and scale to n in the thousands.  Its
+    report's diagnostics give the largest certified relative effect of the
+    dropped binomial tails over k (tail_bound) and the share of table cells
+    kept (cells_kept_share).
     Endpoints satisfy value(n) = E|f|^p and value(0) = (E|T_z f|^q)^{p/q}.
     """
     t.require_ordered()
@@ -89,6 +93,7 @@ def discrete_flow(
         raise ValueError(f"split indices must lie in [0, {n}]")
     if backend == "auto":
         backend = "collapsed" if isinstance(f, SymmetricSpec) else "naive"
+    diagnostics = {}
     if backend == "naive":
         cube = f.materialize() if isinstance(f, SymmetricSpec) else f
         samples = [
@@ -97,13 +102,18 @@ def discrete_flow(
     elif backend == "collapsed":
         if not isinstance(f, SymmetricSpec):
             raise ValueError("collapsed backend requires a SymmetricSpec input")
+        cuts: list[TailCut] = []
         samples = [
-            (k, mixed_norm_collapsed(symmetric_tzk_table(f, t.z, k), n, k, t.p, t.q))
+            (k, mixed_norm_collapsed(symmetric_tzk_table(f, t.z, k), n, k, t.p, t.q, cuts=cuts))
             for k in ks
         ]
+        diagnostics = {
+            "tail_bound": max(cut.bound for cut in cuts),
+            "cells_kept_share": sum(cut.cells_kept for cut in cuts) / sum(cut.cells for cut in cuts),
+        }
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return FlowReport(parameter_name="k", samples=tuple(samples))
+    return FlowReport(parameter_name="k", samples=tuple(samples), diagnostics=diagnostics)
 
 
 def _outer_average(inner: np.ndarray, rule: QuadratureRule, p: float, q: float) -> float:

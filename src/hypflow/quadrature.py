@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError
 
@@ -108,6 +107,10 @@ def gh_rule(n: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _gh_rule_cached(n: int) -> QuadratureRule:
+    # scipy is imported here, at the first rule built, so that commands which
+    # build no rule (discrete-flow, two-point-scan) never load it.
+    from scipy.linalg import eigvalsh_tridiagonal
+
     # Even block of J^2: diagonal 2i+1 (n-1 in the last row when n-1 is
     # even), off-diagonal sqrt((i+1)(i+2)), over even i < n.
     i = np.arange(0, n, 2, dtype=float)

@@ -8,7 +8,7 @@ machine-readable manifest is always written alongside as JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -36,12 +36,17 @@ class MonotoneVerdict:
 
 @dataclass(frozen=True)
 class FlowReport:
-    """Ordered (parameter, value) samples with a recomputable monotonicity verdict."""
+    """Ordered (parameter, value) samples with a recomputable monotonicity verdict.
+
+    diagnostics holds how the values were obtained, for the manifest only;
+    it takes no part in comparisons or in the CSV.
+    """
 
     parameter_name: str
     samples: tuple[tuple[float, float], ...]
     tol_abs: float = DEFAULT_TOL_ABS
     tol_rel: float = DEFAULT_TOL_REL
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(

@@ -1,6 +1,10 @@
 """CLI harness: exit codes, CSV schemas, determinism, config handling."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,55 @@ def test_discrete_flow_spec_example(tmp_path):
     assert manifest["verdict"] == "nondecreasing"
     assert manifest["command"] == "discrete-flow"
     assert "wall_time_s" in manifest and "version" in manifest
+
+
+def test_discrete_flow_manifest_reports_the_tail_cut(tmp_path):
+    args = ["discrete-flow", "--n", "600", "--p", "1.5", "--q", "3.5", "--z-re", "0.3", "--z-im", "-0.2"]
+    args += ["--coeffs", "0.5,1-1j,0.25j,0.75", "--ks", "0,150,300,451,600"]
+    code, out1 = run(args, tmp_path, "a")
+    assert code == EXIT_OK
+    _, out2 = run(args, tmp_path, "b")
+    assert (out1 / "flow.csv").read_bytes() == (out2 / "flow.csv").read_bytes()
+    lines = (out1 / "flow.csv").read_text().splitlines()
+    assert lines[0] == "parameter,value,delta_to_prev" and len(lines) == 7
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert 0.0 < manifest["tail_bound"] <= 1e-15
+    assert 0.0 < manifest["cells_kept_share"] < 1.0
+
+
+_SCIPY_PROBE = """
+import json, sys
+from hypflow.cli import main
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+seen = {"import": scipy_modules()}
+out = sys.argv[1]
+seen["discrete-flow"] = main(["discrete-flow", "--n", "12", "--p", "2", "--q", "4", "--z-re", "0.5",
+                              "--coeffs", "0,1,1", "--out", out + "/d"])
+seen["after discrete-flow"] = scipy_modules()
+seen["hy-exp"] = main(["hy-exp", "--p", "2", "--atoms", "1:0.5", "--s-points", "3", "--out", out + "/h"])
+seen["linalg after hy-exp"] = "scipy.linalg" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_with_the_first_gauss_rule(tmp_path):
+    # a fresh interpreter, so nothing imported by other tests can hide a module-level import
+    src = str(Path(hypflow.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {
+        "import": [],
+        "discrete-flow": EXIT_OK,
+        "after discrete-flow": [],
+        "hy-exp": EXIT_OK,
+        "linalg after hy-exp": True,
+    }
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,9 +1,11 @@
 """Walsh algebra, damping operator, symmetric functions, and mixed norms."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hypflow.cube as cube
 from hypflow.cube import (
     BlockCounts,
     CubeFunction,
@@ -11,7 +13,9 @@ from hypflow.cube import (
     apply_Tzk,
     beckner_expand,
     binomial_split_check,
+    _block_phi_matrix,
     hadamard_transform,
+    log_binomial_weights,
     mixed_norm,
     mixed_norm_collapsed,
     phi_block_eval,
@@ -295,3 +299,80 @@ def test_symmetric_spec_validation():
     spec = SymmetricSpec(n=30, a=[1.0, 1.0])
     with pytest.raises(ValueError):
         spec.materialize()
+
+
+def _krawtchouk(total: int, j: int, c: int) -> int:
+    # e_j of c entries +1 and total - c entries -1, as an exact integer
+    return sum((-1) ** (j - i) * math.comb(c, i) * math.comb(total - c, j - i) for i in range(j + 1))
+
+
+@pytest.mark.parametrize(
+    "n, total, l_max",
+    [(5, 0, 5), (9, 1, 5), (40, 7, 5), (400, 100, 5), (2000, 999, 5), (2000, 2000, 5), (4096, 4096, 6)],
+)
+def test_block_phi_matrix_is_exact(n, total, l_max):
+    # j! n^{-j/2} times the exact integer, rounded once: bit for bit.  At
+    # total = 4096, l_max = 6 the recurrence leaves float64 for Python ints.
+    scale = 1.0 / math.sqrt(n)
+    want = np.array(
+        [
+            [(math.factorial(j) * scale**j) * float(_krawtchouk(total, j, c)) for c in range(total + 1)]
+            for j in range(l_max + 1)
+        ]
+    )
+    got = _block_phi_matrix(l_max, n, total)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [12, 800, 2000, 4096])
+def test_binomial_weights_match_exact_fractions(count):
+    exact = np.array([float(Fraction(math.comb(count, j), 2**count)) for j in range(count + 1)])
+    got = log_binomial_weights(count)
+    normal = exact > 1e-300  # below that the entries go subnormal
+    assert np.all(np.abs(got[normal] - exact[normal]) <= 1e-14 * exact[normal])
+    assert np.all(got[~normal] <= 1e-300)
+    assert abs(got.sum() - 1.0) <= 1e-15
+
+
+def _cut_and_full(spec, z, k, p, q):
+    n = spec.n
+    cuts = []
+    table = symmetric_tzk_table(spec, z, k)
+    value = mixed_norm_collapsed(table, n, k, p, q, cuts=cuts)
+    full = mixed_norm_collapsed(np.asarray(table), n, k, p, q)
+    return value, full, cuts[0]
+
+
+def test_tail_cut_bound_holds():
+    rng = np.random.default_rng(9)
+    for n, z in [(300, 0.4 - 0.3j), (1000, 0.0), (1000, 0.9j)]:
+        spec = SymmetricSpec(n=n, a=rng.normal(size=5) + 1j * rng.normal(size=5))
+        for k in (0, n // 3, n // 2, n):
+            value, full, cut = _cut_and_full(spec, z, k, 1.3, 3.4)
+            if k not in (0, n):
+                assert cut.cells_kept < cut.cells
+            assert cut.bound <= cube.TAIL_RTOL
+            # the cut value misses at most the certified share, up to rounding
+            assert value <= full * (1 + 1e-14)
+            assert full - value <= (cut.bound + 1e-14) * value
+
+
+def test_tail_cut_falls_back_to_the_full_table(monkeypatch):
+    # a bound no cut can meet: every cell is formed, and nothing is reported dropped
+    monkeypatch.setattr(cube, "TAIL_RTOL", -1.0)
+    spec = SymmetricSpec(n=400, a=[0.5, 1.0, 0.0, -0.25j])
+    value, full, cut = _cut_and_full(spec, 0.3 + 0.2j, 150, 1.5, 3.0)
+    assert cut == cube.TailCut(0.0, 151 * 251, 151 * 251)
+    assert value == full
+
+
+def test_collapsed_table_matches_block_evaluation():
+    spec = SymmetricSpec(n=9, a=[0.3, -1.0j, 0.5, 0.0, 2.0])
+    z, k = 0.4 + 0.7j, 4
+    table = np.asarray(symmetric_tzk_table(spec, z, k))
+    assert table.shape == (k + 1, spec.n - k + 1)
+    for a in range(k + 1):
+        for b in range(spec.n - k + 1):
+            counts = BlockCounts(k=k, a=a, b=b)
+            want = sum(c * phi_block_eval(ell, spec.n, counts, z) for ell, c in enumerate(spec.a))
+            assert abs(table[a, b] - want) <= 1e-13 * max(1.0, abs(want))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hypflow.flows as flows
 from hypflow.cube import BlockCounts, SymmetricSpec, apply_Tzk
 from hypflow.errors import EvaluatorMismatchError
 from hypflow.flows import (
@@ -50,6 +51,44 @@ def test_discrete_flow_backends_agree_and_are_monotone():
     assert collapsed.verdict().nondecreasing
     for a, b in zip(collapsed.values, naive.values):
         assert abs(a - b) <= 1e-12 * max(1.0, a)
+
+
+def _exact_blocks(n, l_max):
+    # phi_j of a block of size T with c entries 1/sqrt(n) and the rest
+    # -1/sqrt(n), from e_j = sum_i (-1)^(j-i) C(c, i) C(T-c, j-i) in int64
+    # (exact here: every term is at most C(n, l_max) < 2^53)
+    binom = np.array([[math.comb(c, i) for i in range(l_max + 1)] for c in range(n + 1)], dtype=np.int64)
+    blocks = []
+    for total in range(n + 1):
+        c = np.arange(total + 1)
+        ints = [
+            sum((-1) ** (j - i) * binom[c, i] * binom[total - c, j - i] for i in range(j + 1))
+            for j in range(l_max + 1)
+        ]
+        blocks.append(np.array([math.factorial(j) * e / n ** (j / 2) for j, e in enumerate(ints)]))
+    return blocks
+
+
+def test_collapsed_flow_matches_exact_level_sums():
+    # every k at n = 400, where the tail cut is active, against fsum level
+    # sums with exact binomial weights
+    n, p, q, z = 400, 1.5, 3.7, 0.3 + 0.2j
+    a = np.array([0.3 + 0.1j, 1 - 0.5j, 0.2j, 0.7, -0.4 + 0.3j, 0.25 - 0.6j])
+    rep = discrete_flow(SymmetricSpec(n=n, a=a), ExponentTriple(p, q, z))
+    assert rep.diagnostics["cells_kept_share"] < 1.0
+    assert 0.0 < rep.diagnostics["tail_bound"] <= 1e-15
+    blocks = _exact_blocks(n, a.size - 1)
+    # int / int true division rounds the exact quotient once
+    weights = [np.array([math.comb(total, j) / 2**total for j in range(total + 1)]) for total in range(n + 1)]
+    mix = np.array(
+        [[a[j + m] * math.comb(j + m, m) * z**m if j + m < a.size else 0 for m in range(a.size)] for j in range(a.size)]
+    )
+    for k, value in zip(rep.parameters, rep.values):
+        k = int(k)
+        terms = weights[n - k] * np.abs(blocks[k].T @ mix @ blocks[n - k]) ** q
+        inner = [math.fsum(row) for row in terms.tolist()]
+        want = math.fsum(w * v ** (p / q) for w, v in zip(weights[k].tolist(), inner))
+        assert abs(value - want) <= 1e-14 * want, k
 
 
 def test_discrete_flow_validation():
@@ -136,16 +175,27 @@ def test_scaled_hermite_inner_evaluator_is_regular_at_sigma_zero():
     assert abs(val - ref) <= 1e-7 * abs(ref)
 
 
-def test_janson_flow_report_and_mismatch_error():
+def test_janson_flow_report_and_mismatch_error(monkeypatch):
     g = PolySeries([1.0, 2.0, 0.0, 1.0])
     p = 4 / 3
     t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
     rep = janson_flow(g, t, s_grid=np.linspace(0, 1, 9))
     assert rep.verdict().nondecreasing
     assert rep.min_delta() > -1e-9
-    # an impossible tolerance must surface as a mismatch error, not a report
+
+    # a reference evaluator off by ten times the default spot_tol must surface
+    # as a mismatch error; one off by a tenth of it must not
+    def offset(scale):
+        def evaluate(*args, **kwargs):
+            return janson_quadrature(*args, **kwargs) * scale
+
+        return evaluate
+
+    monkeypatch.setattr(flows, "janson_quadrature", offset(1 + 1e-5))
     with pytest.raises(EvaluatorMismatchError):
-        janson_flow(g, t, s_grid=[0.0, 0.5, 1.0], spot_tol=1e-18)
+        janson_flow(g, t, s_grid=[0.0, 0.5, 1.0])
+    monkeypatch.setattr(flows, "janson_quadrature", offset(1 + 1e-7))
+    janson_flow(g, t, s_grid=[0.0, 0.5, 1.0])
 
 
 def test_mixed_moment_check_low_degrees():
