@@ -175,7 +175,7 @@ def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
         config.tol,
     )
     write_flow_csv(report, out / "flow.csv")
-    manifest = {"p": p, "q": q, "z": z, **_monotone_verdicts(report)}
+    manifest = {"p": p, "q": q, "z": z, **_monotone_verdicts(report), **report.diagnostics}
     return (EXIT_OK if report.verdict().nondecreasing else EXIT_VIOLATION), manifest
 
 

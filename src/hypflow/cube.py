@@ -441,7 +441,8 @@ class TailCut(NamedTuple):
     """What one collapsed mixed norm dropped.
 
     bound is the certified relative effect of the dropped cells on the value
-    (0 when every cell was kept); cells_kept of the table's cells were kept.
+    (0 when every cell was kept); cells_kept of the table's (or, in flows,
+    the outer grid's) cells were kept.
     """
 
     bound: float
@@ -459,15 +460,15 @@ def _mixed_value(re, im, w_first, w_second, p: float, q: float):
     return float(np.dot(w_first, inner ** (p / q))), inner
 
 
-def _window(mass: np.ndarray) -> tuple[slice, np.ndarray]:
+def _window(mass: np.ndarray, share: float = _CUT_SHARE) -> tuple[slice, np.ndarray]:
     """The narrowest index window each of whose two tails holds at most
-    _CUT_SHARE / 2 of every row of `mass` (nonnegative, one row per
-    constraint), and each row's sum outside it.  The whole range if a row
-    sum is not finite."""
+    share / 2 of every row of `mass` (nonnegative, one row per constraint),
+    and each row's sum outside it.  The whole range if a row sum is not
+    finite.  A row that is symmetric about the middle gets a centred window."""
     left = np.cumsum(mass, axis=1)
     right = np.cumsum(mass[:, ::-1], axis=1)
     size = mass.shape[1]
-    budget = 0.5 * _CUT_SHARE * left[:, -1:]
+    budget = 0.5 * share * left[:, -1:]
     lo = int(np.min(np.sum(left <= budget, axis=1), initial=size))
     hi = size - int(np.min(np.sum(right <= budget, axis=1), initial=size))
     if lo >= hi or not np.all(np.isfinite(budget)):

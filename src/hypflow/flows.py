@@ -26,19 +26,44 @@ for polynomial g.  J is evaluated by three independent routes:
 
 Any disagreement between evaluators beyond tolerance is an error, never
 averaged away.
+
+The outer averages run on the product u-by-x grid of one Gauss-Hermite rule,
+doubled until the value is stable.  Past ~100 nodes most of that grid carries
+weights too small to matter, so each evaluator also supplies a separable
+majorant |inner(u, x)| <= M_u(|u|) + M_x(|x|), and only a centred block of
+the grid is formed; the dropped cells are bounded and the bound is checked
+against the kept value (see _outer_average).  With P nonnegative and
+nondecreasing on [0, inf), |inner| <= P(|X|) and
+|X| <= sqrt(s)|u| + |z| sqrt(1-s)|x|:
+
+    M_u(a) = P(2 sqrt(s) a),   M_x(b) = P(2 |z| sqrt(1-s) b),
+
+since P of a sum is at most P of twice the larger term (at s = 0, s = 1 or
+z = 0 one axis drops out of X, takes P alone and the other 0).  Per
+evaluator:
+
+  * mehler: P(t) = sum |c_l| Hbar_l(t; |sigma|), with the absolute-value
+    recurrence Hbar_{m+1} = t Hbar_m + m |sigma| Hbar_{m-1}.
+  * quadrature: P(t) = sum_k w_k sum |a_l| (t + |shift_k|)^l over the
+    inner rule's imaginary shifts and weights.
+  * heat: P(t) = sum |a_l| t^l on the evolved coefficients.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as _poly
 
 from .cube import (
     BlockCounts,
     CubeFunction,
     SymmetricSpec,
+    TAIL_RTOL,
     TailCut,
+    _window,
     apply_Tzk,
     log_binomial_weights,
     mixed_norm,
@@ -63,6 +88,10 @@ DEFAULT_S_GRID_POINTS = 21
 _AUTO_START = 32
 _AUTO_CAP = 512
 _AUTO_RTOL = 1e-10
+# Share of an axis' majorant mass a dropped tail may hold (cube's _CUT_SHARE
+# plays the same part).  The majorants overestimate the grid by many orders
+# of magnitude, so this sits far below TAIL_RTOL.
+_GRID_SHARE = 1e-28
 
 
 def default_s_grid(points: int = DEFAULT_S_GRID_POINTS) -> np.ndarray:
@@ -116,21 +145,121 @@ def discrete_flow(
     return FlowReport(parameter_name="k", samples=tuple(samples), diagnostics=diagnostics)
 
 
-def _outer_average(inner: np.ndarray, rule: QuadratureRule, p: float, q: float) -> float:
-    """E_u (E_x |inner(u, x)|^q)^{p/q} on the shared outer node grid."""
-    x_avg = (np.abs(inner) ** q) @ rule.weights
-    return float(np.dot(rule.weights, x_avg ** (p / q)))
+@dataclass
+class OuterStats:
+    """What the outer grids of one flow sample did, for the diagnostics.
+
+    cuts holds one TailCut per grid formed (bound 0 for a full grid);
+    capped says that the node doubling stopped at _AUTO_CAP without meeting
+    _AUTO_RTOL.
+    """
+
+    cuts: list[TailCut] = field(default_factory=list)
+    capped: bool = False
 
 
-def _auto_outer(evaluate, rule, raise_on_failure: bool = False) -> float:
+def _separable_majorant(
+    bound: Callable[[np.ndarray], np.ndarray], rs: float, zrc: complex, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M_u, M_x) at the nodes for |inner(u, x)| <= P(|rs u + zrc x|).
+
+    P (`bound`) must be nonnegative and nondecreasing on [0, inf).  Then
+    P(a + b) <= P(2 max(a, b)) <= P(2a) + P(2b).  When rs or zrc is 0
+    (s = 1, s = 0 or z = 0), X depends on one axis at most and that axis
+    takes P(a) alone, the other 0.
+    """
+    a = np.abs(nodes)
+    if rs and zrc:
+        return bound(2.0 * rs * a), bound(2.0 * abs(zrc) * a)
+    if zrc:
+        return np.zeros_like(a), bound(abs(zrc) * a)
+    return bound(rs * a), np.zeros_like(a)
+
+
+def _monomial_majorant(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> sum |a_l| t^l, which bounds |sum a_l w^l| for |w| <= t."""
+    abs_coeffs = np.abs(coeffs)
+    return lambda t: _poly.polyval(t, abs_coeffs)
+
+
+def _outer_average(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rule: QuadratureRule,
+    p: float,
+    q: float,
+    majorant: tuple[np.ndarray, np.ndarray] | None = None,
+    cuts: list[TailCut] | None = None,
+) -> float:
+    """E_u (E_x |inner(u, x)|^q)^{p/q} on the rule's product grid.
+
+    integrand(u, x) gives inner on the product of the node arrays u (rows)
+    and x (columns).  Without a majorant every cell is formed.  With
+    majorant = (M_u, M_x) at the nodes, |inner(u_i, x_j)| <= M_u[i] + M_x[j],
+    only the centred rows I and columns J chosen by cube's _window (tails of
+    at most _GRID_SHARE of the majorant mass) are formed.  With r = p/q <= 1,
+    A_i the kept inner sum of row i and W the weight of the dropped columns,
+    the power mean inequality (a + b)^q <= 2^{q-1} (a^q + b^q) bounds a kept
+    row's dropped inner sum by
+
+        B_i = 2^{q-1} (M_u[i]^q W + sum_{j not in J} w_j M_x[j]^q),
+
+    which moves its term w_i A_i^r by at most w_i min(B_i^r, r A_i^{r-1} B_i)
+    (subadditivity and concavity of x^r); a dropped row adds at most
+    w_i (2^{q-1} (M_u[i]^q + sum_j w_j M_x[j]^q))^r.  Dropping cells only
+    lowers the value.  If the summed bound exceeds TAIL_RTOL times the kept
+    value, every cell is formed instead, as without a majorant.  If `cuts`
+    is given, the TailCut of this grid is appended to it.
+    """
+    nodes, w = rule.nodes, rule.weights
+    if majorant is not None:
+        cut = _cut_average(integrand, nodes, w, p, q, *majorant)
+        if cut is not None:
+            value, tail = cut
+            if cuts is not None:
+                cuts.append(tail)
+            return value
+    x_avg = (np.abs(integrand(nodes, nodes)) ** q) @ w
+    if cuts is not None:
+        cuts.append(TailCut(0.0, nodes.size**2, nodes.size**2))
+    return float(np.dot(w, x_avg ** (p / q)))
+
+
+def _cut_average(integrand, nodes, w, p, q, m_u, m_x) -> tuple[float, TailCut] | None:
+    """_outer_average on the kept block and its TailCut, or None when the
+    block is the whole grid or its bound exceeds TAIL_RTOL."""
+    r = p / q
+    spread = 2.0 ** (q - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_q, mx_q = m_u**q, m_x**q
+        cols, col_tail = _window(np.stack((w, w * mx_q)), _GRID_SHARE)
+        row_mass = w * (spread * (mu_q + np.dot(w, mx_q))) ** r
+        rows, row_tail = _window(row_mass[None, :], _GRID_SHARE)
+    kept = (rows.stop - rows.start) * (cols.stop - cols.start)
+    cells = nodes.size**2
+    if kept == cells:
+        return None
+    inner = (np.abs(integrand(nodes[rows], nodes[cols])) ** q) @ w[cols]
+    value = float(np.dot(w[rows], inner**r))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        col_bound = spread * (mu_q[rows] * col_tail[0] + col_tail[1])
+        tangent = r * col_bound / inner ** (1.0 - r)
+        dropped = float(row_tail[0]) + float(np.dot(w[rows], np.fmin(col_bound**r, tangent)))
+    bound = 0.0 if not dropped else dropped / value if value > 0 else math.inf
+    if not bound <= TAIL_RTOL:
+        return None
+    return value, TailCut(bound, kept, cells)
+
+
+def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStats | None = None) -> float:
     """Run an outer-rule-dependent evaluation with node doubling to stability.
 
-    Doubling targets 1e-10 relative agreement between successive sizes.
-    Integrands with absolute-value kinks only converge algebraically and
-    wobble around their accuracy plateau, so reaching the node cap is fine
-    as long as the final doubling step stayed small; with raise_on_failure,
-    a final step above the coarse floor (value still undetermined at the
-    1e-4 level) fails loudly instead of reporting garbage.
+    Doubling targets 1e-10 relative agreement between successive sizes and
+    stops at _AUTO_CAP nodes.  Integrands with absolute-value kinks only
+    converge algebraically, so the cap can be reached without meeting that
+    target; the value at the cap is then returned whatever the last doubling
+    step was, and `stats.capped` is set.  With raise_on_failure, a final step
+    above the coarse floor (value still undetermined at the 1e-4 level)
+    raises AccuracyError instead.
     """
     if rule is not None:
         return evaluate(resolve_rule(rule))
@@ -148,6 +277,8 @@ def _auto_outer(evaluate, rule, raise_on_failure: bool = False) -> float:
         from .errors import AccuracyError
 
         raise AccuracyError(f"outer quadrature did not stabilize below {_AUTO_CAP} nodes")
+    if stats is not None:
+        stats.capped = True
     return prev
 
 
@@ -156,30 +287,62 @@ def janson_quadrature(
     t: ExponentTriple,
     s: float,
     rule: QuadratureRule | int | None = None,
+    stats: OuterStats | None = None,
 ) -> float:
     """J(s) with the inner double average done by product quadrature.
 
     The inner rule only needs to cover deg(g); the outer rule handles the
     non-polynomial |.|^q layers and is doubled until stable when not given.
+    If `stats` is given, it records the outer grids (see OuterStats).
     """
     t.require_ordered()
     if not 0.0 <= s <= 1.0:
         raise ValueError("flow parameter s must lie in [0, 1]")
     inner_rule = gh_rule(g.degree // 2 + 2)
     rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
+    zrc = t.z * rc
     inner_shift = (
         1j * rs * inner_rule.nodes[:, None] + 1j * t.z * rc * inner_rule.nodes[None, :]
     ).ravel()
     inner_w = (inner_rule.weights[:, None] * inner_rule.weights[None, :]).ravel()
+    poly_bound = _monomial_majorant(g.coeffs)
+    abs_shift = np.abs(inner_shift)[:, None]
+    cuts = None if stats is None else stats.cuts
 
-    def evaluate(rule: QuadratureRule) -> float:
-        base = rs * rule.nodes[:, None] + t.z * rc * rule.nodes[None, :]
+    def bound(radius: np.ndarray) -> np.ndarray:
+        # |inner| <= sum_k w_k |g(X + shift_k)| <= sum_k w_k P(|X| + |shift_k|)
+        return inner_w @ poly_bound(radius + abs_shift)
+
+    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        base = rs * u[:, None] + zrc * x[None, :]
         inner = np.zeros(base.shape, dtype=complex)
         for shift, weight in zip(inner_shift, inner_w):
             inner += weight * g(base + shift)
-        return _outer_average(inner, rule, t.p, t.q)
+        return inner
 
-    return _auto_outer(evaluate, rule)
+    def evaluate(rule: QuadratureRule) -> float:
+        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
+        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
+
+    return _auto_outer(evaluate, rule, stats=stats)
+
+
+def _scaled_hermite_majorant(coeffs: np.ndarray, sigma: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> sum |c_l| Hbar_l(t), Hbar_{m+1} = t Hbar_m + m |sigma| Hbar_{m-1}.
+
+    By induction |h_l(X; sigma)| <= Hbar_l(|X|), and Hbar_l has nonnegative
+    coefficients, so the sum bounds |sum c_l h_l(X; sigma)| for |X| <= t.
+    """
+    abs_coeffs, abs_sigma = np.abs(coeffs), abs(sigma)
+
+    def bound(t: np.ndarray) -> np.ndarray:
+        out, prev, cur = np.zeros_like(t), np.zeros_like(t), np.ones_like(t)
+        for m, c in enumerate(abs_coeffs):
+            out += c * cur
+            prev, cur = cur, t * cur + m * abs_sigma * prev
+        return out
+
+    return bound
 
 
 def janson_mehler(
@@ -187,6 +350,7 @@ def janson_mehler(
     t: ExponentTriple,
     s: float,
     rule: QuadratureRule | int | None = None,
+    stats: OuterStats | None = None,
 ) -> float:
     """J(s) with the inner average in scaled-Hermite closed form."""
     t.require_ordered()
@@ -195,13 +359,18 @@ def janson_mehler(
     coeffs = gaussian_smooth(g).coeffs
     sigma = s + (1.0 - s) * t.z * t.z
     rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
+    zrc = t.z * rc
+    bound = _scaled_hermite_majorant(coeffs, sigma)
+    cuts = None if stats is None else stats.cuts
+
+    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return hermite_scaled_sum(coeffs, rs * u[:, None] + zrc * x[None, :], sigma)
 
     def evaluate(rule: QuadratureRule) -> float:
-        big_x = rs * rule.nodes[:, None] + t.z * rc * rule.nodes[None, :]
-        inner = hermite_scaled_sum(coeffs, big_x, sigma)
-        return _outer_average(inner, rule, t.p, t.q)
+        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
+        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
 
-    return _auto_outer(evaluate, rule)
+    return _auto_outer(evaluate, rule, stats=stats)
 
 
 def janson_heat(
@@ -209,6 +378,7 @@ def janson_heat(
     t: ExponentTriple,
     s: float,
     rule: QuadratureRule | int | None = None,
+    stats: OuterStats | None = None,
 ) -> float:
     """J(s) as a composition of three heat flows.
 
@@ -220,25 +390,30 @@ def janson_heat(
     """
     t.require_ordered()
     if s in (0.0, 1.0):
-        return janson_mehler(PolySeries(gt.coeffs), t, s, rule)
+        return janson_mehler(PolySeries(gt.coeffs), t, s, rule, stats)
     if not 0.0 < s < 1.0:
         raise ValueError("flow parameter s must lie in [0, 1]")
     poly = basis_convert(gt, "hermite_to_monomial")
     evolved = heat_poly_series((1.0 - s) * (1.0 - t.z * t.z), poly)
     rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
+    zrc = t.z * rc
+    bound = _monomial_majorant(evolved.coeffs)
+    cuts = None if stats is None else stats.cuts
+
+    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return evolved(rs * u[:, None] + zrc * x[None, :])
 
     def evaluate(rule: QuadratureRule) -> float:
-        arg = rs * rule.nodes[:, None] + t.z * rc * rule.nodes[None, :]
-        inner = evolved(arg)
-        return _outer_average(inner, rule, t.p, t.q)
+        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
+        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
 
-    return _auto_outer(evaluate, rule)
+    return _auto_outer(evaluate, rule, stats=stats)
 
 
 _EVALUATORS = {
-    "quadrature": lambda g, t, s, rule: janson_quadrature(g, t, s, rule),
-    "mehler": lambda g, t, s, rule: janson_mehler(g, t, s, rule),
-    "heat": lambda g, t, s, rule: janson_heat(gaussian_smooth(g), t, s, rule),
+    "quadrature": lambda g, t, s, rule, stats: janson_quadrature(g, t, s, rule, stats),
+    "mehler": lambda g, t, s, rule, stats: janson_mehler(g, t, s, rule, stats),
+    "heat": lambda g, t, s, rule, stats: janson_heat(gaussian_smooth(g), t, s, rule, stats),
 }
 
 
@@ -255,21 +430,35 @@ def janson_flow(
 
     Three grid points (ends and middle) are re-evaluated by the product
     quadrature; disagreement beyond spot_tol relative raises
-    EvaluatorMismatchError rather than being averaged.
+    EvaluatorMismatchError rather than being averaged.  The report's
+    diagnostics give, over every outer grid formed (spot checks included),
+    the largest certified relative bound of the dropped cells (tail_bound)
+    and the share of cells kept (cells_kept_share), and the s-samples whose
+    node doubling stopped at the cap without meeting its tolerance
+    (cap_hits).
     """
     if evaluator not in _EVALUATORS:
         raise ValueError(f"unknown evaluator {evaluator!r}; expected one of {sorted(_EVALUATORS)}")
     grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
-    values = [_EVALUATORS[evaluator](g, t, float(s), rule) for s in grid]
+    stats = [OuterStats() for _ in grid]
+    values = [_EVALUATORS[evaluator](g, t, float(s), rule, st) for s, st in zip(grid, stats)]
+    spot = OuterStats()
     if spot_check and evaluator != "quadrature":
         for i in sorted({0, len(grid) // 2, len(grid) - 1}):
-            ref = janson_quadrature(g, t, float(grid[i]), rule)
+            ref = janson_quadrature(g, t, float(grid[i]), rule, spot)
             if abs(ref - values[i]) > spot_tol * max(abs(ref), 1e-300):
                 raise EvaluatorMismatchError(
                     f"evaluators disagree at s = {grid[i]}: "
                     f"{evaluator} gave {values[i]!r}, quadrature gave {ref!r}"
                 )
-    return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)))
+    cuts = [cut for st in (*stats, spot) for cut in st.cuts]
+    cells = sum(cut.cells for cut in cuts)
+    diagnostics = {
+        "tail_bound": max((cut.bound for cut in cuts), default=0.0),
+        "cells_kept_share": sum(cut.cells_kept for cut in cuts) / cells if cells else 1.0,
+        "cap_hits": [float(s) for s, st in zip(grid, stats) if st.capped],
+    }
+    return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 
 def mixed_moment_check(

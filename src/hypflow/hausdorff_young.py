@@ -362,8 +362,7 @@ def exp_flow_phi(
             return _abs_power_average(lambda u: fam.phi_s_closed(0.0, z, 0.0, u), q) ** (p / q)
 
         def evaluate(r: QuadratureRule) -> float:
-            phi_vals = fam.phi_s_closed(s, z, r.nodes[:, None], r.nodes[None, :])
-            return _outer_average(phi_vals, r, p, q)
+            return _outer_average(lambda x, u: fam.phi_s_closed(s, z, x[:, None], u[None, :]), r, p, q)
 
         return _auto_outer(evaluate, rule, raise_on_failure=True)
 

@@ -118,34 +118,58 @@ Series = Union[PolySeries, HermiteSeries]
 
 
 @_lru_cache(maxsize=None)
-def _conversion_matrix(size: int, to_hermite: bool) -> np.ndarray:
-    """Exact integer change-of-basis matrix, held in extended precision.
+def _conversion_matrix(size: int, to_hermite: bool) -> tuple[tuple[int, ...], ...]:
+    """Exact integer change-of-basis matrix, as rows of Python ints.
 
     x^n = sum_j n! / ((n-2j)! j! 2^j) H_{n-2j} and H_n carries the same
-    coefficients with alternating sign, so both matrices are integer; they
-    are applied in longdouble to keep the round trip at the 1e-14 level
-    through degree ~20.
+    coefficients with alternating sign, so both matrices are integer.
     """
-    mat = np.zeros((size, size), dtype=np.longdouble)
+    mat = [[0] * size for _ in range(size)]
     for n in range(size):
         for j in range(n // 2 + 1):
             coeff = math.factorial(n) // (math.factorial(n - 2 * j) * math.factorial(j) * 2**j)
-            mat[n - 2 * j, n] = coeff if to_hermite else coeff * (-1) ** j
-    return mat
+            mat[n - 2 * j][n] = coeff if to_hermite else coeff * (-1) ** j
+    return tuple(tuple(row) for row in mat)
+
+
+def _exact_matvec(mat: tuple[tuple[int, ...], ...], values: np.ndarray) -> np.ndarray:
+    """mat @ values in exact arithmetic, each entry rounded once to float64.
+
+    Every finite float is an integer over a power of two, so the inputs are
+    scaled to integers over one common power of two; the integer sums are
+    exact and int / int true division rounds correctly.  Non-finite inputs
+    give the float product, and a sum beyond float range gives +-inf.
+    """
+    if not np.all(np.isfinite(values)):
+        return np.array(mat, dtype=float) @ values
+    ratios = [float(v).as_integer_ratio() for v in values]
+    denom = max(d for _, d in ratios)
+    nums = [n * (denom // d) for n, d in ratios]
+    out = []
+    for row in mat:
+        total = sum(m * v for m, v in zip(row, nums) if m)
+        try:
+            out.append(total / denom)
+        except OverflowError:
+            out.append(math.inf if total > 0 else -math.inf)
+    return np.array(out)
 
 
 def _apply_conversion(coeffs: np.ndarray, to_hermite: bool) -> np.ndarray:
     mat = _conversion_matrix(coeffs.size, to_hermite)
-    real = mat @ coeffs.real.astype(np.longdouble)
-    imag = mat @ coeffs.imag.astype(np.longdouble)
-    return real.astype(float) + 1j * imag.astype(float)
+    out = np.empty(coeffs.size, dtype=complex)
+    out.real = _exact_matvec(mat, coeffs.real)
+    out.imag = _exact_matvec(mat, coeffs.imag)
+    return out
 
 
 def basis_convert(series: Series, direction: str | None = None) -> Series:
     """Exact change of basis between monomial and Hermite coefficients.
 
     direction is 'monomial_to_hermite' or 'hermite_to_monomial'; when omitted
-    it is inferred from the input type.  The round trip is the identity.
+    it is inferred from the input type.  Each output coefficient is the
+    exact image of the inputs, rounded once to float64, on every platform
+    (no extended precision is assumed).
     """
     if direction is None:
         direction = (

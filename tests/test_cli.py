@@ -74,12 +74,20 @@ print(json.dumps(seen))
 """
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this hypflow."""
+    src = str(Path(hypflow.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_scipy_loads_only_with_the_first_gauss_rule(tmp_path):
     # a fresh interpreter, so nothing imported by other tests can hide a module-level import
-    src = str(Path(hypflow.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        env=_fresh_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == {
@@ -89,6 +97,24 @@ def test_scipy_loads_only_with_the_first_gauss_rule(tmp_path):
         "hy-exp": EXIT_OK,
         "linalg after hy-exp": True,
     }
+
+
+def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):
+    # cold processes, as the CLI is run: x + x^3 at p = 4/3 hits the node cap near s = 1
+    args = ["janson-flow", "--p", "1.3333333333333333", "--coeffs", "0,1,0,1", "--s-points", "5"]
+    outs = []
+    for sub in ("a", "b"):
+        outs.append(tmp_path / sub)
+        argv = [sys.executable, "-m", "hypflow.cli", *args, "--out", str(outs[-1])]
+        done = subprocess.run(argv, env=_fresh_env(), capture_output=True)
+        assert done.returncode == EXIT_OK, done.stderr
+    assert (outs[0] / "flow.csv").read_bytes() == (outs[1] / "flow.csv").read_bytes()
+    lines = (outs[0] / "flow.csv").read_text().splitlines()
+    assert lines[0] == "parameter,value,delta_to_prev" and len(lines) == 7
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert 0.0 < manifest["tail_bound"] <= 1e-15
+    assert 0.0 < manifest["cells_kept_share"] < 1.0
+    assert 1.0 in manifest["cap_hits"] and 0.0 not in manifest["cap_hits"]
 
 
 def test_determinism_byte_identical(tmp_path):

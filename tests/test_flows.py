@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import hypflow.flows as flows
-from hypflow.cube import BlockCounts, SymmetricSpec, apply_Tzk
+from hypflow.cube import TAIL_RTOL, BlockCounts, SymmetricSpec, TailCut, apply_Tzk
 from hypflow.errors import EvaluatorMismatchError
 from hypflow.flows import (
+    OuterStats,
     convergence_experiment,
     discrete_flow,
     janson_flow,
@@ -16,7 +17,8 @@ from hypflow.flows import (
     janson_quadrature,
     mixed_moment_check,
 )
-from hypflow.hermite import HermiteSeries, PolySeries, gaussian_smooth
+from hypflow.hermite import HermiteSeries, PolySeries, gaussian_smooth, hermite_scaled_sum
+from hypflow.quadrature import gh_rule
 from hypflow.two_point import ExponentTriple, SearchBudget, extremal_ratio
 
 
@@ -196,6 +198,148 @@ def test_janson_flow_report_and_mismatch_error(monkeypatch):
         janson_flow(g, t, s_grid=[0.0, 0.5, 1.0])
     monkeypatch.setattr(flows, "janson_quadrature", offset(1 + 1e-7))
     janson_flow(g, t, s_grid=[0.0, 0.5, 1.0])
+
+
+# ------------------------------------------------ outer-grid tail cut
+
+def _random_poly(rng, max_degree=8):
+    deg = int(rng.integers(0, max_degree + 1))
+    return PolySeries(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+
+
+def _triples(rng, count):
+    # the two conjugate pairs of the flows, then criterion-3-style draws
+    out = [ExponentTriple(4 / 3, 4.0, 1j * math.sqrt(1 / 3)), ExponentTriple(1.5, 3.0, 1j * math.sqrt(0.5))]
+    for _ in range(count):
+        p = float(rng.uniform(1.0, 4.0))
+        q = float(rng.uniform(p, 4.0))
+        z = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        out.append(ExponentTriple(p, q, complex(z)))
+    return out
+
+
+def _cut_and_full(monkeypatch, evaluate):
+    """(value, TailCut) with the cut, then with every cell formed."""
+    runs = []
+    for rtol in (TAIL_RTOL, -1.0):  # a negative bound budget forces the full grid
+        monkeypatch.setattr(flows, "TAIL_RTOL", rtol)
+        stats = OuterStats()
+        runs.append((evaluate(stats), *stats.cuts))
+    monkeypatch.setattr(flows, "TAIL_RTOL", TAIL_RTOL)
+    return runs
+
+
+def test_outer_majorants_bound_the_full_grid(monkeypatch):
+    # every cell of the full grid lies under M_u(|u|) + M_x(|x|)
+    checked = []
+    original = flows._outer_average
+
+    def spy(integrand, rule, p, q, majorant=None, cuts=None):
+        m_u, m_x = majorant
+        size = np.abs(integrand(rule.nodes, rule.nodes))
+        assert np.all(size <= (m_u[:, None] + m_x[None, :]) * (1.0 + 1e-12))
+        checked.append(size.shape)
+        return original(integrand, rule, p, q, majorant, cuts)
+
+    monkeypatch.setattr(flows, "_outer_average", spy)
+    rng = np.random.default_rng(0x3A7)
+    rule = gh_rule(96)
+    for z in (0.0, 0.7 - 0.4j, 1j * math.sqrt(1 / 3)):
+        t = ExponentTriple(4 / 3, 4.0, z)
+        for _ in range(4):
+            g = _random_poly(rng)
+            for s in (0.0, 0.3, 1.0):
+                for evaluate in flows._EVALUATORS.values():
+                    evaluate(g, t, s, rule, None)
+    assert len(checked) == 3 * 4 * 3 * 3
+
+
+@pytest.mark.parametrize("nodes", [64, 256, 512])
+def test_outer_cut_within_its_certified_bound(monkeypatch, nodes):
+    rng = np.random.default_rng(nodes)
+    rule = gh_rule(nodes)
+    cut_count = 0
+    for t in _triples(rng, 2):
+        g = _random_poly(rng)
+        for name, evaluate in flows._EVALUATORS.items():
+            for s in (0.0, 0.3, 0.8, 1.0):
+                (value, cut), (full, full_cut) = _cut_and_full(
+                    monkeypatch, lambda stats: evaluate(g, t, s, rule, stats)
+                )
+                assert full_cut == TailCut(0.0, nodes * nodes, nodes * nodes)
+                assert 0.0 <= cut.bound <= TAIL_RTOL
+                # dropping cells only lowers the value, by at most the bound
+                noise = 1e-15 * full
+                assert value <= full + noise, (name, t, s)
+                assert full - value <= cut.bound * value + noise, (name, t, s)
+                cut_count += cut.cells_kept < cut.cells
+    if nodes >= 256:
+        assert cut_count > 0
+
+
+def test_outer_cut_on_degenerate_axes(monkeypatch):
+    # s = 0 and z = 0 leave only the x or only the u axis in the integrand,
+    # s = 1 only u: one majorant is 0 there, and the cut is still certified
+    rng = np.random.default_rng(0xD6)
+    rule = gh_rule(256)
+    g = PolySeries(rng.normal(size=5) + 1j * rng.normal(size=5))
+    for z in (0.0, 0.6j):
+        t = ExponentTriple(1.5, 3.0, z)
+        for s in (0.0, 1.0):
+            (value, cut), (full, _) = _cut_and_full(monkeypatch, lambda stats: janson_mehler(g, t, s, rule, stats))
+            assert cut.cells_kept < 0.3 * cut.cells
+            assert 0.0 <= full - value <= cut.bound * value + 1e-15 * full
+
+
+def test_forced_fallback_is_bitwise_the_full_grid(monkeypatch):
+    g = PolySeries([0.5, 1.0 - 1.0j, 0.0, 0.3j])
+    p = 4 / 3
+    t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
+    rule = gh_rule(256)
+    for s in (0.0, 0.45, 1.0):
+        # the full-grid formula, written out independently of flows
+        sigma = s + (1 - s) * t.z * t.z
+        big_x = math.sqrt(s) * rule.nodes[:, None] + t.z * math.sqrt(1 - s) * rule.nodes[None, :]
+        inner = hermite_scaled_sum(gaussian_smooth(g).coeffs, big_x, sigma)
+        x_avg = (np.abs(inner) ** t.q) @ rule.weights
+        want = float(np.dot(rule.weights, x_avg ** (t.p / t.q)))
+        monkeypatch.setattr(flows, "TAIL_RTOL", -1.0)
+        stats = OuterStats()
+        assert janson_mehler(g, t, s, rule, stats) == want
+        assert stats.cuts == [TailCut(0.0, 256 * 256, 256 * 256)]
+        monkeypatch.setattr(flows, "TAIL_RTOL", TAIL_RTOL)
+        stats = OuterStats()
+        assert abs(janson_mehler(g, t, s, rule, stats) - want) <= 1e-15 * want
+        assert stats.cuts[0].cells_kept < stats.cuts[0].cells
+
+
+def test_janson_mehler_512_grid_keeps_few_cells():
+    # guards the speed of the flows: a silent return to full grids fails here
+    g = PolySeries([1.0, 2.0, 0.0, 1.0])
+    p = 4 / 3
+    t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
+    for s in (0.0, 0.5, 0.9, 1.0):
+        stats = OuterStats()
+        janson_mehler(g, t, s, gh_rule(512), stats)
+        (cut,) = stats.cuts
+        assert 0.0 < cut.bound <= TAIL_RTOL
+        assert cut.cells_kept < 0.2 * cut.cells, (s, cut)
+
+
+def test_janson_flow_diagnostics():
+    # x + x^3 at p = 4/3 is kinked near s = 1: the doubling stops at the cap
+    p = 4 / 3
+    t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
+    rep = janson_flow(PolySeries([0.0, 1.0, 0.0, 1.0]), t, s_grid=[0.0, 0.5, 1.0])
+    diag = rep.diagnostics
+    assert 0.0 < diag["tail_bound"] <= TAIL_RTOL
+    assert 0.0 < diag["cells_kept_share"] < 1.0
+    assert 1.0 in diag["cap_hits"] and 0.0 not in diag["cap_hits"]
+    # a fixed rule does no doubling, so nothing can hit the cap
+    fixed = janson_flow(PolySeries([0.0, 1.0, 0.0, 1.0]), t, s_grid=[0.0, 0.5, 1.0], rule=64)
+    assert fixed.diagnostics["cap_hits"] == []
+    flat = janson_flow(PolySeries([2.0]), t, s_grid=[0.0, 1.0])
+    assert flat.diagnostics["cap_hits"] == []
 
 
 def test_mixed_moment_check_low_degrees():

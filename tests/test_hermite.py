@@ -1,5 +1,6 @@
 """Hermite series algebra, Mehler action, and heat flow identities."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,3 +207,32 @@ def test_mehler_fourier_examples():
     assert abs(lhs - 1) < 1e-14 and abs(rhs - 1) < 1e-10
     lhs, rhs = mehler_fourier_check(0.4, HermiteSeries([0, 1.0]), 1.3, rule)
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+
+
+def _exact_conversion(coeffs, to_hermite):
+    # x^n = sum_j n! / ((n-2j)! j! 2^j) H_{n-2j}; H_n has the same
+    # coefficients with sign (-1)^j.  Fractions, so the sums are exact.
+    out = [Fraction(0)] * len(coeffs)
+    for n, c in enumerate(coeffs):
+        for j in range(n // 2 + 1):
+            coeff = Fraction(math.factorial(n), math.factorial(n - 2 * j) * math.factorial(j) * 2**j)
+            out[n - 2 * j] += (coeff if to_hermite else coeff * (-1) ** j) * Fraction(c)
+    return [float(v) for v in out]  # Fraction -> float rounds once, correctly
+
+
+def test_basis_convert_is_correctly_rounded_through_degree_20():
+    # mixed magnitudes make the sums cancel, which is where a float or
+    # extended-precision accumulation would miss the correctly rounded value
+    rng = np.random.default_rng(2020)
+    for degree in range(21):
+        for _ in range(5):
+            scale = 10.0 ** rng.integers(-6, 7, size=degree + 1)
+            coeffs = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) * scale
+            for series, to_hermite in ((PolySeries(coeffs), True), (HermiteSeries(coeffs), False)):
+                got = basis_convert(series).coeffs
+                assert got.real.tolist() == _exact_conversion(coeffs.real.tolist(), to_hermite)
+                assert got.imag.tolist() == _exact_conversion(coeffs.imag.tolist(), to_hermite)
+    # beyond float range the result saturates to +-inf; non-finite inputs propagate
+    big = basis_convert(HermiteSeries([1e308, 0.0, 0.0, 1e308])).coeffs
+    assert big[1].real == -math.inf and big[3].real == 1e308
+    assert math.isnan(basis_convert(HermiteSeries([math.nan, 1.0])).coeffs[0].real)
