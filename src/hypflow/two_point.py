@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -84,10 +85,18 @@ def infinitesimal_margin(w: complex, t: ExponentTriple) -> MarginRecord:
     return MarginRecord(point=(w,), lhs=lhs, rhs=rhs)
 
 
-def infinitesimal_margin_min(t: ExponentTriple, angles: int = 256) -> float:
-    """Worst quadratic-form margin over a uniform scan of unit directions."""
+@lru_cache(maxsize=8)
+def _unit_directions(angles: int) -> np.ndarray:
+    """Uniform unit directions on the upper half circle (read-only)."""
     theta = np.linspace(0.0, np.pi, angles, endpoint=False)  # w and -w agree
     w = np.exp(1j * theta)
+    w.flags.writeable = False
+    return w
+
+
+def infinitesimal_margin_min(t: ExponentTriple, angles: int = 256) -> float:
+    """Worst quadratic-form margin over a uniform scan of unit directions."""
+    w = _unit_directions(angles)
     wz = w * t.z
     lhs = (t.q - 2.0) * wz.real**2 + np.abs(wz) ** 2
     rhs = (t.p - 2.0) * w.real**2 + np.abs(w) ** 2
@@ -102,6 +111,16 @@ class SearchBudget:
     grid_step: float = 0.05
     refine_tol: float = 1e-6
     max_evals: int = 2_000_000
+
+    def __post_init__(self):
+        values = (self.grid_radius, self.grid_step, self.refine_tol, self.max_evals)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"search budget fields must be finite, got {self}")
+        if not (self.grid_step > 0 and self.grid_radius >= 0 and self.refine_tol > 0 and self.max_evals >= 1):
+            raise ValueError(
+                "search budget needs grid_step > 0, grid_radius >= 0, refine_tol > 0 "
+                f"and max_evals >= 1, got {self}"
+            )
 
     @classmethod
     def reduced(cls) -> "SearchBudget":
@@ -118,11 +137,55 @@ class ExtremalSearchResult:
     complete: bool
 
 
-def _ratio_grid(t: ExponentTriple, b: np.ndarray) -> np.ndarray:
-    """lhs/rhs at a = 1 for an array of complex b."""
+def _denominator(p: float, b: np.ndarray) -> np.ndarray:
+    """rhs of the ratio at a = 1, ((|1+b|^p + |1-b|^p)/2)^{1/p}; independent of z."""
+    return (0.5 * (np.abs(1.0 + b) ** p + np.abs(1.0 - b) ** p)) ** (1.0 / p)
+
+
+def _ratio_grid(t: ExponentTriple, b: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """lhs/rhs at a = 1 for an array of complex b; rhs, if given, is _denominator(t.p, b)."""
     lhs = (0.5 * (np.abs(1.0 + t.z * b) ** t.q + np.abs(1.0 - t.z * b) ** t.q)) ** (1.0 / t.q)
-    rhs = (0.5 * (np.abs(1.0 + b) ** t.p + np.abs(1.0 - b) ** t.p)) ** (1.0 / t.p)
-    return lhs / rhs
+    return lhs / (_denominator(t.p, b) if rhs is None else rhs)
+
+
+_DIAG = (1.0 + 1.0j) / math.sqrt(2.0)
+_COMPASS = np.array([1.0, -1.0, 1j, -1j, _DIAG, -_DIAG, _DIAG.conjugate(), -_DIAG.conjugate()])
+
+
+@dataclass(frozen=True)
+class _SearchGrid:
+    """The z-independent part of a search; every array is read-only."""
+
+    points: np.ndarray  # half lattice, then the polar ladder, cut at max_evals
+    rhs: np.ndarray  # _denominator(p, points)
+    steps: np.ndarray  # row k: h 2^-k times the 8 compass directions, for h 2^-k > refine_tol
+    complete: bool  # False when the cut at max_evals removed points
+
+
+@lru_cache(maxsize=8)
+def _search_grid(budget: SearchBudget, p: float) -> _SearchGrid:
+    half = int(round(budget.grid_radius / budget.grid_step))
+    axis = budget.grid_step * np.arange(-half, half + 1)  # contains 0 exactly
+    lattice = (axis[:, None] + 1j * axis[None, :]).ravel()
+    # Ravel index k holds -b where index N^2-1-k holds b, bit for bit, and the
+    # ratio at a = 1 is even in b: keep the first of each pair and the centre.
+    lattice = lattice[: lattice.size // 2 + 1]
+    angles = np.exp(1j * np.linspace(0.0, np.pi, 64, endpoint=False))  # b ~ -b
+    radii = budget.grid_step * 2.0 ** -np.arange(0, 8)
+    polar = (radii[:, None] * angles[None, :]).ravel()
+    points = np.concatenate((lattice, polar))
+    complete = points.size <= budget.max_evals
+    points = points[: budget.max_evals]
+    levels = []
+    h = budget.grid_step
+    while h > budget.refine_tol:  # halving is exact, so these are the compass's step sizes
+        levels.append(h * _COMPASS)
+        h *= 0.5
+    steps = np.array(levels).reshape(-1, _COMPASS.size)
+    rhs = _denominator(p, points)
+    for a in (points, rhs, steps):
+        a.flags.writeable = False
+    return _SearchGrid(points, rhs, steps, complete)
 
 
 def extremal_ratio(t: ExponentTriple, budget: SearchBudget | None = None) -> ExtremalSearchResult:
@@ -138,49 +201,58 @@ def extremal_ratio(t: ExponentTriple, budget: SearchBudget | None = None) -> Ext
     thin annulus around the equality manifold b = 0 in one narrow direction,
     which a coarse lattice steps right over.  Ties are broken toward the
     smallest |b|, which keeps witnesses stable near b = 0.
+
+    At a = 1 the ratio is even in b, bit for bit (the lattice axis is exactly
+    symmetric, negation commutes with rounding in z b, and the two |1 +- zb|
+    terms only swap places in a sum), so only the first point of each +-b
+    lattice pair is evaluated; the first near-best point of least |b| is
+    always among them.  The denominator does not depend on z and is computed
+    once per (budget, p).  The compass halves its step h = grid_step down to
+    refine_tol and moves whenever one of its 8 neighbours beats the best by
+    more than 1e-15; all remaining step sizes are tried from the current
+    point in one evaluation, and the first size that improves is taken, which
+    is the step the one-at-a-time compass would take next.
+
+    `evaluations` counts the grid points evaluated plus 8 per compass step
+    of that one-at-a-time sequence; it never exceeds `max_evals`, and
+    `complete` is False when the grid or the compass was cut by it.
     """
     if budget is None:
         budget = SearchBudget()
-    half = int(round(budget.grid_radius / budget.grid_step))
-    axis = budget.grid_step * np.arange(-half, half + 1)  # contains 0 exactly
-    lattice = (axis[:, None] + 1j * axis[None, :]).ravel()
-    angles = np.exp(1j * np.linspace(0.0, np.pi, 64, endpoint=False))  # b ~ -b
-    radii = budget.grid_step * 2.0 ** -np.arange(0, 8)
-    polar = (radii[:, None] * angles[None, :]).ravel()
-    grid = np.concatenate((lattice, polar))
-    complete = True
-    if grid.size > budget.max_evals:
-        grid = grid[: budget.max_evals]
-        complete = False
-    ratios = _ratio_grid(t, grid)
-    evals = grid.size
+    grid = _search_grid(budget, float(t.p))
+    ratios = _ratio_grid(t, grid.points, grid.rhs)
+    evals = grid.points.size
+    complete = grid.complete
 
     best = float(np.max(ratios))
-    near = np.abs(ratios - best) <= 1e-12
-    candidates = grid[near]
-    b_best = complex(candidates[np.argmin(np.abs(candidates))])
-    best = float(_ratio_grid(t, np.array([b_best]))[0])
+    near = np.flatnonzero(np.abs(ratios - best) <= 1e-12)
+    k = near[np.argmin(np.abs(grid.points[near]))]
+    b_best = complex(grid.points[k])
+    best = float(ratios[k])
 
     # a = 0 ray: ratio is exactly |z|.
     if abs(t.z) > best:
         return ExtremalSearchResult(abs(t.z), 0.0, 1.0 + 0.0j, evals, complete)
 
-    h = budget.grid_step
-    diag = (1.0 + 1.0j) / math.sqrt(2.0)
-    directions = np.array([1.0, -1.0, 1j, -1j, diag, -diag, diag.conjugate(), -diag.conjugate()])
-    while h > budget.refine_tol:
-        if evals + 8 > budget.max_evals:
+    level = 0
+    while level < len(grid.steps):
+        steps = grid.steps[level : level + (budget.max_evals - evals) // _COMPASS.size]
+        if not steps.size:
             complete = False
             break
-        cand = b_best + h * directions
-        vals = _ratio_grid(t, cand)
-        evals += 8
-        i = int(np.argmax(vals))
-        if vals[i] > best + 1e-15:
-            best = float(vals[i])
-            b_best = complex(cand[i])
-        else:
-            h *= 0.5
+        cand = b_best + steps
+        vals = _ratio_grid(t, cand.ravel()).reshape(cand.shape)
+        better = np.flatnonzero(vals.max(axis=1) > best + 1e-15)
+        if not better.size:  # every remaining size halved away
+            evals += vals.size
+            level += len(steps)
+            continue
+        j = int(better[0])
+        evals += _COMPASS.size * (j + 1)
+        level += j
+        i = int(np.argmax(vals[j]))
+        best = float(vals[j, i])
+        b_best = complex(cand[j, i])
     return ExtremalSearchResult(best, 1.0 + 0.0j, b_best, evals, complete)
 
 

@@ -1,11 +1,17 @@
 """Two-point inequality margins, extremal search, and region scans."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import two_point_reference as ref
+from hypflow import two_point
+from hypflow.cli import main
+from hypflow.reporting import write_region_csv
 from hypflow.two_point import (
     ExponentTriple,
+    RegionScanRow,
     SearchBudget,
     disk_grid,
     extremal_ratio,
@@ -109,6 +115,124 @@ def test_extremal_ratio_budget_flag():
     tiny = SearchBudget(grid_radius=8.0, grid_step=0.05, refine_tol=1e-6, max_evals=100)
     res = extremal_ratio(ExponentTriple(2.0, 4.0, 0.3), tiny)
     assert not res.complete
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"refine_tol": -1.0},  # the step halving would never stop
+        {"refine_tol": 0.0},
+        {"grid_step": 0.0},  # no lattice size
+        {"grid_step": -0.1},  # an empty lattice
+        {"grid_radius": -1.0},
+        {"max_evals": 0},
+        {"grid_radius": math.inf},
+        {"grid_step": math.nan},
+        {"refine_tol": math.inf},
+    ],
+)
+def test_search_budget_rejects_invalid_fields(fields):
+    with pytest.raises(ValueError):
+        SearchBudget(**fields)
+
+
+def test_search_budget_accepts_edge_values():
+    res = extremal_ratio(ExponentTriple(2.0, 4.0, 0.3), SearchBudget(grid_radius=0.0, max_evals=1))
+    assert res.evaluations == 1 and not res.complete
+
+
+def _lattice_side(budget):
+    return 2 * int(round(budget.grid_radius / budget.grid_step)) + 1
+
+
+@pytest.mark.parametrize("budget", [SearchBudget.reduced(), SearchBudget()], ids=["reduced", "full"])
+@pytest.mark.parametrize("p, q", [(1.25, 2.5), (1.5, 3.0), (2.0, 4.0), (2.04, 4.03)])
+def test_extremal_ratio_bit_identical_to_reference(budget, p, q):
+    skipped = (_lattice_side(budget) ** 2 - 1) // 2  # the mirrored half of the lattice
+    for z in disk_grid(0.25):
+        t = ExponentTriple(p, q, z)
+        new, old = extremal_ratio(t, budget), ref.extremal_ratio(t, budget)
+        assert new.sup_ratio == old.sup_ratio, z
+        # repr compares the signs of zero parts too, which the CSV prints
+        assert repr(new.witness_a) == repr(old.witness_a), z
+        assert repr(new.witness_b) == repr(old.witness_b), z
+        assert new.complete == old.complete, z
+        assert new.evaluations == old.evaluations - skipped, z
+        assert infinitesimal_margin_min(t) == ref.infinitesimal_margin_min(t), z
+
+
+def test_two_point_scan_csv_matches_reference(tmp_path):
+    out = tmp_path / "out"
+    main(["two-point-scan", "--p", "2", "--q", "4", "--resolution", "0.25", "--out", str(out)])
+    budget = SearchBudget.reduced()
+    rows = []
+    for z in disk_grid(0.25):
+        t = ExponentTriple(2.0, 4.0, z)
+        res = ref.extremal_ratio(t, budget)
+        inf_min = ref.infinitesimal_margin_min(t)
+        rows.append(RegionScanRow(2.0, 4.0, complex(z), inf_min, res.sup_ratio, res.witness_b, False, False))
+    write_region_csv(rows, tmp_path / "reference.csv")
+    assert (out / "scan.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_extremal_ratio_breaks_ties_as_reference(monkeypatch):
+    # An even stand-in ratio with a maximum off the lattice: the compass meets
+    # exact ties, between -b and its conjugate, and must take the first one.
+    def tied(t, b, rhs=None):
+        return np.exp(-((np.abs(b.real) - 0.33) ** 2) - (np.abs(b.imag) - 0.04) ** 2)
+
+    monkeypatch.setattr(two_point, "_ratio_grid", tied)
+    monkeypatch.setattr(ref, "_ratio_grid", tied)
+    t = ExponentTriple(2.0, 4.0, 0.1)
+    for budget in (SearchBudget.reduced(), SearchBudget()):
+        new, old = extremal_ratio(t, budget), ref.extremal_ratio(t, budget)
+        assert (new.sup_ratio, repr(new.witness_b)) == (old.sup_ratio, repr(old.witness_b))
+        assert new.witness_b.imag < 0
+
+
+def _count_ratio_calls(monkeypatch):
+    calls = []
+    original = two_point._ratio_grid
+
+    def counted(t, b, *args):
+        calls.append(b.size)
+        return original(t, b, *args)
+
+    monkeypatch.setattr(two_point, "_ratio_grid", counted)
+    return calls
+
+
+def test_extremal_ratio_truncated_budgets(monkeypatch):
+    t = ExponentTriple(2.0, 4.0, 0.3)
+    reduced = SearchBudget.reduced()
+    grid_size = (_lattice_side(reduced) ** 2 + 1) // 2 + 8 * 64  # half lattice and polar ladder
+    for max_evals in (1, 100, 3000, grid_size - 1):
+        calls = _count_ratio_calls(monkeypatch)
+        res = extremal_ratio(t, dataclasses.replace(reduced, max_evals=max_evals))
+        assert not res.complete, max_evals
+        assert res.evaluations == sum(calls) == max_evals  # the cut grid, and no compass step
+    # the grid fits, two compass steps do, the rest of the compass is cut
+    for max_evals in (grid_size, grid_size + 16, grid_size + 23):
+        res = extremal_ratio(t, dataclasses.replace(reduced, max_evals=max_evals))
+        assert not res.complete and grid_size <= res.evaluations <= max_evals
+        assert (res.evaluations - grid_size) % 8 == 0
+    assert extremal_ratio(t, reduced).complete
+
+
+def test_extremal_ratio_tries_the_halving_ladder_in_one_call(monkeypatch):
+    # The one-at-a-time compass made 29 calls here, one per step.
+    calls = _count_ratio_calls(monkeypatch)
+    res = extremal_ratio(ExponentTriple(2.0, 4.0, 0.62), SearchBudget.reduced())
+    assert res.sup_ratio > 1.0 + 1e-4
+    assert len(calls) <= 14
+
+
+def test_search_caches_are_read_only():
+    grid = two_point._search_grid(SearchBudget.reduced(), 2.0)
+    for a in (grid.points, grid.rhs, grid.steps, two_point._unit_directions(256)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_real_failure_threshold_classical_value():
