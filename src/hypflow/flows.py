@@ -71,7 +71,7 @@ from .cube import (
     phi_block_eval,
     symmetric_tzk_table,
 )
-from .errors import EvaluatorMismatchError
+from .errors import AccuracyError, EvaluatorMismatchError
 from .hermite import (
     HermiteSeries,
     PolySeries,
@@ -80,7 +80,7 @@ from .hermite import (
     heat_poly_series,
     hermite_scaled_sum,
 )
-from .quadrature import QuadratureRule, gh_rule, resolve_rule
+from .quadrature import QuadratureRule, doubled, gh_rule, resolve_rule
 from .reporting import ConvergenceRow, ConvergenceTable, FlowReport
 from .two_point import ExponentTriple
 
@@ -251,35 +251,31 @@ def _cut_average(integrand, nodes, w, p, q, m_u, m_x) -> tuple[float, TailCut] |
 
 
 def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStats | None = None) -> float:
-    """Run an outer-rule-dependent evaluation with node doubling to stability.
+    """evaluate on `rule` if given, else doubled (see Estimate for the policy).
 
-    Doubling targets 1e-10 relative agreement between successive sizes and
-    stops at _AUTO_CAP nodes.  Integrands with absolute-value kinks only
-    converge algebraically, so the cap can be reached without meeting that
-    target; the value at the cap is then returned whatever the last doubling
-    step was, and `stats.capped` is set.  With raise_on_failure, a final step
-    above the coarse floor (value still undetermined at the 1e-4 level)
-    raises AccuracyError instead.
+    Kinked integrands converge only algebraically, so the doubling can stop
+    at _AUTO_CAP without meeting _AUTO_RTOL.
     """
     if rule is not None:
         return evaluate(resolve_rule(rule))
-    n = _AUTO_START
-    prev = evaluate(gh_rule(n))
-    last_diff = np.inf
-    while n < _AUTO_CAP:
-        n *= 2
-        cur = evaluate(gh_rule(n))
-        last_diff = abs(cur - prev)
-        if last_diff <= _AUTO_RTOL * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    if raise_on_failure and last_diff > 1e-4 * max(abs(prev), 1e-300):
-        from .errors import AccuracyError
+    est = doubled(evaluate, _AUTO_START, _AUTO_CAP, _AUTO_RTOL)
+    if not est.converged:
+        if raise_on_failure and est.step > 1e-4 * max(abs(est.value), 1e-300):
+            raise AccuracyError(f"outer quadrature did not stabilize below {_AUTO_CAP} nodes")
+        if stats is not None:
+            stats.capped = True
+    return est.value
 
-        raise AccuracyError(f"outer quadrature did not stabilize below {_AUTO_CAP} nodes")
-    if stats is not None:
-        stats.capped = True
-    return prev
+
+def _janson_outer(integrand, bound, rs: float, zrc: complex, t: ExponentTriple, rule, stats) -> float:
+    """J(s) on the outer grids, with the majorant of P = bound (see _separable_majorant)."""
+    cuts = None if stats is None else stats.cuts
+
+    def evaluate(rule: QuadratureRule) -> float:
+        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
+        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
+
+    return _auto_outer(evaluate, rule, stats=stats)
 
 
 def janson_quadrature(
@@ -307,7 +303,6 @@ def janson_quadrature(
     inner_w = (inner_rule.weights[:, None] * inner_rule.weights[None, :]).ravel()
     poly_bound = _monomial_majorant(g.coeffs)
     abs_shift = np.abs(inner_shift)[:, None]
-    cuts = None if stats is None else stats.cuts
 
     def bound(radius: np.ndarray) -> np.ndarray:
         # |inner| <= sum_k w_k |g(X + shift_k)| <= sum_k w_k P(|X| + |shift_k|)
@@ -320,11 +315,7 @@ def janson_quadrature(
             inner += weight * g(base + shift)
         return inner
 
-    def evaluate(rule: QuadratureRule) -> float:
-        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
-        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
-
-    return _auto_outer(evaluate, rule, stats=stats)
+    return _janson_outer(integrand, bound, rs, zrc, t, rule, stats)
 
 
 def _scaled_hermite_majorant(coeffs: np.ndarray, sigma: complex) -> Callable[[np.ndarray], np.ndarray]:
@@ -361,16 +352,11 @@ def janson_mehler(
     rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
     zrc = t.z * rc
     bound = _scaled_hermite_majorant(coeffs, sigma)
-    cuts = None if stats is None else stats.cuts
 
     def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
         return hermite_scaled_sum(coeffs, rs * u[:, None] + zrc * x[None, :], sigma)
 
-    def evaluate(rule: QuadratureRule) -> float:
-        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
-        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
-
-    return _auto_outer(evaluate, rule, stats=stats)
+    return _janson_outer(integrand, bound, rs, zrc, t, rule, stats)
 
 
 def janson_heat(
@@ -398,16 +384,11 @@ def janson_heat(
     rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
     zrc = t.z * rc
     bound = _monomial_majorant(evolved.coeffs)
-    cuts = None if stats is None else stats.cuts
 
     def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
         return evolved(rs * u[:, None] + zrc * x[None, :])
 
-    def evaluate(rule: QuadratureRule) -> float:
-        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
-        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
-
-    return _auto_outer(evaluate, rule, stats=stats)
+    return _janson_outer(integrand, bound, rs, zrc, t, rule, stats)
 
 
 _EVALUATORS = {

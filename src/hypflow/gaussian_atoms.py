@@ -14,13 +14,14 @@ silently falling back.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureRule, gh_rule
+from .quadrature import QuadratureRule, doubled
 
 DOMAIN_EPS = 1e-12
 
@@ -93,6 +94,15 @@ def mehler_apply_atom(w: complex, atom: GaussianAtom, x: complex) -> complex:
     return mehler_atom_scaled(w * w, atom, complex(x) * w)
 
 
+def _mehler_atom_parts(sigma: complex, atom: GaussianAtom, arg):
+    """(s_k / A, B^2/(4A) - s_k*arg^2) as in mehler_atom_scaled, sigma != 1."""
+    s_k = 1.0 / (2.0 * (1.0 - sigma))
+    big_a = atom.quad + s_k
+    _require_damping(big_a, "Mehler image of atom")
+    big_b = atom.lin + 2.0 * s_k * arg
+    return s_k / big_a, big_b * big_b / (4.0 * big_a) - s_k * arg * arg
+
+
 def mehler_atom_scaled(sigma: complex, atom: GaussianAtom, arg: complex) -> complex:
     """The composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)), branch-free.
 
@@ -107,14 +117,23 @@ def mehler_atom_scaled(sigma: complex, atom: GaussianAtom, arg: complex) -> comp
     arg = complex(arg)
     if sigma == 1.0:
         return complex(atom(arg))
-    s_k = 1.0 / (2.0 * (1.0 - sigma))
-    big_a = atom.quad + s_k
-    _require_damping(big_a, "Mehler image of atom")
-    big_b = atom.lin + 2.0 * s_k * arg
-    val = atom.amplitude * np.sqrt(s_k / big_a) * np.exp(
-        big_b * big_b / (4.0 * big_a) - s_k * arg * arg
-    )
-    return complex(val)
+    ratio, expo = _mehler_atom_parts(sigma, atom, arg)
+    return complex(atom.amplitude * np.sqrt(ratio) * np.exp(expo))
+
+
+def mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
+    """log |mehler_atom_scaled(sigma, atom, arg)| over an argument array.
+
+    The real part of log(amplitude * sqrt(s_k / A)) + B^2/(4A) - s_k*arg^2;
+    the magnitude itself overflows where the image grows like exp(+c arg^2).
+    """
+    sigma = complex(sigma)
+    with np.errstate(divide="ignore"):  # a zero atom has log-magnitude -inf
+        log_amp = np.log(abs(atom.amplitude))
+    if sigma == 1.0:
+        return log_amp + np.real(-atom.quad * arg * arg + atom.lin * arg)
+    ratio, expo = _mehler_atom_parts(sigma, atom, arg)
+    return log_amp + 0.5 * math.log(abs(ratio)) + np.real(expo)
 
 
 def fourier_transform_atom(atom: GaussianAtom) -> GaussianAtom:
@@ -130,65 +149,54 @@ def fourier_transform_atom(atom: GaussianAtom) -> GaussianAtom:
     return GaussianAtom(complex(amp), np.pi**2 / a, -1.0j * np.pi * b / a)
 
 
-def _atom_sum_abs_pow_times_exp(
-    atoms: Sequence[GaussianAtom], y: np.ndarray, r: float, extra_exponent: np.ndarray
-) -> np.ndarray:
-    """|sum_l atom_l(y)|^r * exp(extra_exponent), overflow-safe.
-
-    The largest per-atom real exponent is factored out before
-    exponentiation, so huge amplitudes (e.g. Fourier images) and the
-    envelope-compensating exp(u^2/2) factor never overflow individually.
-    """
-    y = np.asarray(y, dtype=float)
-    expos = np.stack([(-atom.quad * y * y + atom.lin * y) for atom in atoms])
-    peak = np.max(expos.real, axis=0)
-    reduced = np.zeros(y.shape, dtype=complex)
-    for atom, expo in zip(atoms, expos):
-        reduced += atom.amplitude * np.exp(expo - peak)
-    mag = np.abs(reduced)
-    out = np.zeros_like(mag)
-    pos = mag > 0.0
-    out[pos] = np.exp(r * (np.log(mag[pos]) + peak[pos]) + extra_exponent[pos])
-    return out
-
-
-def atom_lp_norm(
-    atoms: Sequence[GaussianAtom],
+def recentred_lr_norm(
+    log_abs: Callable[[np.ndarray], np.ndarray],
+    center: float,
+    decay: float,
     r: float,
-    start: int = 64,
-    cap: int = 512,
-    rtol: float = 1e-11,
 ) -> float:
-    """L^r(R) norm of a finite sum of Gaussian atoms, by recentred quadrature.
+    """L^r(R) norm of h, given log|h| (-inf at zeros), by recentred quadrature.
 
-    The envelope is the slowest-decaying atom, widened by half so that the
-    combined integrand keeps strict Gaussian decay relative to the rule's
-    weight; the rule is doubled until the value stabilizes.
+    |h|^r must decay at least like exp(-r*decay*(y - center)^2), decay > 0.
+    The rule's weight is that envelope widened by half,
+    exp(-r*decay*(y - center)^2 / 2), so the integrand keeps strict Gaussian
+    decay relative to it; the rule is doubled from 64 nodes up to 512
+    until two values agree to 1e-11.
+    """
+    scale = np.sqrt(r * decay)
+
+    def moment(rule: QuadratureRule) -> float:
+        y = center + rule.nodes / scale
+        vals = np.exp(r * log_abs(y) + 0.5 * rule.nodes**2)
+        return float(np.sqrt(2.0 * np.pi) / scale * np.dot(rule.weights, vals))
+
+    return doubled(moment, 64, 512, 1e-11).value ** (1.0 / r)
+
+
+def atom_lp_norm(atoms: Sequence[GaussianAtom], r: float) -> float:
+    """L^r(R) norm of a finite sum of Gaussian atoms, by recentred_lr_norm.
+
+    The envelope is the slowest-decaying atom, centred midway between the
+    atoms' peaks.
     """
     if r < 1.0:
         raise ValueError("norm exponent must be >= 1")
     if not atoms:
         return 0.0
-    min_decay = min(atom.quad.real for atom in atoms)
-    if min_decay <= DOMAIN_EPS:
+    decay = min(atom.quad.real for atom in atoms)
+    if decay <= DOMAIN_EPS:
         raise DomainError("atom sum is not integrable: an atom has Re(quad) <= 0")
     peaks = [atom.lin.real / (2.0 * atom.quad.real) for atom in atoms]
-    center = 0.5 * (min(peaks) + max(peaks))
-    envelope = 0.5 * r * min_decay
-    scale = np.sqrt(2.0 * envelope)
 
-    def moment(rule: QuadratureRule) -> float:
-        y = center + rule.nodes / scale
-        vals = _atom_sum_abs_pow_times_exp(atoms, y, r, 0.5 * rule.nodes**2)
-        return float(np.sqrt(2.0 * np.pi) / scale * np.dot(rule.weights, vals))
+    def log_abs(y: np.ndarray) -> np.ndarray:
+        # the largest per-atom real exponent is factored out before
+        # exponentiation, so huge amplitudes (e.g. Fourier images) never overflow
+        expos = np.stack([(-atom.quad * y * y + atom.lin * y) for atom in atoms])
+        peak = np.max(expos.real, axis=0)
+        reduced = np.zeros(y.shape, dtype=complex)
+        for atom, expo in zip(atoms, expos):
+            reduced += atom.amplitude * np.exp(expo - peak)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(reduced)) + peak
 
-    n = start
-    prev = moment(gh_rule(n))
-    while n < cap:
-        n *= 2
-        cur = moment(gh_rule(n))
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            prev = cur
-            break
-        prev = cur
-    return prev ** (1.0 / r)
+    return recentred_lr_norm(log_abs, 0.5 * (min(peaks) + max(peaks)), decay, r)

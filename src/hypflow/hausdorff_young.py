@@ -29,15 +29,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InequalityViolationError
+from .errors import InequalityViolationError
 from .gaussian_atoms import (
-    DOMAIN_EPS,
     GaussianAtom,
     atom_lp_norm,
     fourier_transform_atom,
+    mehler_atom_log_abs,
+    recentred_lr_norm,
 )
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
-from .quadrature import QuadratureRule, gh_rule, integrate_entire, resolve_rule
+from .quadrature import QuadratureRule, doubled, integrate_entire, resolve_rule
 from .reporting import FlowReport
 from .two_point import ExponentTriple
 from .flows import _auto_outer, _outer_average, default_s_grid, janson_mehler
@@ -109,28 +110,6 @@ def gaussian_extremizer_input(p: float) -> HYInput:
     return HYInput(p=p, f_atom=GaussianAtom(1.0, np.pi, 0.0))
 
 
-def _mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
-    """log |scaled Mehler image of one atom| over an argument array, in closed form.
-
-    With s_k, A and B as in mehler_atom_scaled, this is the real part of
-    log(amplitude * sqrt(s_k / A)) + B^2/(4A) - s_k*arg^2; the magnitude
-    itself overflows where the image grows like exp(+c arg^2).
-    """
-    sigma = complex(sigma)
-    with np.errstate(divide="ignore"):  # a zero atom has log-magnitude -inf
-        log_amp = np.log(abs(atom.amplitude))
-    if sigma == 1.0:
-        return log_amp + np.real(-atom.quad * arg * arg + atom.lin * arg)
-    s_k = 1.0 / (2.0 * (1.0 - sigma))
-    big_a = atom.quad + s_k
-    if big_a.real <= DOMAIN_EPS:
-        raise DomainError("Mehler image of atom outside its convergence domain")
-    big_b = atom.lin + 2.0 * s_k * arg
-    return log_amp + 0.5 * math.log(abs(s_k / big_a)) + np.real(
-        big_b * big_b / (4.0 * big_a) - s_k * arg * arg
-    )
-
-
 def _outer_average_log(log_abs: np.ndarray, rule: QuadratureRule, p: float, q: float) -> float:
     """_outer_average for an integrand given as log|inner(u, x)|.
 
@@ -167,49 +146,21 @@ def phi_flow(
 
             def evaluate(r: QuadratureRule, sigma=sigma, rs=rs, rc=rc, atom=atom) -> float:
                 big_x = rs * r.nodes[:, None] + z * rc * r.nodes[None, :]
-                return _outer_average_log(_mehler_atom_log_abs(sigma, atom, big_x), r, p, q)
+                return _outer_average_log(mehler_atom_log_abs(sigma, atom, big_x), r, p, q)
 
             j_val = _auto_outer(evaluate, rule)
         values.append((j_val * bridge) ** (1.0 / p))
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)))
 
 
-def _poly_gaussian_lq_norm(
-    poly: PolySeries,
-    quad: complex,
-    lin: complex,
-    log_amp: complex,
-    r: float,
-    start: int = 64,
-    cap: int = 512,
-) -> float:
-    """L^r norm of y -> poly(y) * exp(log_amp - quad y^2 + lin y) on the line."""
-    ra = quad.real
-    if ra <= 0.0:
-        raise ValueError("norm requires Re(quad) > 0 for integrability")
-    center = lin.real / (2.0 * ra)
-    envelope = 0.5 * r * ra
-    scale = math.sqrt(2.0 * envelope)
+def _poly_gaussian_lr_norm(poly: PolySeries, quad: float, log_amp: float, r: float) -> float:
+    """L^r norm of y -> poly(y) * exp(log_amp - quad y^2), quad > 0, by recentred_lr_norm."""
 
-    def moment(rule: QuadratureRule) -> float:
-        y = center + rule.nodes / scale
-        expo = r * np.real(log_amp - quad * y * y + lin * y) + 0.5 * rule.nodes**2
-        mag = np.abs(poly(y))
-        vals = np.zeros_like(mag)
-        pos = mag > 0.0
-        vals[pos] = np.exp(r * np.log(mag[pos]) + expo[pos])
-        return float(np.sqrt(2.0 * np.pi) / scale * np.dot(rule.weights, vals))
+    def log_abs(y: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(poly(y))) + (log_amp - quad * y * y)
 
-    n = start
-    prev = moment(gh_rule(n))
-    while n < cap:
-        n *= 2
-        cur = moment(gh_rule(n))
-        if abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300):
-            prev = cur
-            break
-        prev = cur
-    return prev ** (1.0 / r)
+    return recentred_lr_norm(log_abs, 0.0, quad, r)
 
 
 def hy_endpoints(inp: HYInput) -> tuple[float, float]:
@@ -227,7 +178,7 @@ def hy_endpoints(inp: HYInput) -> tuple[float, float]:
         poly = basis_convert(inp.g_tilde, "hermite_to_monomial")
         a = 1.0 / (2.0 * p)
         log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
-        norm_f = _poly_gaussian_lq_norm(poly, a, 0.0, log_amp, p)
+        norm_f = _poly_gaussian_lr_norm(poly, a, log_amp, p)
         # fhat(x) = amp * sqrt(pi/a) * exp(c^2/4a) * (P_{1/2a} poly)(c/2a), c = -2 pi i x.
         evolved = heat_poly_series(1.0 / (2.0 * a), poly)
         hat_poly = PolySeries(
@@ -235,7 +186,7 @@ def hy_endpoints(inp: HYInput) -> tuple[float, float]:
         )
         # |exp(c^2/4a)| = exp(-pi^2 x^2 / a): a Gaussian envelope in x.
         hat_log_amp = log_amp + 0.5 * math.log(np.pi / a)
-        norm_fhat = _poly_gaussian_lq_norm(hat_poly, np.pi**2 / a, 0.0, hat_log_amp, q)
+        norm_fhat = _poly_gaussian_lr_norm(hat_poly, np.pi**2 / a, hat_log_amp, q)
     scaled = sharp_constant(p) * norm_f
     if norm_fhat > scaled + _ENDPOINT_TOL * max(scaled, 1.0):
         raise InequalityViolationError(
@@ -319,17 +270,13 @@ class ExpFamily:
         return complex(rule.weights @ vals @ rule.weights)
 
 
-def _abs_power_average(fn, r: float, start: int = 64, cap: int = 4096) -> float:
-    """E |fn(G)|^r for standard Gaussian G, with node doubling to stability."""
-    n = start
-    prev = float(gh_rule(n).integrate(lambda x: np.abs(fn(x)) ** r).real)
-    while n < cap:
-        n *= 2
-        cur = float(gh_rule(n).integrate(lambda x: np.abs(fn(x)) ** r).real)
-        if abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
+def _abs_power_average(fn, r: float) -> float:
+    """E |fn(G)|^r for standard Gaussian G, doubled from 64 up to 4096 nodes."""
+
+    def average(rule: QuadratureRule) -> float:
+        return float(rule.integrate(lambda x: np.abs(fn(x)) ** r).real)
+
+    return doubled(average, 64, 4096, 1e-10).value
 
 
 def exp_flow_phi(
@@ -414,9 +361,7 @@ def exp_phi_endpoint_identities(fam: ExpFamily, p: float) -> dict:
     }
 
 
-def hy_verify(
-    fam: ExpFamily, p: float, rule: QuadratureRule | int | None = None
-) -> tuple[float, float]:
+def hy_verify(fam: ExpFamily, p: float) -> tuple[float, float]:
     """Sharp transform bound for a modulated-Gaussian family with real frequencies.
 
     Returns (||Fhat||_q, (p^{1/p}/q^{1/q})^{1/2} ||F||_p) and raises

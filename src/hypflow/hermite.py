@@ -43,25 +43,13 @@ def hermite_eval(ell: int, x: complex | np.ndarray) -> complex | np.ndarray:
     return cur if cur.ndim else cur[()]
 
 
-def hermite_scaled_eval(ell: int, x: np.ndarray, sigma: complex) -> np.ndarray:
-    """h_ell(x; sigma) = sigma^{ell/2} H_ell(x / sqrt(sigma)), branch-free.
-
-    Evaluated through the recurrence h_{m+1} = x*h_m - m*sigma*h_{m-1}, which
-    is a polynomial in (x, sigma): no square root is ever taken, so
-    sigma = 0 (or any complex sigma) is regular.
-    """
-    if ell < 0:
-        raise ValueError("Hermite degree must be nonnegative")
-    x = np.asarray(x)
-    prev = np.zeros_like(x, dtype=complex)
-    cur = np.ones_like(x, dtype=complex)
-    for m in range(ell):
-        prev, cur = cur, x * cur - m * sigma * prev
-    return cur
-
-
 def hermite_scaled_sum(coeffs: np.ndarray, x: np.ndarray, sigma: complex) -> np.ndarray:
-    """sum_ell c_ell h_ell(x; sigma), sharing one pass of the scaled recurrence."""
+    """sum_ell c_ell h_ell(x; sigma), h_ell(x; sigma) = sigma^{ell/2} H_ell(x / sqrt(sigma)).
+
+    One pass of the recurrence h_{m+1} = x*h_m - m*sigma*h_{m-1}, a
+    polynomial in (x, sigma): no square root is taken, so sigma = 0 (or any
+    complex sigma) is regular.
+    """
     x = np.asarray(x, dtype=complex)
     out = np.zeros_like(x)
     prev = np.zeros_like(x)

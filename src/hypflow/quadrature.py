@@ -28,14 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError
-
-# Node cap for the automatic refinement loop.  512 nodes resolve every
-# integrand in this package; anything that fails to stabilize by then is
-# reported as an accuracy failure rather than silently accepted.
-MAX_NODES = 512
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for expectation against dgamma.
@@ -147,30 +139,45 @@ def resolve_rule(rule: QuadratureRule | int | None, default_n: int = 64) -> Quad
     return rule
 
 
-def converged_value(
-    evaluate: Callable[[QuadratureRule], complex],
-    start: int = 32,
-    cap: int = MAX_NODES,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    raise_on_failure: bool = False,
-) -> tuple[complex, int, bool]:
-    """Evaluate a rule-dependent quantity at N and 2N nodes until stable.
+@dataclass(frozen=True)
+class Estimate:
+    """A value from doubled Gauss rules, and how far its doubling got.
 
-    Returns (value, nodes_used, converged).  The doubling stops as soon as
-    two successive evaluations differ by less than atol + rtol*|value|.
+    value is the last evaluation, on a rule of `nodes` nodes; step is its
+    distance from the evaluation before it (inf after a single evaluation);
+    converged says whether step met the relative tolerance.  No caller reads
+    nodes yet; error bars on reported values will need it beside step.
+
+    A value that stopped at the cap unconverged is never raised here.
+    flows._auto_outer flags it in OuterStats.capped (janson_flow's
+    cap_hits), or raises AccuracyError when asked to and the last step
+    exceeds 1e-4 relative (exp_flow_phi at interior s).  Every other caller
+    passes it on unflagged.
+    """
+
+    value: float
+    nodes: int
+    step: float
+    converged: bool
+
+
+def doubled(evaluate: Callable[[QuadratureRule], float], start: int, cap: int, rtol: float) -> Estimate:
+    """Evaluate on start, 2 start, ... nodes until two successive values agree.
+
+    Stops at the first pair that differs by at most rtol times the later
+    value, and returns that later value with converged=True.  Otherwise the sizes double until they
+    reach cap, and the value at the cap comes back with converged=False.
     """
     n = start
-    prev = evaluate(gh_rule(n))
+    value = evaluate(gh_rule(n))
+    step = math.inf
     while n < cap:
         n *= 2
-        cur = evaluate(gh_rule(n))
-        if abs(cur - prev) <= atol + rtol * abs(cur):
-            return cur, n, True
-        prev = cur
-    if raise_on_failure:
-        raise AccuracyError(f"quadrature did not stabilize below {cap} nodes")
-    return prev, n, False
+        prev, value = value, evaluate(gh_rule(n))
+        step = abs(value - prev)
+        if step <= rtol * max(abs(value), 1e-300):
+            return Estimate(value, n, step, True)
+    return Estimate(value, n, step, False)
 
 
 def integrate_entire(

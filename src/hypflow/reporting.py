@@ -169,22 +169,6 @@ def write_region_csv(rows: Sequence, path: Path | str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_SCHEMAS = {
-    "flow": write_flow_csv,
-    "convergence": write_convergence_csv,
-    "two_point_scan": write_region_csv,
-}
-
-
-def emit_report(samples, schema: str, path: Path | str) -> None:
-    """Write one of the fixed CSV schemas; unknown schema names are rejected."""
-    try:
-        writer = _SCHEMAS[schema]
-    except KeyError:
-        raise ValueError(f"unknown CSV schema {schema!r}; expected one of {sorted(_SCHEMAS)}")
-    writer(samples, path)
-
-
 def write_manifest(manifest: dict, path: Path | str) -> None:
     Path(path).write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n",

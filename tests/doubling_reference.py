@@ -1,0 +1,278 @@
+"""Frozen reference: the five node-doubling loops as they were before
+quadrature.doubled, with the code they fed.
+
+`converged_value`, `_auto_outer`, `atom_lp_norm` (and its
+`_atom_sum_abs_pow_times_exp`), `_poly_gaussian_lq_norm` and
+`_abs_power_average` are kept verbatim, with `mehler_atom_scaled`,
+`_mehler_atom_log_abs` and `hy_endpoints`, for tests that require the shared
+doubling, the shared recentred norm and the shared Mehler-atom formula to
+return the same values.  Not collected by pytest (no test_ prefix).
+"""
+from __future__ import annotations
+
+import math
+from typing import Callable, Sequence
+
+import numpy as np
+
+from hypflow.errors import AccuracyError, DomainError, InequalityViolationError
+from hypflow.flows import OuterStats
+from hypflow.gaussian_atoms import DOMAIN_EPS, GaussianAtom, _require_damping, fourier_transform_atom
+from hypflow.hausdorff_young import HYInput, sharp_constant
+from hypflow.hermite import PolySeries, basis_convert, heat_poly_series
+from hypflow.quadrature import QuadratureRule, gh_rule, resolve_rule
+
+MAX_NODES = 512
+_AUTO_START = 32
+_AUTO_CAP = 512
+_AUTO_RTOL = 1e-10
+_ENDPOINT_TOL = 1e-8
+
+
+def converged_value(
+    evaluate: Callable[[QuadratureRule], complex],
+    start: int = 32,
+    cap: int = MAX_NODES,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    raise_on_failure: bool = False,
+) -> tuple[complex, int, bool]:
+    """Evaluate a rule-dependent quantity at N and 2N nodes until stable.
+
+    Returns (value, nodes_used, converged).  The doubling stops as soon as
+    two successive evaluations differ by less than atol + rtol*|value|.
+    """
+    n = start
+    prev = evaluate(gh_rule(n))
+    while n < cap:
+        n *= 2
+        cur = evaluate(gh_rule(n))
+        if abs(cur - prev) <= atol + rtol * abs(cur):
+            return cur, n, True
+        prev = cur
+    if raise_on_failure:
+        raise AccuracyError(f"quadrature did not stabilize below {cap} nodes")
+    return prev, n, False
+
+
+def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStats | None = None) -> float:
+    """Run an outer-rule-dependent evaluation with node doubling to stability.
+
+    Doubling targets 1e-10 relative agreement between successive sizes and
+    stops at _AUTO_CAP nodes.  Integrands with absolute-value kinks only
+    converge algebraically, so the cap can be reached without meeting that
+    target; the value at the cap is then returned whatever the last doubling
+    step was, and `stats.capped` is set.  With raise_on_failure, a final step
+    above the coarse floor (value still undetermined at the 1e-4 level)
+    raises AccuracyError instead.
+    """
+    if rule is not None:
+        return evaluate(resolve_rule(rule))
+    n = _AUTO_START
+    prev = evaluate(gh_rule(n))
+    last_diff = np.inf
+    while n < _AUTO_CAP:
+        n *= 2
+        cur = evaluate(gh_rule(n))
+        last_diff = abs(cur - prev)
+        if last_diff <= _AUTO_RTOL * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    if raise_on_failure and last_diff > 1e-4 * max(abs(prev), 1e-300):
+        raise AccuracyError(f"outer quadrature did not stabilize below {_AUTO_CAP} nodes")
+    if stats is not None:
+        stats.capped = True
+    return prev
+
+
+def mehler_atom_scaled(sigma: complex, atom: GaussianAtom, arg: complex) -> complex:
+    """The composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)), branch-free.
+
+    Written out, the square root of sigma cancels: with
+    s_k = 1/(2(1-sigma)), A = quad + s_k, B = lin + 2*s_k*arg,
+
+        value = amplitude * sqrt(s_k / A) * exp(B^2/(4A) - s_k*arg^2),
+
+    which depends on sigma alone.  sigma = 1 is the identity.
+    """
+    sigma = complex(sigma)
+    arg = complex(arg)
+    if sigma == 1.0:
+        return complex(atom(arg))
+    s_k = 1.0 / (2.0 * (1.0 - sigma))
+    big_a = atom.quad + s_k
+    _require_damping(big_a, "Mehler image of atom")
+    big_b = atom.lin + 2.0 * s_k * arg
+    val = atom.amplitude * np.sqrt(s_k / big_a) * np.exp(
+        big_b * big_b / (4.0 * big_a) - s_k * arg * arg
+    )
+    return complex(val)
+
+
+def _atom_sum_abs_pow_times_exp(
+    atoms: Sequence[GaussianAtom], y: np.ndarray, r: float, extra_exponent: np.ndarray
+) -> np.ndarray:
+    """|sum_l atom_l(y)|^r * exp(extra_exponent), overflow-safe.
+
+    The largest per-atom real exponent is factored out before
+    exponentiation, so huge amplitudes (e.g. Fourier images) and the
+    envelope-compensating exp(u^2/2) factor never overflow individually.
+    """
+    y = np.asarray(y, dtype=float)
+    expos = np.stack([(-atom.quad * y * y + atom.lin * y) for atom in atoms])
+    peak = np.max(expos.real, axis=0)
+    reduced = np.zeros(y.shape, dtype=complex)
+    for atom, expo in zip(atoms, expos):
+        reduced += atom.amplitude * np.exp(expo - peak)
+    mag = np.abs(reduced)
+    out = np.zeros_like(mag)
+    pos = mag > 0.0
+    out[pos] = np.exp(r * (np.log(mag[pos]) + peak[pos]) + extra_exponent[pos])
+    return out
+
+
+def atom_lp_norm(
+    atoms: Sequence[GaussianAtom],
+    r: float,
+    start: int = 64,
+    cap: int = 512,
+    rtol: float = 1e-11,
+) -> float:
+    """L^r(R) norm of a finite sum of Gaussian atoms, by recentred quadrature.
+
+    The envelope is the slowest-decaying atom, widened by half so that the
+    combined integrand keeps strict Gaussian decay relative to the rule's
+    weight; the rule is doubled until the value stabilizes.
+    """
+    if r < 1.0:
+        raise ValueError("norm exponent must be >= 1")
+    if not atoms:
+        return 0.0
+    min_decay = min(atom.quad.real for atom in atoms)
+    if min_decay <= DOMAIN_EPS:
+        raise DomainError("atom sum is not integrable: an atom has Re(quad) <= 0")
+    peaks = [atom.lin.real / (2.0 * atom.quad.real) for atom in atoms]
+    center = 0.5 * (min(peaks) + max(peaks))
+    envelope = 0.5 * r * min_decay
+    scale = np.sqrt(2.0 * envelope)
+
+    def moment(rule: QuadratureRule) -> float:
+        y = center + rule.nodes / scale
+        vals = _atom_sum_abs_pow_times_exp(atoms, y, r, 0.5 * rule.nodes**2)
+        return float(np.sqrt(2.0 * np.pi) / scale * np.dot(rule.weights, vals))
+
+    n = start
+    prev = moment(gh_rule(n))
+    while n < cap:
+        n *= 2
+        cur = moment(gh_rule(n))
+        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+            prev = cur
+            break
+        prev = cur
+    return prev ** (1.0 / r)
+
+
+def _mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
+    """log |scaled Mehler image of one atom| over an argument array, in closed form.
+
+    With s_k, A and B as in mehler_atom_scaled, this is the real part of
+    log(amplitude * sqrt(s_k / A)) + B^2/(4A) - s_k*arg^2; the magnitude
+    itself overflows where the image grows like exp(+c arg^2).
+    """
+    sigma = complex(sigma)
+    with np.errstate(divide="ignore"):  # a zero atom has log-magnitude -inf
+        log_amp = np.log(abs(atom.amplitude))
+    if sigma == 1.0:
+        return log_amp + np.real(-atom.quad * arg * arg + atom.lin * arg)
+    s_k = 1.0 / (2.0 * (1.0 - sigma))
+    big_a = atom.quad + s_k
+    if big_a.real <= DOMAIN_EPS:
+        raise DomainError("Mehler image of atom outside its convergence domain")
+    big_b = atom.lin + 2.0 * s_k * arg
+    return log_amp + 0.5 * math.log(abs(s_k / big_a)) + np.real(
+        big_b * big_b / (4.0 * big_a) - s_k * arg * arg
+    )
+
+
+def _poly_gaussian_lq_norm(
+    poly: PolySeries,
+    quad: complex,
+    lin: complex,
+    log_amp: complex,
+    r: float,
+    start: int = 64,
+    cap: int = 512,
+) -> float:
+    """L^r norm of y -> poly(y) * exp(log_amp - quad y^2 + lin y) on the line."""
+    ra = quad.real
+    if ra <= 0.0:
+        raise ValueError("norm requires Re(quad) > 0 for integrability")
+    center = lin.real / (2.0 * ra)
+    envelope = 0.5 * r * ra
+    scale = math.sqrt(2.0 * envelope)
+
+    def moment(rule: QuadratureRule) -> float:
+        y = center + rule.nodes / scale
+        expo = r * np.real(log_amp - quad * y * y + lin * y) + 0.5 * rule.nodes**2
+        mag = np.abs(poly(y))
+        vals = np.zeros_like(mag)
+        pos = mag > 0.0
+        vals[pos] = np.exp(r * np.log(mag[pos]) + expo[pos])
+        return float(np.sqrt(2.0 * np.pi) / scale * np.dot(rule.weights, vals))
+
+    n = start
+    prev = moment(gh_rule(n))
+    while n < cap:
+        n *= 2
+        cur = moment(gh_rule(n))
+        if abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300):
+            prev = cur
+            break
+        prev = cur
+    return prev ** (1.0 / r)
+
+
+def hy_endpoints(inp: HYInput) -> tuple[float, float]:
+    """(||fhat||_q,  (p^{1/p}/q^{1/q})^{1/2} ||f||_p), both by direct quadrature.
+
+    The transform uses the convention fhat(x) = int f(y) exp(-2 pi i x y) dy.
+    Raises InequalityViolationError if the first value exceeds the second
+    beyond tolerance (the sharp inequality itself).
+    """
+    p, q = inp.p, inp.q
+    if inp.f_atom is not None:
+        norm_f = atom_lp_norm([inp.f_atom], p)
+        norm_fhat = atom_lp_norm([fourier_transform_atom(inp.f_atom)], q)
+    else:
+        poly = basis_convert(inp.g_tilde, "hermite_to_monomial")
+        a = 1.0 / (2.0 * p)
+        log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
+        norm_f = _poly_gaussian_lq_norm(poly, a, 0.0, log_amp, p)
+        # fhat(x) = amp * sqrt(pi/a) * exp(c^2/4a) * (P_{1/2a} poly)(c/2a), c = -2 pi i x.
+        evolved = heat_poly_series(1.0 / (2.0 * a), poly)
+        hat_poly = PolySeries(
+            evolved.coeffs * (-2.0j * np.pi / (2.0 * a)) ** np.arange(evolved.coeffs.size)
+        )
+        # |exp(c^2/4a)| = exp(-pi^2 x^2 / a): a Gaussian envelope in x.
+        hat_log_amp = log_amp + 0.5 * math.log(np.pi / a)
+        norm_fhat = _poly_gaussian_lq_norm(hat_poly, np.pi**2 / a, 0.0, hat_log_amp, q)
+    scaled = sharp_constant(p) * norm_f
+    if norm_fhat > scaled + _ENDPOINT_TOL * max(scaled, 1.0):
+        raise InequalityViolationError(
+            "sharp transform bound violated", lhs=norm_fhat, rhs=scaled, witness=inp
+        )
+    return norm_fhat, scaled
+
+
+def _abs_power_average(fn, r: float, start: int = 64, cap: int = 4096) -> float:
+    """E |fn(G)|^r for standard Gaussian G, with node doubling to stability."""
+    n = start
+    prev = float(gh_rule(n).integrate(lambda x: np.abs(fn(x)) ** r).real)
+    while n < cap:
+        n *= 2
+        cur = float(gh_rule(n).integrate(lambda x: np.abs(fn(x)) ** r).real)
+        if abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    return prev

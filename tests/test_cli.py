@@ -11,13 +11,7 @@ import pytest
 import hypflow.cli
 from hypflow.errors import AccuracyError
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
-from hypflow.reporting import (
-    ConvergenceRow,
-    ConvergenceTable,
-    FlowReport,
-    emit_report,
-    write_flow_csv,
-)
+from hypflow.reporting import FlowReport, write_flow_csv
 
 
 def run(args, tmp_path, sub="out"):
@@ -255,17 +249,6 @@ def test_converge_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["errors_strictly_decreasing"]
     assert manifest["slope"] is not None
-
-
-def test_emit_report_dispatch(tmp_path):
-    rep = FlowReport(parameter_name="s", samples=((0.0, 1.0), (1.0, 2.0)))
-    emit_report(rep, "flow", tmp_path / "f.csv")
-    assert (tmp_path / "f.csv").read_text().startswith("parameter,value,delta_to_prev")
-    table = ConvergenceTable(rows=(ConvergenceRow(4, 2, 1.0, 1.5),))
-    emit_report(table, "convergence", tmp_path / "c.csv")
-    assert "abs_error" in (tmp_path / "c.csv").read_text()
-    with pytest.raises(ValueError):
-        emit_report(rep, "nonsense", tmp_path / "x.csv")
 
 
 def test_empty_flow_report_writes_header_only(tmp_path):

@@ -15,7 +15,7 @@ from hypflow.hermite import (
     heat_poly_series,
     heat_quadrature,
     hermite_eval,
-    hermite_scaled_eval,
+    hermite_scaled_sum,
     mehler_apply_series,
     mehler_fourier_check,
     mehler_kernel_check,
@@ -49,15 +49,16 @@ def test_hermite_orthogonality():
             assert abs(val - exact) <= 1e-10 * max(1.0, exact)
 
 
-def test_hermite_scaled_eval_is_branch_free():
+def test_hermite_scaled_sum_is_branch_free():
     # h_ell(x; sigma) must be a polynomial in sigma; sigma = 0 gives monomials
     x = np.array([1.7 - 0.3j])
-    assert hermite_scaled_eval(2, x, 0.0)[0] == x[0] ** 2
+    unit = lambda ell: np.eye(ell + 1, dtype=complex)[ell]
+    assert hermite_scaled_sum(unit(2), x, 0.0)[0] == x[0] ** 2
     # and must reproduce sigma^{l/2} H_l(x/sqrt(sigma)) for positive sigma
     sigma = 0.37
     for ell in range(7):
         direct = sigma ** (ell / 2) * hermite_eval(ell, x / np.sqrt(sigma))
-        assert abs(hermite_scaled_eval(ell, x, sigma)[0] - direct[0]) <= 1e-12 * max(
+        assert abs(hermite_scaled_sum(unit(ell), x, sigma)[0] - direct[0]) <= 1e-12 * max(
             1.0, abs(direct[0])
         )
 

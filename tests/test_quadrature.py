@@ -1,11 +1,12 @@
 """Quadrature rules: exactness, symmetry, and the recentred line integral."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import roots_hermitenorm
 
-from hypflow.quadrature import _gh_rule_cached, converged_value, gh_rule, integrate_entire
+from hypflow.quadrature import Estimate, _gh_rule_cached, doubled, gh_rule, integrate_entire
 
 
 def gaussian_moment(m: int) -> float:
@@ -126,10 +127,52 @@ def test_integrate_entire_requires_damping():
         integrate_entire(lambda y: y, -1.0, 0.0, gh_rule(8))
 
 
-def test_converged_value_stops_on_stability():
-    val, n, ok = converged_value(lambda r: r.integrate(lambda x: np.cos(x)), start=8)
-    assert ok
-    assert abs(val - np.exp(-0.5)) <= 1e-10  # E cos(G) = exp(-1/2)
+def _ladder(values: dict[int, float], calls: list[int]):
+    """An evaluate that looks its value up by rule size and logs the sizes."""
+
+    def evaluate(rule):
+        calls.append(rule.node_count)
+        return values[rule.node_count]
+
+    return evaluate
+
+
+def test_doubled_returns_the_later_value_of_the_first_agreeing_pair():
+    calls = []
+    values = {4: 1.0, 8: 1.5, 16: 1.5 + 1e-12, 32: 7.0, 64: 7.0}
+    est = doubled(_ladder(values, calls), 4, 64, 1e-10)
+    assert est == Estimate(1.5 + 1e-12, 16, (1.5 + 1e-12) - 1.5, True)
+    assert calls == [4, 8, 16]
+
+
+def test_doubled_tolerance_is_inclusive_and_relative_to_the_later_value():
+    # step 0.25 against rtol * |later| = 0.25 * 1.0: converged
+    est = doubled(_ladder({2: 0.75, 4: 1.0}, []), 2, 64, 0.25)
+    assert est == Estimate(1.0, 4, 0.25, True)
+    # 1.0 then 0.75 is the same step against rtol * 0.75: not converged
+    # (against the earlier value 1.0 it would be)
+    est = doubled(_ladder({2: 1.0, 4: 0.75, 8: 0.5, 16: 0.25}, []), 2, 16, 0.25)
+    assert not est.converged
+    # two zeros agree (the relative floor is 1e-300, not 0)
+    assert doubled(_ladder({8: 0.0, 16: 0.0}, []), 8, 64, 1e-10) == Estimate(0.0, 16, 0.0, True)
+
+
+def test_doubled_at_the_cap_returns_the_last_value_unconverged():
+    calls = []
+    values = {4: 1.0, 8: 2.0, 16: 1.0, 32: 2.5}
+    est = doubled(_ladder(values, calls), 4, 32, 1e-10)
+    assert est == Estimate(2.5, 32, 1.5, False)
+    assert calls == [4, 8, 16, 32]
+    # a start at the cap evaluates once and has no step yet
+    est = doubled(_ladder({32: 3.0}, []), 32, 32, 1e-10)
+    assert est == Estimate(3.0, 32, math.inf, False)
+
+
+def test_doubled_stops_on_stability():
+    est = doubled(lambda r: float(r.integrate(np.cos).real), 8, 512, 1e-10)
+    assert est.converged and est.nodes < 512
+    assert est.step <= 1e-10 * abs(est.value)
+    assert abs(est.value - np.exp(-0.5)) <= 1e-10  # E cos(G) = exp(-1/2)
 
 
 def test_rules_are_immutable():
