@@ -260,7 +260,8 @@ def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStat
         return evaluate(resolve_rule(rule))
     est = doubled(evaluate, _AUTO_START, _AUTO_CAP, _AUTO_RTOL)
     if not est.converged:
-        if raise_on_failure and est.step > 1e-4 * max(abs(est.value), 1e-300):
+        # written so that a NaN step or value raises as well
+        if raise_on_failure and not est.step <= 1e-4 * max(abs(est.value), 1e-300):
             raise AccuracyError(f"outer quadrature did not stabilize below {_AUTO_CAP} nodes")
         if stats is not None:
             stats.capped = True

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InequalityViolationError
+from .errors import AccuracyError, InequalityViolationError
 from .gaussian_atoms import (
     GaussianAtom,
     atom_lp_norm,
@@ -291,7 +291,8 @@ def exp_flow_phi(
     Damping is z = i sqrt(p/q); the inner average runs over the z-coupled
     variable and the outer over the sqrt(s)-coupled one, matching the flow's
     displayed nesting.  The endpoint comparison phi_exp(0) <= phi_exp(1) is
-    asserted; violation raises InequalityViolationError.
+    asserted; violation raises InequalityViolationError, and a non-finite
+    endpoint raises AccuracyError.
     """
     q = conjugate_exponent(p)
     z = 1j * math.sqrt(p / q)
@@ -315,6 +316,8 @@ def exp_flow_phi(
 
     values = [value_at(float(s)) for s in grid]
     phi0, phi1 = value_at(0.0), value_at(1.0)
+    if not (math.isfinite(phi0) and math.isfinite(phi1)):
+        raise AccuracyError(f"exponential flow endpoints are not finite: phi(0) = {phi0}, phi(1) = {phi1}")
     if phi0 > phi1 + endpoint_tol * max(abs(phi1), 1.0):
         raise InequalityViolationError(
             "endpoint comparison failed for exponential family",

@@ -54,16 +54,20 @@ _SCIPY_PROBE = """
 import json, sys
 from hypflow.cli import main
 
-def scipy_modules():
-    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-
-seen = {"import": scipy_modules()}
 out = sys.argv[1]
-seen["discrete-flow"] = main(["discrete-flow", "--n", "12", "--p", "2", "--q", "4", "--z-re", "0.5",
-                              "--coeffs", "0,1,1", "--out", out + "/d"])
-seen["after discrete-flow"] = scipy_modules()
-seen["hy-exp"] = main(["hy-exp", "--p", "2", "--atoms", "1:0.5", "--s-points", "3", "--out", out + "/h"])
-seen["linalg after hy-exp"] = "scipy.linalg" in sys.modules
+calls = {
+    "discrete-flow": ["--n", "12", "--p", "2", "--q", "4", "--z-re", "0.5", "--coeffs", "0,1,1"],
+    "converge": ["--p", "1.5", "--q", "3", "--z-re", "0.5", "--coeffs", "0,1,0,1", "--n-list", "16,64"],
+    "janson-flow": ["--p", "1.5", "--coeffs", "1,1j", "--s-points", "3"],
+    "hy-flow --gaussian": ["--p", "1.5", "--gaussian", "--s-points", "3"],
+    "hy-flow --hermite-coeffs": ["--p", "1.5", "--hermite-coeffs", "1,0.5", "--s-points", "3"],
+    "hy-exp": ["--p", "1.5", "--atoms", "1:0.5,-0.3:-1.1", "--s-points", "3"],
+    "two-point-scan": ["--p", "2", "--q", "4", "--resolution", "0.5"],
+}
+seen = {}
+for i, (name, args) in enumerate(calls.items()):
+    seen[name] = main([name.split()[0], *args, "--out", f"{out}/{i}"])
+seen["scipy"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 print(json.dumps(seen))
 """
 
@@ -74,8 +78,9 @@ def _fresh_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def test_scipy_loads_only_with_the_first_gauss_rule(tmp_path):
-    # a fresh interpreter, so nothing imported by other tests can hide a module-level import
+def test_no_cli_command_loads_scipy(tmp_path):
+    # one fresh interpreter runs every command that computes, so nothing imported
+    # by other tests can hide an import, and a lazy import anywhere shows
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
         env=_fresh_env(),
@@ -84,13 +89,12 @@ def test_scipy_loads_only_with_the_first_gauss_rule(tmp_path):
         check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {
-        "import": [],
-        "discrete-flow": EXIT_OK,
-        "after discrete-flow": [],
-        "hy-exp": EXIT_OK,
-        "linalg after hy-exp": True,
-    }
+    assert seen.pop("scipy") == []
+    assert seen == dict.fromkeys(
+        ["discrete-flow", "converge", "janson-flow", "hy-flow --gaussian",
+         "hy-flow --hermite-coeffs", "hy-exp", "two-point-scan"],
+        EXIT_OK,
+    )
 
 
 def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):

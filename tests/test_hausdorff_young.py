@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import hypflow.hausdorff_young
+from hypflow.errors import AccuracyError
 from hypflow.gaussian_atoms import GaussianAtom
 from hypflow.hausdorff_young import (
     ExpFamily,
@@ -21,6 +23,7 @@ from hypflow.hausdorff_young import (
 )
 from hypflow.hermite import HermiteSeries, PolySeries
 from hypflow.flows import janson_quadrature
+from hypflow.quadrature import gh_rule
 from hypflow.two_point import ExponentTriple
 
 
@@ -209,6 +212,44 @@ def test_exp_flow_sign_crossing_family_full_grid():
     rep = exp_flow_phi(fam, 1.5)
     assert len(rep.samples) == 21
     assert rep.values[0] <= rep.values[-1]
+
+
+def test_exp_flow_endpoint_average_ignores_nodes_with_zero_weight():
+    # regression: on the 4096-node rule |Phi_1|^p overflows to inf on 182
+    # nodes whose weights underflowed to zero, and 0 * inf made phi(1) NaN
+    fam = ExpFamily(atoms=((1.0, 5.0), (-0.9, 5.2)))
+    p = 4 / 3
+    z = 1j * math.sqrt(p / conjugate_exponent(p))
+
+    def samples(rule):
+        with np.errstate(over="ignore"):
+            return np.abs(fam.phi_s_closed(1.0, z, rule.nodes, 0.0)) ** p
+
+    big = gh_rule(4096)
+    overflowed = np.isinf(samples(big))
+    assert overflowed.sum() == 182 and np.all(big.weights[overflowed] == 0.0)
+    half = gh_rule(2048)
+    at_2048 = float(half.integrate(lambda x: samples(half)).real)
+    phi1 = exp_flow_phi(fam, p, s_grid=[1.0]).values[0]
+    # the |.|^p kink leaves the 2048 -> 4096 step near 2e-5 relative
+    assert math.isfinite(phi1) and abs(phi1 - at_2048) <= 1e-4 * at_2048
+
+
+def test_exp_flow_nan_interior_sample_raises():
+    # |Phi_s|^q overflows on the outer grids: every doubling step is NaN
+    with pytest.raises(AccuracyError, match="512 nodes"):
+        exp_flow_phi(ExpFamily(atoms=((1.0, 12j),)), 1.5, s_grid=[0.5])
+
+
+def test_exp_flow_non_finite_endpoint_raises(monkeypatch):
+    # |1e300|^p overflows at both ends, so phi(0) = phi(1) = inf
+    with pytest.raises(AccuracyError, match="not finite"):
+        exp_flow_phi(ExpFamily(atoms=((1e300, 0.0),)), 4 / 3, s_grid=[0.0, 1.0])
+    # with phi(1) NaN and phi(0) finite, the comparison phi(0) > phi(1) + tol is false
+    p = 4 / 3
+    monkeypatch.setattr(hypflow.hausdorff_young, "_abs_power_average", lambda fn, r: math.nan if r == p else 1.0)
+    with pytest.raises(AccuracyError, match="not finite"):
+        exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), p, s_grid=[0.5])
 
 
 def test_exp_flow_endpoint_change_of_variables():

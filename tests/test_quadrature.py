@@ -1,12 +1,15 @@
 """Quadrature rules: exactness, symmetry, and the recentred line integral."""
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.special import roots_hermitenorm
 
 from hypflow.quadrature import Estimate, _gh_rule_cached, doubled, gh_rule, integrate_entire
+
+import gh_rule_reference
 
 
 def gaussian_moment(m: int) -> float:
@@ -85,6 +88,59 @@ def test_large_rules_are_exactly_symmetric_and_normalized(n):
     assert np.all(np.diff(rule.nodes) > 0)
     assert np.all(rule.weights >= 0)
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
+
+
+def _assert_matches_reference_rule(n):
+    rule, ref = gh_rule(n), gh_rule_reference._gh_rule_cached(n)
+    ulps = np.abs(rule.nodes - ref.nodes) / np.spacing(np.abs(ref.nodes))
+    assert ulps.max() <= 8, (n, ulps.max())
+    big = ref.weights > 1e-250
+    np.testing.assert_allclose(rule.weights[big], ref.weights[big], rtol=1e-12, atol=0, err_msg=str(n))
+    np.testing.assert_array_equal(rule.weights == 0.0, ref.weights == 0.0, err_msg=str(n))
+
+
+def test_rules_match_the_eigenvalue_rules_through_300_nodes():
+    for n in range(1, 301):
+        _assert_matches_reference_rule(n)
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2047, 2048, 4095, 4096])
+def test_large_rules_match_the_eigenvalue_rules(n):
+    _assert_matches_reference_rule(n)
+
+
+def _hermite_zero(n: int, guess: float) -> Decimal:
+    """The zero of He_n nearest guess, by Newton on the recurrence in 40-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(guess)
+        for _ in range(6):
+            prev, last = Decimal(0), Decimal(1)
+            for m in range(n):
+                prev, last = last, x * last - m * prev
+            x -= last / (n * prev)  # He_n' = n He_{n-1}
+        return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 21, 150, 513, 2047, 4096])
+def test_nodes_match_40_digit_zeros(n):
+    # the smallest positive, the middle and the largest nonnegative node
+    positive = gh_rule(n).nodes[(n + 1) // 2 :]
+    for x in positive[[0, positive.size // 2, -1]]:
+        exact = _hermite_zero(n, float(x))
+        assert abs(Decimal(float(x)) - exact) <= 4 * Decimal(math.ulp(float(exact))), (n, x, exact)
+
+
+def test_integrate_ignores_nodes_with_zero_weight():
+    rule = gh_rule(4096)
+    dead = rule.weights == 0.0
+    assert dead.sum() > 0
+    vals = np.cos(rule.nodes)
+    half = rule.node_count // 2
+    expected = complex(np.dot(rule.weights[:half], vals[:half] + vals[::-1][:half]))
+    assert rule.integrate(np.cos) == expected  # bit for bit where f is finite
+    for bad in (np.inf, np.nan):
+        assert rule.integrate(lambda x: np.where(dead, bad, np.cos(x))) == expected
 
 
 def test_cold_build_of_large_rule_stays_small_in_memory():
