@@ -16,7 +16,6 @@ from .cube import (
     SymmetricSpec,
     apply_Tzk,
     beckner_expand,
-    binomial_split_check,
     mixed_norm,
     mixed_norm_collapsed,
     phi_block_eval,
@@ -38,7 +37,6 @@ from .flows import (
     janson_heat,
     janson_mehler,
     janson_quadrature,
-    mixed_moment_check,
 )
 from .gaussian_atoms import (
     GaussianAtom,
@@ -65,15 +63,11 @@ from .hermite import (
     HermiteSeries,
     PolySeries,
     basis_convert,
-    gaussian_rotation_check,
     gaussian_smooth,
     heat_poly,
     heat_poly_series,
-    heat_quadrature,
     hermite_eval,
     mehler_apply_series,
-    mehler_fourier_check,
-    mehler_kernel_check,
 )
 from .quadrature import QuadratureRule, gh_rule
 from .reporting import ConvergenceTable, FlowReport

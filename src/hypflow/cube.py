@@ -186,30 +186,6 @@ def phi_block_eval(ell: int, n: int, counts: BlockCounts, z: complex) -> complex
     return complex(math.factorial(ell) * prod[ell])
 
 
-def binomial_split_check(big_l: int, k: int, x, z: complex) -> tuple[complex, complex]:
-    """Both sides of the block convolution identity for phi_L.
-
-    Left: phi_L(x_1..x_k, z*x_{k+1}..z*x_n) directly.  Right:
-    sum_m binom(L,m) phi_{L-m}(x_1..x_k) phi_m(x_{k+1}..x_n) z^m, i.e. the
-    first factor runs over the first block only.  The caller asserts
-    equality.
-    """
-    x = np.asarray(x, dtype=complex).ravel()
-    if not 0 <= k <= x.size:
-        raise ValueError("split index out of range")
-    scaled = np.concatenate((x[:k], complex(z) * x[k:]))
-    lhs = phi_symmetric(big_l, scaled)
-    rhs = 0.0 + 0.0j
-    for m in range(big_l + 1):
-        rhs += (
-            math.comb(big_l, m)
-            * phi_symmetric(big_l - m, x[:k])
-            * phi_symmetric(m, x[k:])
-            * complex(z) ** m
-        )
-    return lhs, rhs
-
-
 def _phi_level_value(ell: int, n: int, j: int) -> float:
     """phi_ell(x/sqrt(n)) at any point with j coordinates equal to +1."""
     c = 1.0 / math.sqrt(n)
@@ -237,35 +213,30 @@ class BecknerExpansion:
 def beckner_expand(n: int, ell: int) -> BecknerExpansion:
     """Hermite expansion of the normalized symmetric function across sum levels.
 
-    Solves the (ell+1) x (ell+1) interpolation system at central sum levels,
-    then reports the worst residual over *all* n+1 levels.  The levels are
-    spread over a fixed O(1) range of the normalized sum: levels packed at
-    spacing 2/sqrt(n) around zero make the system ill-conditioned for large
-    n, while extreme levels blow up the right-hand side, so neither is used.
-    Coefficients of the wrong parity come out as exact zeros of the linear
-    solve.  Degrees above 20 are rejected: the interpolation system is no
-    longer trustworthy there.
+    With S = (x_1+..+x_n)/sqrt(n) on the cube, the scaled Krawtchouk
+    recurrence phi_{l+1} = S phi_l - l(n-l+1)/n phi_{l-1} and the Hermite
+    relation S H_m = H_{m+1} + m H_{m-1} give the coefficients exactly: they
+    are run as integers over the common denominator n^l and each is rounded
+    once, so the wrong-parity ones are exact zeros.  max_residual then checks
+    the expansion in float at every sum level.  Degrees above 20 are
+    rejected: that float check is no longer trustworthy there.
     """
     if ell > 20:
-        raise ValueError("expansion degree above 20 rejected (ill-conditioned system)")
+        raise ValueError("expansion degree above 20 rejected (float residual check unreliable)")
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n, got ell = {ell}, n = {n}")
-    half_range = min(max(2.0, 0.5 * ell), 0.95 * math.sqrt(n))
-    targets = np.linspace(-half_range, half_range, ell + 1) if ell else np.array([0.0])
-    levels: list[int] = []
-    for t in targets:
-        j = int(round((n + t * math.sqrt(n)) / 2.0))
-        j = min(max(j, 0), n)
-        while j in levels and j < n:
-            j += 1
-        while j in levels and j > 0:
-            j -= 1
-        levels.append(j)
-    levels.sort()
-    sums = np.array([(2 * j - n) / math.sqrt(n) for j in levels])
-    rhs = np.array([_phi_level_value(ell, n, j) for j in levels])
-    vander = np.stack([np.real(hermite_eval(m, sums)) for m in range(ell + 1)], axis=1)
-    coeffs = np.linalg.solve(vander, rhs)
+    prev: list[int] = []
+    cur = [1]  # numerators of phi_l over n^l, in the Hermite basis
+    for deg in range(ell):
+        nxt = [0] * (deg + 2)
+        for m, c in enumerate(cur):
+            nxt[m + 1] += c
+            if m:
+                nxt[m - 1] += m * c
+        for m, c in enumerate(prev):
+            nxt[m] -= deg * (n - deg + 1) * c
+        prev, cur = cur, [n * c for c in nxt]
+    coeffs = np.array([c / n**ell for c in cur])
 
     all_sums = np.array([(2 * j - n) / math.sqrt(n) for j in range(n + 1)])
     all_phi = np.array([_phi_level_value(ell, n, j) for j in range(n + 1)])

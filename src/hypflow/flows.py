@@ -58,17 +58,14 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .cube import (
-    BlockCounts,
     CubeFunction,
     SymmetricSpec,
     TAIL_RTOL,
     TailCut,
     _window,
     apply_Tzk,
-    log_binomial_weights,
     mixed_norm,
     mixed_norm_collapsed,
-    phi_block_eval,
     symmetric_tzk_table,
 )
 from .errors import AccuracyError, EvaluatorMismatchError
@@ -441,49 +438,6 @@ def janson_flow(
         "cap_hits": [float(s) for s, st in zip(grid, stats) if st.capped],
     }
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
-
-
-def mixed_moment_check(
-    x: BlockCounts | Sequence[int],
-    k: int,
-    n: int,
-    z: complex,
-    big_l: int,
-) -> tuple[complex, complex, float]:
-    """Both sides of the mixed-moment identity at one cube point.
-
-    Left: the exact average over the second cube copy y of
-    (xi + i zeta + z (eta + i tau))^L, where xi, eta are the fixed block
-    sums of x over sqrt(n) and zeta, tau the block sums of y; the average
-    depends on y only through its two block counts, so it is an exact
-    binomially-weighted double sum.  Right: phi_L at the damped block point.
-    Returns (left, right, |difference|); the gap decays like a power of n on
-    bounded-sum points.
-    """
-    if big_l > 12:
-        raise ValueError("moment degree capped at 12")
-    if isinstance(x, BlockCounts):
-        counts = x
-    else:
-        arr = np.asarray(x)
-        if arr.size != n or not np.all(np.abs(arr) == 1):
-            raise ValueError("explicit point must be a length-n array of +-1")
-        counts = BlockCounts(k=k, a=int(np.sum(arr[:k] == 1)), b=int(np.sum(arr[k:] == 1)))
-    if counts.k != k:
-        raise ValueError("block counts disagree with the split index")
-    counts.validate(n)
-    m = n - k
-    rn = math.sqrt(n)
-    xi = (2 * counts.a - k) / rn
-    eta = (2 * counts.b - m) / rn
-    zeta = (2 * np.arange(k + 1) - k) / rn
-    tau = (2 * np.arange(m + 1) - m) / rn
-    grid = xi + complex(z) * eta + 1j * (zeta[:, None] + complex(z) * tau[None, :])
-    w_first = log_binomial_weights(k)
-    w_second = log_binomial_weights(m)
-    lhs = complex(w_first @ (grid**big_l) @ w_second)
-    rhs = phi_block_eval(big_l, n, counts, z)
-    return lhs, rhs, abs(lhs - rhs)
 
 
 def convergence_experiment(

@@ -4,8 +4,7 @@ Atoms are the exponential-class test functions of the sharp Hausdorff-Young
 pipeline: the tilted exponentials exp(zeta*x - zeta^2/2) are atoms with
 alpha = 0, and Gaussian extremizers are atoms with beta = 0.  All the
 Gaussian integrals an atom meets (average against dgamma, Mehler image,
-Fourier transform, Lebesgue integral) complete the square and stay in the
-atom class.
+Fourier transform) complete the square and stay in the atom class.
 
 Every closed form requires the effective quadratic coefficient to have real
 part > DOMAIN_EPS; below that the defining integral diverges (or is too
@@ -57,14 +56,6 @@ def gamma_integral(atom: GaussianAtom) -> complex:
     a_eff = atom.quad + 0.5
     _require_damping(a_eff, "Gaussian average of atom")
     return complex(atom.amplitude * np.exp(atom.lin**2 / (4.0 * a_eff)) / np.sqrt(2.0 * a_eff))
-
-
-def lebesgue_integral(atom: GaussianAtom) -> complex:
-    """int_R atom(y) dy, in closed form."""
-    _require_damping(atom.quad, "Lebesgue integral of atom")
-    return complex(
-        atom.amplitude * np.sqrt(np.pi / atom.quad) * np.exp(atom.lin**2 / (4.0 * atom.quad))
-    )
 
 
 def smooth_imaginary(atom: GaussianAtom, t_squared: complex) -> GaussianAtom:

@@ -342,28 +342,6 @@ def exp_family_final_atoms(fam: ExpFamily, p: float) -> list[GaussianAtom]:
     return out
 
 
-def exp_phi_endpoint_identities(fam: ExpFamily, p: float) -> dict:
-    """Endpoint values of the exponential flow against their change-of-variable forms.
-
-    phi_exp(1) = sqrt(p) ||F||_p^p and phi_exp(0) = sqrt(q)^{p/q} ||Fhat||_q^p,
-    where F is the modulated-Gaussian family and Fhat its transform (closed
-    form per atom).  Returns all four numbers for the caller to compare.
-    """
-    q = conjugate_exponent(p)
-    report = exp_flow_phi(fam, p, s_grid=[0.0, 1.0])
-    phi0, phi1 = report.values
-    f_atoms = exp_family_final_atoms(fam, p)
-    fhat_atoms = [fourier_transform_atom(atom) for atom in f_atoms]
-    phi1_cov = math.sqrt(p) * atom_lp_norm(f_atoms, p) ** p if f_atoms else 0.0
-    phi0_cov = math.sqrt(q) ** (p / q) * atom_lp_norm(fhat_atoms, q) ** p if f_atoms else 0.0
-    return {
-        "phi0": phi0,
-        "phi1": phi1,
-        "phi0_change_of_variables": phi0_cov,
-        "phi1_change_of_variables": phi1_cov,
-    }
-
-
 def hy_verify(fam: ExpFamily, p: float) -> tuple[float, float]:
     """Sharp transform bound for a modulated-Gaussian family with real frequencies.
 

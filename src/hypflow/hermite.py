@@ -26,7 +26,6 @@ import numpy as np
 from numpy.polynomial import hermite_e as _herme
 from numpy.polynomial import polynomial as _poly
 
-from .quadrature import QuadratureRule, integrate_entire
 
 _MEHLER_RADIUS_SLACK = 1e-12
 
@@ -192,52 +191,6 @@ def mehler_apply_series(w: complex, gt: HermiteSeries) -> HermiteSeries:
     return HermiteSeries(gt.coeffs * powers)
 
 
-def mehler_kernel_check(
-    w: complex, gt: HermiteSeries, x: complex, rule: QuadratureRule
-) -> tuple[complex, complex]:
-    """(series value, kernel-integral value) of the Mehler action at x.
-
-    The kernel form is int g~(y) exp(-(x*w - y)^2 / (2*(1-w^2))) dy
-    normalized by sqrt(2*pi*(1-w^2)); it converges for |w| < 1 and is
-    evaluated by recentred quadrature with the complex-variance Gaussian.
-    The caller asserts agreement of the two returned values.
-    """
-    w = complex(w)
-    if w * w == 1.0:
-        raise ValueError("kernel form is singular at w^2 = 1; use the series form")
-    series_val = complex(mehler_apply_series(w, gt)(x))
-    a = 1.0 / (2.0 * (1.0 - w * w))
-    b = 2.0 * a * x * w
-    integral = integrate_entire(gt, a, b, rule)
-    kernel_val = np.exp(-a * (x * w) ** 2) / np.sqrt(2.0 * np.pi * (1.0 - w * w)) * integral
-    return series_val, complex(kernel_val)
-
-
-def mehler_fourier_check(
-    w: complex, h: HermiteSeries, x: float, rule: QuadratureRule
-) -> tuple[complex, complex]:
-    """Mehler action versus its Fourier-transform expression.
-
-    With the transform convention fhat(xi) = int f(y) exp(-2*pi*i*xi*y) dy,
-    the Mehler image satisfies
-
-        M_w h(x) = exp(-x^2 w^2 / (2(1-w^2))) / sqrt(2*pi*(1-w^2))
-                   * (h * exp(-y^2/(2(1-w^2))))^hat ( -x*w / (2*pi*i*(1-w^2)) ).
-
-    The left value is the coefficient-map series; the right value evaluates
-    the transform at the complex frequency by Gaussian-damped quadrature.
-    """
-    w = complex(w)
-    if w * w == 1.0:
-        raise ValueError("Fourier form is singular at w^2 = 1")
-    lhs = complex(mehler_apply_series(w, h)(x))
-    one_minus = 1.0 - w * w
-    freq = -x * w / (2.0j * np.pi * one_minus)
-    damped_transform = integrate_entire(h, 1.0 / (2.0 * one_minus), -2.0j * np.pi * freq, rule)
-    rhs = np.exp(-(x**2) * w * w / (2.0 * one_minus)) / np.sqrt(2.0 * np.pi * one_minus)
-    return lhs, complex(rhs * damped_transform)
-
-
 def heat_poly_series(s: complex, h: PolySeries) -> PolySeries:
     """Heat flow at complex time s on a polynomial, as a polynomial.
 
@@ -273,35 +226,3 @@ def _double_factorial_odd(j: int) -> int:
 def heat_poly(s: complex, h: PolySeries, x: complex | np.ndarray):
     """P_s h (x) for complex time s and complex point x."""
     return heat_poly_series(s, h)(x)
-
-
-def heat_quadrature(s: float, f, x: float, rule: QuadratureRule) -> complex:
-    """P_s f (x) for real s > 0 by the substitution t = x + sqrt(s) u.
-
-    Only the real-time numeric path lives here; complex times go through
-    heat_poly.
-    """
-    if not (np.isreal(s) and float(np.real(s)) > 0.0):
-        raise ValueError(f"heat_quadrature requires real s > 0, got {s}")
-    s = float(np.real(s))
-    vals = f(x + np.sqrt(s) * rule.nodes)
-    return complex(np.dot(rule.weights, vals))
-
-
-def gaussian_rotation_check(
-    p: PolySeries, z1: complex, z2: complex, rule: QuadratureRule
-) -> tuple[complex, complex]:
-    """Two evaluations of E_u E_v P(z1*u + z2*v) that must agree.
-
-    Left: double quadrature over independent Gaussians (exact when the rule
-    covers deg P).  Right: moment expansion of E P(x*sqrt(z1^2+z2^2)), where
-    only integer powers of z1^2 + z2^2 appear, so no square-root branch is
-    involved; this equals the heat flow of P at time z1^2+z2^2 evaluated
-    at 0.
-    """
-    u = rule.nodes[:, None]
-    v = rule.nodes[None, :]
-    grid = p(z1 * u + z2 * v)
-    lhs = complex(rule.weights @ grid @ rule.weights)
-    rhs = complex(heat_poly(z1 * z1 + z2 * z2, p, 0.0))
-    return lhs, rhs

@@ -1,54 +1,47 @@
-"""Invariant suites runnable from the CLI, one per module.
+"""The acceptance criteria: one registry behind `hypflow selftest` and the tests.
 
-Each suite re-derives its module's documented invariants from scratch with
-an explicitly seeded generator (default 0xC0FFEE) so a release build can be
-gated on `hypflow selftest`.  Randomness is drawn through numpy's
-SeedSequence.spawn, a documented splittable scheme: every suite gets an
-independent stream derived from the one root seed, so adding draws to one
-suite never shifts another.
+CRITERIA lists the ten criteria in order as (name, body); body(recorder, rng,
+quick) records the checks at their tolerances, and `quick` scales the draw
+counts and grid sizes down.  `hypflow selftest` gives each entry its own
+stream, spawned from one seed through numpy's SeedSequence.
 """
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import SymmetricSpec, apply_Tzk, beckner_expand, mixed_norm, walsh_analyze
+from .cube import SymmetricSpec, beckner_expand, phi_symmetric, walsh_analyze
 from .flows import (
     convergence_experiment,
     discrete_flow,
+    janson_flow,
     janson_heat,
     janson_mehler,
     janson_quadrature,
 )
-from .gaussian_atoms import GaussianAtom, mehler_apply_atom
 from .hausdorff_young import (
-    HYInput,
+    ExpFamily,
     conjugate_exponent,
     gaussian_extremizer_input,
     hy_endpoints,
+    hy_verify,
     lemma_A_check,
     lemma_F_check,
     phi_flow,
 )
-from .hermite import (
-    HermiteSeries,
-    PolySeries,
-    basis_convert,
-    gaussian_smooth,
-    heat_poly,
-    heat_poly_series,
-    hermite_eval,
-    mehler_apply_series,
-)
-from .quadrature import gh_rule, integrate_entire
+from .hermite import PolySeries, gaussian_smooth, hermite_eval
+from .quadrature import gh_rule
 from .two_point import (
     ExponentTriple,
     SearchBudget,
+    disk_grid,
     extremal_ratio,
     infinitesimal_margin_min,
-    two_point_margin,
+    real_failure_threshold,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -59,20 +52,21 @@ class SuiteResult:
     name: str
     passed: bool
     checks: int
-    worst: float
+    worst_error_over_tol: float
     failures: list[str] = field(default_factory=list)
+    elapsed_s: float = 0.0
 
 
 class _Recorder:
     def __init__(self, name: str):
-        self.result = SuiteResult(name=name, passed=True, checks=0, worst=0.0)
+        self.result = SuiteResult(name=name, passed=True, checks=0, worst_error_over_tol=0.0)
 
     def check(self, label: str, error: float, tol: float) -> None:
-        self.result.checks += 1
-        self.result.worst = max(self.result.worst, error / tol if tol else error)
-        if not error <= tol:
-            self.result.passed = False
-            self.result.failures.append(f"{label}: error {error:.3e} > tol {tol:.1e}")
+        ratio = error / tol if tol else error
+        # max() would drop a NaN ratio and keep the old worst
+        worst = self.result.worst_error_over_tol
+        self.result.worst_error_over_tol = max(worst, ratio) if math.isfinite(error) else math.inf
+        self.require(f"{label}: error {error:.3e} > tol {tol:.1e}", error <= tol)
 
     def require(self, label: str, condition: bool) -> None:
         self.result.checks += 1
@@ -81,214 +75,122 @@ class _Recorder:
             self.result.failures.append(label)
 
 
-def _suite_gauss_hermite(rng: np.random.Generator, quick: bool) -> SuiteResult:
-    rec = _Recorder("gauss_hermite")
-    for n in (1, 2, 3, 8, 20):
-        rule = gh_rule(n)
-        for m in range(2 * n):
-            exact = 0.0
-            if m % 2 == 0:
-                exact = 1.0
-                for i in range(1, m, 2):
-                    exact *= i  # (m-1)!! in float: int64 overflows past m = 34
-            got = rule.integrate(lambda x, m=m: _pow(x, m))
-            rec.check(f"moment N={n} m={m}", abs(got - exact), 1e-12 * max(1.0, exact))
-    rule = gh_rule(16)
-    for j in range(8):
-        for k in range(8):
-            got = rule.integrate(lambda x: hermite_eval(j, x) * hermite_eval(k, x))
-            exact = math.factorial(j) if j == k else 0.0
-            rec.check(f"orthogonality {j},{k}", abs(got - exact), 1e-10 * max(1.0, exact))
-    coeffs = rng.normal(size=7) + 1j * rng.normal(size=7)
-    w1 = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-    w2 = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-    lhs = mehler_apply_series(w1, mehler_apply_series(w2, HermiteSeries(coeffs))).coeffs
-    rhs = mehler_apply_series(w1 * w2, HermiteSeries(coeffs)).coeffs
-    rec.check("mehler semigroup", float(np.max(np.abs(lhs - rhs))), 1e-13 * float(np.max(np.abs(rhs)) + 1))
-    s1 = complex(rng.normal(), rng.normal())
-    s2 = complex(rng.normal(), rng.normal())
-    poly = PolySeries(rng.normal(size=9) + 1j * rng.normal(size=9))
-    twice = heat_poly_series(s1, heat_poly_series(s2, poly)).coeffs
-    direct = heat_poly_series(s1 + s2, poly).coeffs
-    rec.check("heat semigroup", float(np.max(np.abs(twice - direct))), 1e-12 * float(np.max(np.abs(direct)) + 1))
-    for _ in range(20):
-        m = int(rng.integers(0, 9))
-        x = complex(rng.normal(), rng.normal())
-        mono = PolySeries([0.0] * m + [1.0])
-        want = hermite_eval(m, x)
-        rec.check("heat(-1) = hermite", abs(heat_poly(-1.0, mono, x) - want), 1e-11 * max(1.0, abs(want)))
-    for _ in range(5):
-        coeffs = rng.normal(size=13) + 1j * rng.normal(size=13)
-        mid = basis_convert(PolySeries(coeffs))
-        back = basis_convert(mid).coeffs
-        scale = max(float(np.max(np.abs(coeffs))), float(np.max(np.abs(mid.coeffs))))
-        rec.check("basis round trip", float(np.max(np.abs(back - coeffs))), 1e-12 * scale)
-    rule = gh_rule(192)
-    done = 0
-    while done < (10 if quick else 50):
-        w = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        atom = GaussianAtom(
-            complex(rng.normal(), rng.normal()),
-            complex(rng.uniform(0.1, 1.5), rng.uniform(-0.4, 0.4)),
-            complex(rng.normal(), rng.normal()),
-        )
-        x = 0.8 * complex(rng.normal(), rng.normal())
-        s_k = 1.0 / (2.0 * (1.0 - w * w))
-        if (atom.quad + s_k).real <= 1e-3:
-            continue
-        closed = mehler_apply_atom(w, atom, x)
-        integral = integrate_entire(atom, s_k, 2.0 * s_k * x * w, rule)
-        oracle = np.exp(-s_k * (x * w) ** 2) / np.sqrt(2 * np.pi * (1 - w * w)) * integral
-        rec.check("atom mehler vs quadrature", abs(closed - oracle), 1e-9 * max(1.0, abs(oracle)))
-        done += 1
-    return rec.result
+def _complex_poly(rng: np.random.Generator, max_degree: int) -> PolySeries:
+    deg = int(rng.integers(0, max_degree + 1))
+    return PolySeries(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
 
 
-def _pow(x: np.ndarray, m: int) -> np.ndarray:
-    out = np.ones_like(x)
-    for _ in range(m):
-        out = out * x
-    return out
+def _sharp_constant(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+    for p in (4 / 3, 3 / 2, 2.0):
+        q = conjugate_exponent(p)
+        norm_fhat, scaled = hy_endpoints(gaussian_extremizer_input(p))
+        # int exp(-r pi y^2) dy = r^{-1/2}  =>  ||f||_p = p^{-1/2p}, ||fhat||_q = q^{-1/2q}
+        want = q ** (-1.0 / (2.0 * q))
+        rec.check(f"||fhat||_q at p={p:.4g}", abs(norm_fhat - want), 1e-8)
+        rec.check(f"scaled ||f||_p at p={p:.4g}", abs(scaled - want), 1e-8)
+        rec.check(f"endpoint equality at p={p:.4g}", abs(norm_fhat - scaled), 1e-8 * scaled)
 
 
-def _suite_cube_walsh(rng: np.random.Generator, quick: bool) -> SuiteResult:
-    rec = _Recorder("cube_walsh")
-    values = rng.normal(size=512) + 1j * rng.normal(size=512)
-    f = walsh_analyze(values)
-    rec.check("walsh round trip", float(np.max(np.abs(f.values() - values))), 1e-13 * float(np.max(np.abs(values))))
-    energy = float(np.mean(np.abs(values) ** 2))
-    rec.check("parseval", abs(energy - float(np.sum(np.abs(f.coeffs) ** 2))), 1e-12 * energy)
-    from .cube import BlockCounts, mixed_norm_collapsed, phi_block_eval, symmetric_tzk_table
-
-    for _ in range(10 if quick else 50):
-        n = int(rng.integers(3, 13))
-        ell = int(rng.integers(1, 5))
-        k = int(rng.integers(0, n + 1))
-        z = 0.5 * complex(rng.normal(), rng.normal())
-        spec = SymmetricSpec(n=n, a=[0.0] * ell + [1.0])
-        damped = apply_Tzk(spec.materialize(), z, k).values()
-        mask = int(rng.integers(0, 1 << n))
-        x = np.array([-1 if mask >> j & 1 else 1 for j in range(n)])
-        counts = BlockCounts(k=k, a=int(np.sum(x[:k] == 1)), b=int(np.sum(x[k:] == 1)))
-        want = phi_block_eval(ell, n, counts, z)
-        rec.check("damped symmetric identity", abs(damped[mask] - want), 1e-12 * max(1.0, abs(want)))
-    for n in (4, 9, 12):
-        spec = SymmetricSpec(n=n, a=rng.normal(size=4) + 1j * rng.normal(size=4))
-        cube = spec.materialize()
-        z = 0.5 * complex(rng.normal(), rng.normal())
-        for k in range(n + 1):
-            naive = mixed_norm(apply_Tzk(cube, z, k).values(), k, 1.5, 4.0)
-            collapsed = mixed_norm_collapsed(symmetric_tzk_table(spec, z, k), n, k, 1.5, 4.0)
-            rec.check(f"collapsed backend n={n} k={k}", abs(naive - collapsed), 1e-12 * max(1.0, naive))
-    for ell in range(1, 7):
-        products = []
-        for n in (8, 16, 32, 64):
-            exp_ = beckner_expand(n, ell)
-            rec.check(f"beckner residual n={n} l={ell}", exp_.max_residual, 1e-11)
-            rec.check(f"beckner top n={n} l={ell}", abs(exp_.coeffs[ell] - 1.0), 1e-11)
-            wrong = max((abs(exp_.coeffs[m]) for m in range(ell + 1) if (ell - m) % 2), default=0.0)
-            rec.check(f"beckner parity n={n} l={ell}", float(wrong), 1e-11)
-            low = max((abs(exp_.coeffs[m]) for m in range(ell)), default=0.0)
-            products.append(n * float(low))
-        for first, second in zip(products, products[1:]):
-            # low degrees have exactly-zero corrections; noise there is fine
-            rec.require(f"beckner bounded l={ell}", second <= first * (1 + 1e-9) + 1e-9)
-    return rec.result
+def _continuous_monotone(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+    polys = [PolySeries([1.0, 2.0, 0.0, 1.0])]
+    polys += [_complex_poly(rng, 6) for _ in range(1 if quick else 10)]
+    for p in (4 / 3,) if quick else (4 / 3, 3 / 2):
+        t = ExponentTriple(p, conjugate_exponent(p), 1j * math.sqrt(p - 1.0))
+        for g in polys:
+            report = janson_flow(g, t)
+            rec.require(f"21 samples for {g.coeffs}", len(report.samples) == 21)
+            rec.check(f"deficit at p={p:.4g}, g={g.coeffs}", -report.min_delta(), 1e-9)
 
 
-def _disk_draw(rng: np.random.Generator, radius: float) -> complex:
-    return radius * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-
-
-def _suite_two_point(rng: np.random.Generator, quick: bool) -> SuiteResult:
-    rec = _Recorder("two_point")
-    for _ in range(20):
-        p, q = sorted(rng.uniform(1.0, 4.0, size=2))
-        z = _disk_draw(rng, 0.9)
-        t = ExponentTriple(p, q, z)
-        a = complex(rng.normal(), rng.normal())
-        b = complex(rng.normal(), rng.normal())
-        lam = complex(rng.normal(), rng.normal())
-        if abs(lam) < 1e-3:
-            continue
-        base = two_point_margin(a, b, t)
-        scaled = two_point_margin(lam * a, lam * b, t)
-        rec.check("scale invariance", abs(scaled.lhs - abs(lam) * base.lhs), 1e-12 * max(1.0, abs(lam) * base.lhs))
-        sym = two_point_margin(np.conj(a), np.conj(b), ExponentTriple(p, q, np.conj(z)))
-        rec.check("conjugation symmetry", abs(base.margin - sym.margin), 1e-12 * max(1.0, abs(base.margin)))
-        flip = two_point_margin(a, -b, ExponentTriple(p, q, -z))
-        rec.check("sign symmetry", abs(base.margin - flip.margin), 1e-12 * max(1.0, abs(base.margin)))
-    tested = 0
-    while tested < (5 if quick else 15):
-        p = float(rng.uniform(1.0, 3.5))
-        q = float(rng.uniform(p, 4.0))
-        z = _disk_draw(rng, 1.0)
-        t = ExponentTriple(p, q, z)
-        if extremal_ratio(t, SearchBudget.reduced()).sup_ratio <= 1.0 + 1e-9:
-            rec.require("global implies infinitesimal", infinitesimal_margin_min(t) >= -1e-7)
-        tested += 1
-    return rec.result
-
-
-def _suite_flows(rng: np.random.Generator, quick: bool) -> SuiteResult:
-    rec = _Recorder("flows")
+def _three_evaluators(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
     for _ in range(6 if quick else 30):
-        deg = int(rng.integers(0, 9))
-        g = PolySeries(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        g = _complex_poly(rng, 8)
         p = float(rng.uniform(1.0, 4.0))
         q = float(rng.uniform(p, 4.0))
-        z = _disk_draw(rng, 0.95)
+        z = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         s = float(rng.uniform(0.05, 0.95))
         t = ExponentTriple(p, q, z)
         a = janson_quadrature(g, t, s)
         b = janson_mehler(g, t, s)
         c = janson_heat(gaussian_smooth(g), t, s)
-        rec.check("evaluator quad vs mehler", abs(a - b), 1e-6 * max(abs(a), 1e-30))
-        rec.check("evaluator mehler vs heat", abs(b - c), 1e-6 * max(abs(b), 1e-30))
+        at = f"p={p:.4g} q={q:.4g} z={z:.4g} s={s:.4g}"
+        rec.check(f"quadrature vs mehler at {at}", abs(a - b), 1e-6 * max(abs(a), 1e-30))
+        rec.check(f"quadrature vs heat at {at}", abs(a - c), 1e-6 * max(abs(a), 1e-30))
+
+
+def _discrete_monotone(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
     done = 0
-    while done < (2 if quick else 5):
-        p = float(rng.uniform(1.2, 2.5))
+    while done < (3 if quick else 10):
+        p = float(rng.uniform(1.0, 3.0))
         q = float(rng.uniform(p, 4.0))
-        radius = 0.8 * math.sqrt((p - 1) / max(q - 1, 1e-9))
-        z = _disk_draw(rng, radius)
+        radius = 0.85 * math.sqrt((p - 1.0) / max(q - 1.0, 1e-9)) if q > 1 else 0.5
+        z = min(radius, 1.0) * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         t = ExponentTriple(p, q, z)
         if extremal_ratio(t, SearchBudget.reduced()).sup_ratio > 1.0 + 1e-9:
             continue
-        spec = SymmetricSpec(n=10, a=rng.normal(size=3) + 1j * rng.normal(size=3))
-        rep = discrete_flow(spec, t)
-        rec.require("discrete flow monotone under precondition", rep.verdict().nondecreasing)
+        spec = SymmetricSpec(n=12, a=rng.normal(size=4) + 1j * rng.normal(size=4))
+        collapsed = discrete_flow(spec, t)
         naive = discrete_flow(spec, t, backend="naive")
-        worst = max(abs(x - y) for x, y in zip(rep.values, naive.values))
-        rec.check("collapsed vs naive flow", worst, 1e-12 * max(1.0, max(rep.values)))
+        at = f"p={p:.4g} q={q:.4g} z={z:.4g} a={spec.a}"
+        rec.check(f"deficit at {at}", -collapsed.min_delta(), 1e-10)
+        for x, y in zip(collapsed.values, naive.values):
+            rec.check(f"collapsed vs naive at {at}", abs(x - y), 1e-12 * max(1.0, abs(x)))
         done += 1
+
+
+def _convergence(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
     p = 4 / 3
-    t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
-    table = convergence_experiment([0.0, 1.0, 0.0, 1.0], t, 0.5, [64, 256, 1024])
+    t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1.0))
+    n_list = [64, 256, 1024] if quick else [64, 256, 1024, 4096]
+    table = convergence_experiment([0.0, 1.0, 0.0, 1.0], t, 0.5, n_list)
     errs = [r.abs_error for r in table.rows]
-    rec.require("endpoint bridge shrinks", all(x > y for x, y in zip(errs, errs[1:])))
-    rec.require("convergence slope", table.slope is not None and table.slope <= -0.4)
-    return rec.result
+    rec.require(f"errors shrink: {errs}", all(a > b for a, b in zip(errs, errs[1:])))
+    rec.require(f"slope {table.slope} <= -0.4", table.slope is not None and table.slope <= -0.4)
 
 
-def _suite_hausdorff_young(rng: np.random.Generator, quick: bool) -> SuiteResult:
-    rec = _Recorder("hausdorff_young")
-    inp = gaussian_extremizer_input(4 / 3)
-    rep = phi_flow(inp, s_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
-    rec.check("extremizer constant flow", max(rep.values) - min(rep.values), 1e-8)
-    for _ in range(5 if quick else 10):
-        deg = int(rng.integers(1, 5))
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        p = float(rng.uniform(1.2, 2.0))
-        q = conjugate_exponent(p)
-        hin = HYInput(p=p, g_tilde=HermiteSeries(coeffs))
-        s = float(rng.uniform(0.0, 1.0))
-        phi_val = phi_flow(hin, s_grid=[s]).values[0]
-        j_val = janson_quadrature(PolySeries(coeffs), ExponentTriple(p, q, hin.z), s)
-        rec.check("bridge identity", abs(phi_val**p * q ** (p / (2 * q)) / math.sqrt(p) - j_val), 1e-7 * max(abs(j_val), 1e-30))
-    for p in (1.01, 4 / 3, 1.5, 2.0):
-        q = conjugate_exponent(p)
-        rec.check("conjugacy", abs(1.0 / p + 1.0 / q - 1.0), 1e-12)
-        rec.require("damping radius", abs(1j * math.sqrt(p - 1)) <= 1.0 and abs(1j * math.sqrt(p / q)) <= 1.0)
+def _beckner(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+    for ell in range(1, 7):
+        scaled_low = []
+        for n in (8, 12, 16, 23, 32, 47, 64):
+            exp_ = beckner_expand(n, ell)
+            c = exp_.coeffs
+            rec.check(f"top coefficient n={n} l={ell}", abs(c[ell] - 1.0), 1e-11)
+            rec.check(f"residual n={n} l={ell}", exp_.max_residual, 1e-11)
+            wrong = max((abs(c[m]) for m in range(ell) if (ell - m) % 2), default=0.0)
+            rec.check(f"parity n={n} l={ell}", float(wrong), 1e-11)
+            if n & (n - 1) == 0:
+                scaled_low.append(n * float(max(abs(c[m]) for m in range(ell))))
+        for first, second in zip(scaled_low, scaled_low[1:]):
+            # low degrees have exactly-zero corrections; noise there is fine
+            rec.require(f"n * max|lower coefficient| grew, l={ell}", second <= first * (1 + 1e-9) + 1e-9)
+    for n in range(5, 8 if quick else 11):
+        c = beckner_expand(n, 3).coeffs
+        rec.check(f"phi_3 coefficient n={n}", abs(c[1] - 2.0 / n), 1e-12)
+        for mask in range(1 << n):  # the identity at every point of the cube
+            x = np.array([-1.0 if mask >> j & 1 else 1.0 for j in range(n)])
+            lhs = phi_symmetric(3, x / math.sqrt(n)).real
+            tval = x.sum() / math.sqrt(n)
+            rhs = sum(c[m].real * hermite_eval(m, tval) for m in range(4))
+            rec.check(f"phi_3 identity n={n} mask={mask}", abs(lhs - rhs), 1e-11)
+
+
+def _two_point(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+    for p, q in ((2.0, 4.0), (1.5, 3.0), (2.5, 2.8)):
+        for z in disk_grid(0.25 if quick else 0.1):
+            t = ExponentTriple(p, q, z)
+            if extremal_ratio(t, SearchBudget.reduced()).sup_ratio <= 1.0 + 1e-9:
+                margin = infinitesimal_margin_min(t)
+                rec.check(f"infinitesimal margin p={p} q={q} z={z:.3g}", -margin, 1e-7)
+    threshold = real_failure_threshold(2.0, 4.0, z_tol=2e-3)
+    rec.require(f"real threshold {threshold} in [0.567, 0.587]", 0.567 <= threshold <= 0.587)
+
+
+def _gaussian_constant(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+    values = phi_flow(gaussian_extremizer_input(4 / 3), s_grid=[0.0, 0.25, 0.5, 0.75, 1.0]).values
+    rec.check(f"spread of {values}", max(values) - min(values), 1e-8)
+
+
+def _exp_family(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
     for _ in range(10 if quick else 50):
         zeta = complex(rng.normal(), rng.normal())
         x = complex(rng.normal(), rng.normal())
@@ -298,25 +200,56 @@ def _suite_hausdorff_young(rng: np.random.Generator, quick: bool) -> SuiteResult
         pp = float(rng.uniform(1.05, 2.0))
         lv, rv = lemma_F_check(tt, pp, float(rng.normal()))
         rec.check("modulated-gaussian transform identity", abs(lv - rv), 1e-8 * max(1.0, abs(rv)))
-    lhs, rhs = hy_endpoints(gaussian_extremizer_input(1.5))
-    rec.check("extremizer endpoint equality", abs(lhs - rhs), 1e-8 * rhs)
-    return rec.result
+    for p in (4 / 3, 3 / 2, 2.0):
+        lhs, rhs = hy_verify(ExpFamily(atoms=((1.0, 0.0),)), p)
+        rec.check(f"single-atom equality at p={p:.4g}", abs(lhs - rhs), 1e-8 * max(rhs, 1.0))
+    for i in range(20 if quick else 100):
+        count = int(rng.integers(1, 4))
+        atoms = tuple((complex(rng.normal(), rng.normal()), float(rng.uniform(-2.0, 2.0))) for _ in range(count))
+        p = (4 / 3, 3 / 2, 2.0)[i % 3]
+        lhs, rhs = hy_verify(ExpFamily(atoms=atoms), p)
+        rec.check(f"sharp bound at p={p:.4g}, atoms={atoms}", lhs - rhs, 1e-8 * max(rhs, 1.0))
 
 
-_SUITES = (
-    _suite_gauss_hermite,
-    _suite_cube_walsh,
-    _suite_two_point,
-    _suite_flows,
-    _suite_hausdorff_young,
+def _infrastructure(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+    for n in (1, 2, 3, 4, 8, 16, 32, 64):  # Gauss rules are exact through degree 2N-1
+        rule = gh_rule(n)
+        for m in range(2 * n):
+            exact = 0.0 if m % 2 else float(math.prod(range(1, m, 2)))  # E G^m = (m-1)!!
+            # repeated products keep (-x)^m = -(x^m) exactly; numpy's x**m does not
+            got = rule.integrate(lambda x, m=m: functools.reduce(np.multiply, [x] * m, np.ones_like(x)))
+            rec.check(f"moment N={n} m={m}", abs(got - exact), 1e-12 * max(1.0, exact))
+    size = 1 << (8 if quick else 10)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    back = walsh_analyze(values).values()
+    rec.check("walsh round trip", float(np.max(np.abs(back - values))), 1e-13 * float(np.max(np.abs(values))))
+
+
+CRITERIA = (
+    ("1 sharp transform constant at the Gaussian", _sharp_constant),
+    ("2 continuous flow nondecreasing", _continuous_monotone),
+    ("3 three-evaluator equivalence", _three_evaluators),
+    ("4 discrete flow nondecreasing under the two-point gate", _discrete_monotone),
+    ("5 discrete-to-continuous convergence", _convergence),
+    ("6 symmetric-to-Hermite expansion", _beckner),
+    ("7 two-point global/infinitesimal structure", _two_point),
+    ("8 constant flow at the Gaussian extremizer", _gaussian_constant),
+    ("9 exponential-family pipeline", _exp_family),
+    ("10 infrastructure: quadrature and Walsh", _infrastructure),
 )
 
 
+def run_criterion(index: int, rng: np.random.Generator, quick: bool = False) -> SuiteResult:
+    """Run one registry entry and time it."""
+    name, body = CRITERIA[index]
+    rec = _Recorder(name)
+    start = time.monotonic()
+    body(rec, rng, quick)
+    rec.result.elapsed_s = time.monotonic() - start
+    return rec.result
+
+
 def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False) -> list[SuiteResult]:
-    """Run every invariant suite; one independent child stream per suite."""
-    streams = np.random.SeedSequence(seed).spawn(len(_SUITES))
-    results = []
-    for suite, stream in zip(_SUITES, streams):
-        rng = np.random.default_rng(stream)
-        results.append(suite(rng, quick))
-    return results
+    """Run every criterion in order; one independent child stream each."""
+    streams = np.random.SeedSequence(seed).spawn(len(CRITERIA))
+    return [run_criterion(i, np.random.default_rng(s), quick) for i, s in enumerate(streams)]

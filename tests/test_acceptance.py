@@ -1,237 +1,75 @@
-"""Acceptance criteria, one test per criterion, at the stated tolerances.
+"""Acceptance criteria: the registry of hypflow.selftest at full size.
 
-Each test prints a single [PASS]/[FAIL] line (visible with -s / -rA) and
-enforces its wall-clock budget.  Every random draw is seeded, so the whole
-suite is deterministic.
+Each test runs one criterion with its historic seed (criteria 1 and 5-8 draw
+nothing), prints a [PASS]/[FAIL] line (see -s / -rA) and enforces its budget.
 """
-import math
-import time
-from contextlib import contextmanager
-
 import numpy as np
 
-from hypflow.cli import EXIT_OK, RunConfig, run_command
-from hypflow.cube import SymmetricSpec, beckner_expand, phi_symmetric, walsh_analyze
-from hypflow.flows import (
-    convergence_experiment,
-    discrete_flow,
-    janson_flow,
-    janson_heat,
-    janson_mehler,
-    janson_quadrature,
-)
-from hypflow.hausdorff_young import (
-    ExpFamily,
-    conjugate_exponent,
-    gaussian_extremizer_input,
-    hy_endpoints,
-    hy_verify,
-    lemma_A_check,
-    lemma_F_check,
-    phi_flow,
-)
-from hypflow.hermite import PolySeries, gaussian_smooth, hermite_eval
-from hypflow.quadrature import gh_rule
-from hypflow.two_point import (
-    ExponentTriple,
-    SearchBudget,
-    disk_grid,
-    extremal_ratio,
-    infinitesimal_margin_min,
-    real_failure_threshold,
-)
+from hypflow.selftest import CRITERIA, run_criterion
+
+# criterion number -> (seed, wall-clock budget in s)
+_SEED_BUDGET = {
+    1: (0, 1.0),
+    2: (0xC0FFEE, 30.0),
+    3: (0xBEEF, 60.0),
+    4: (0xD15C, 10.0),
+    5: (0, 120.0),
+    6: (0, 30.0),
+    7: (0, 120.0),
+    8: (0, 5.0),
+    9: (0x3A71, 120.0),
+    10: (0xFADE, 10.0),
+}
 
 
-@contextmanager
-def criterion(name: str, budget_s: float):
-    start = time.monotonic()
+def _run(number: int) -> None:
+    seed, budget_s = _SEED_BUDGET[number]
     try:
-        yield
+        result = run_criterion(number - 1, np.random.default_rng(seed))
     except BaseException:
-        print(f"[FAIL] {name}")
+        print(f"[FAIL] {CRITERIA[number - 1][0]}")
         raise
-    elapsed = time.monotonic() - start
-    status = "PASS" if elapsed < budget_s else "FAIL"
-    print(f"[{status}] {name}  ({elapsed:.2f}s / budget {budget_s:.0f}s)")
-    assert elapsed < budget_s, f"runtime budget exceeded: {elapsed:.2f}s >= {budget_s}s"
+    status = "PASS" if result.passed and result.elapsed_s < budget_s else "FAIL"
+    print(f"[{status}] {result.name}  ({result.elapsed_s:.2f}s / budget {budget_s:.0f}s)")
+    assert result.passed, result.failures
+    assert result.elapsed_s < budget_s, f"runtime budget exceeded: {result.elapsed_s:.2f}s >= {budget_s}s"
 
 
 def test_criterion_1_sharp_constant_gaussian():
-    with criterion("1 sharp transform constant at the Gaussian", 1.0):
-        for p in (4 / 3, 3 / 2, 2.0):
-            q = conjugate_exponent(p)
-            norm_fhat, scaled = hy_endpoints(gaussian_extremizer_input(p))
-            # int exp(-r pi y^2) dy = r^{-1/2}  =>  ||f||_p = p^{-1/2p}, ||fhat||_q = q^{-1/2q}
-            assert abs(norm_fhat - q ** (-1.0 / (2.0 * q))) <= 1e-8
-            assert abs(scaled - q ** (-1.0 / (2.0 * q))) <= 1e-8
-            assert abs(norm_fhat - scaled) <= 1e-8 * scaled
+    _run(1)
 
 
 def test_criterion_2_continuous_monotonicity():
-    with criterion("2 continuous flow nondecreasing", 30.0):
-        rng = np.random.default_rng(0xC0FFEE)
-        polys = [PolySeries([1.0, 2.0, 0.0, 1.0])]
-        for _ in range(10):
-            deg = int(rng.integers(0, 7))
-            polys.append(PolySeries(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)))
-        for p in (4 / 3, 3 / 2):
-            q = conjugate_exponent(p)
-            t = ExponentTriple(p, q, 1j * math.sqrt(p - 1.0))
-            for g in polys:
-                report = janson_flow(g, t)
-                assert len(report.samples) == 21
-                assert report.min_delta() >= -1e-9, (p, g.coeffs)
+    _run(2)
 
 
 def test_criterion_3_three_evaluator_equivalence():
-    with criterion("3 three-evaluator equivalence", 60.0):
-        rng = np.random.default_rng(0xBEEF)
-        for _ in range(30):
-            deg = int(rng.integers(0, 9))
-            g = PolySeries(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-            p = float(rng.uniform(1.0, 4.0))
-            q = float(rng.uniform(p, 4.0))
-            z = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            s = float(rng.uniform(0.05, 0.95))
-            t = ExponentTriple(p, q, z)
-            a = janson_quadrature(g, t, s)
-            b = janson_mehler(g, t, s)
-            c = janson_heat(gaussian_smooth(g), t, s)
-            scale = max(abs(a), 1e-30)
-            assert abs(a - b) <= 1e-6 * scale, (p, q, z, s)
-            assert abs(a - c) <= 1e-6 * scale, (p, q, z, s)
+    _run(3)
 
 
 def test_criterion_4_discrete_monotonicity():
-    with criterion("4 discrete flow nondecreasing under the two-point gate", 10.0):
-        rng = np.random.default_rng(0xD15C)
-        done = 0
-        while done < 10:
-            p = float(rng.uniform(1.0, 3.0))
-            q = float(rng.uniform(p, 4.0))
-            radius = 0.85 * math.sqrt((p - 1.0) / max(q - 1.0, 1e-9)) if q > 1 else 0.5
-            z = min(radius, 1.0) * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            t = ExponentTriple(p, q, z)
-            if extremal_ratio(t, SearchBudget.reduced()).sup_ratio > 1.0 + 1e-9:
-                continue
-            coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-            spec = SymmetricSpec(n=12, a=coeffs)
-            collapsed = discrete_flow(spec, t)
-            naive = discrete_flow(spec, t, backend="naive")
-            assert collapsed.min_delta() >= -1e-10, (p, q, z, coeffs)
-            for x, y in zip(collapsed.values, naive.values):
-                assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
-            done += 1
+    _run(4)
 
 
 def test_criterion_5_convergence_rate():
-    with criterion("5 discrete-to-continuous convergence", 120.0):
-        p = 4 / 3
-        t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1.0))
-        table = convergence_experiment([0.0, 1.0, 0.0, 1.0], t, 0.5, [64, 256, 1024, 4096])
-        errs = [r.abs_error for r in table.rows]
-        assert all(a > b for a, b in zip(errs, errs[1:])), errs
-        assert table.slope is not None and table.slope <= -0.4, table.slope
+    _run(5)
 
 
 def test_criterion_6_beckner_expansion():
-    with criterion("6 symmetric-to-Hermite expansion", 30.0):
-        for n in (8, 12, 16, 23, 32, 47, 64):
-            for ell in range(1, 7):
-                exp_ = beckner_expand(n, ell)
-                assert abs(exp_.coeffs[ell] - 1.0) <= 1e-11, (n, ell)
-        for n in range(5, 11):
-            exp3 = beckner_expand(n, 3)
-            assert abs(exp3.coeffs[1] - 2.0 / n) <= 1e-12, n
-            # exhaustive identity check over all 2^n points
-            for mask in range(1 << n):
-                x = np.array([-1.0 if mask >> j & 1 else 1.0 for j in range(n)])
-                lhs = phi_symmetric(3, x / math.sqrt(n)).real
-                tval = x.sum() / math.sqrt(n)
-                rhs = sum(exp3.coeffs[m].real * hermite_eval(m, tval) for m in range(4))
-                assert abs(lhs - rhs) <= 1e-11, (n, mask)
+    _run(6)
 
 
 def test_criterion_7_two_point_structure():
-    with criterion("7 two-point global/infinitesimal structure", 120.0):
-        grid = disk_grid(0.1)
-        for p, q in ((2.0, 4.0), (1.5, 3.0), (2.5, 2.8)):
-            for z in grid:
-                t = ExponentTriple(p, q, z)
-                res = extremal_ratio(t, SearchBudget.reduced())
-                if res.sup_ratio <= 1.0 + 1e-9:
-                    assert infinitesimal_margin_min(t) >= -1e-7, (p, q, z)
-        threshold = real_failure_threshold(2.0, 4.0, z_tol=2e-3)
-        assert 0.567 <= threshold <= 0.587, threshold
+    _run(7)
 
 
 def test_criterion_8_gaussian_flow_constancy():
-    with criterion("8 constant flow at the Gaussian extremizer", 5.0):
-        report = phi_flow(gaussian_extremizer_input(4 / 3), s_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
-        values = report.values
-        assert max(values) - min(values) <= 1e-8, values
+    _run(8)
 
 
 def test_criterion_9_exponential_family_pipeline():
-    with criterion("9 exponential-family pipeline", 120.0):
-        rng = np.random.default_rng(0x3A71)
-        for _ in range(50):
-            zeta = complex(rng.normal(), rng.normal())
-            x = complex(rng.normal(), rng.normal())
-            qv, cv = lemma_A_check(zeta, x)
-            assert abs(qv - cv) <= 1e-8 * max(1.0, abs(cv))
-            tt = 0.8 * complex(rng.normal(), rng.normal())
-            pp = float(rng.uniform(1.05, 2.0))
-            lv, rv = lemma_F_check(tt, pp, float(rng.normal()))
-            assert abs(lv - rv) <= 1e-8 * max(1.0, abs(rv))
-        for p in (4 / 3, 3 / 2, 2.0):
-            lhs, rhs = hy_verify(ExpFamily(atoms=((1.0, 0.0),)), p)
-            assert abs(lhs - rhs) <= 1e-8 * max(rhs, 1.0), p
-        for i in range(100):
-            count = int(rng.integers(1, 4))
-            atoms = tuple(
-                (complex(rng.normal(), rng.normal()), float(rng.uniform(-2.0, 2.0)))
-                for _ in range(count)
-            )
-            p = (4 / 3, 3 / 2, 2.0)[i % 3]
-            lhs, rhs = hy_verify(ExpFamily(atoms=atoms), p)
-            assert lhs <= rhs + 1e-8 * max(rhs, 1.0), (atoms, p)
+    _run(9)
 
 
-def test_criterion_10_infrastructure(tmp_path):
-    with criterion("10 infrastructure: quadrature, Walsh, determinism", 10.0):
-        # quadrature exactness through degree 2N-1
-        for n in (1, 2, 3, 4, 8, 16, 32, 64):
-            rule = gh_rule(n)
-            for m in range(2 * n):
-                exact = 0.0
-                if m % 2 == 0:
-                    exact = 1.0
-                    for i in range(1, m, 2):
-                        exact *= i
-
-                def mono(x, m=m):
-                    out = np.ones_like(x)
-                    for _ in range(m):
-                        out = out * x
-                    return out
-
-                got = rule.integrate(mono)
-                assert abs(got - exact) <= 1e-12 * max(1.0, exact), (n, m)
-        # Walsh round trip
-        rng = np.random.default_rng(0xFADE)
-        values = rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10)
-        back = walsh_analyze(values).values()
-        assert np.max(np.abs(back - values)) <= 1e-13 * np.max(np.abs(values))
-        # byte-identical reruns of one configured command
-        outputs = []
-        for sub in ("a", "b"):
-            cfg = RunConfig(
-                command="discrete-flow",
-                params={"n": 8, "p": 1.5, "q": 3.0, "z_re": 0.4, "z_im": 0.2, "coeffs": "0,1,1"},
-                out=str(tmp_path / sub),
-                seed=0xC0FFEE,
-            )
-            assert run_command(cfg) == EXIT_OK
-            outputs.append((tmp_path / sub / "flow.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+def test_criterion_10_infrastructure():
+    _run(10)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hypflow.cli
+from hypflow import selftest
 from hypflow.errors import AccuracyError
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
 from hypflow.reporting import FlowReport, write_flow_csv
@@ -115,10 +116,18 @@ def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):
     assert 1.0 in manifest["cap_hits"] and 0.0 not in manifest["cap_hits"]
 
 
-def test_determinism_byte_identical(tmp_path):
-    args = ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--s-points", "5"]
-    _, out1 = run(args, tmp_path, "a")
-    _, out2 = run(args, tmp_path, "b")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--s-points", "5"],
+        ["discrete-flow", "--n", "8", "--p", "1.5", "--q", "3", "--z-re", "0.4", "--z-im", "0.2", "--coeffs", "0,1,1"],
+    ],
+    ids=["janson-flow", "discrete-flow"],
+)
+def test_determinism_byte_identical(tmp_path, args):
+    code1, out1 = run(args, tmp_path, "a")
+    code2, out2 = run(args, tmp_path, "b")
+    assert code1 == code2 == EXIT_OK
     assert (out1 / "flow.csv").read_bytes() == (out2 / "flow.csv").read_bytes()
 
 
@@ -225,8 +234,38 @@ def test_hy_exp_runs_final_form(tmp_path):
 
 def test_selftest_quick_and_seed_robust(tmp_path):
     for seed in ("12345", "999", "31337"):
-        code, _ = run(["selftest", "--quick", "--seed", seed], tmp_path, f"st{seed}")
+        code, out = run(["selftest", "--quick", "--seed", seed], tmp_path, f"st{seed}")
         assert code == EXIT_OK
+        suites = json.loads((out / "manifest.json").read_text())["suites"]
+        assert [entry["name"] for entry in suites] == [name for name, _ in selftest.CRITERIA]
+        for entry in suites:
+            assert entry["passed"] and entry["checks"] > 0 and entry["elapsed_s"] >= 0.0
+            assert entry["failures"] == [] and entry["worst_error_over_tol"] <= 1.0
+
+
+def test_selftest_failing_check_exits_2(tmp_path, monkeypatch):
+    def forced(rec, rng, quick):
+        rec.check("forced check", 2.0, 1.0)
+
+    monkeypatch.setattr(selftest, "CRITERIA", selftest.CRITERIA[:1] + (("forced failure", forced),))
+    code, out = run(["selftest", "--quick"], tmp_path)
+    assert code == EXIT_VIOLATION
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdict"] == "fail"
+    first, entry = manifest["suites"]
+    assert first["passed"] and entry["name"] == "forced failure" and not entry["passed"]
+    assert entry["failures"] == ["forced check: error 2.000e+00 > tol 1.0e+00"]
+    assert entry["worst_error_over_tol"] == 2.0
+
+
+def test_recorder_reports_a_nan_error_as_infinitely_bad():
+    rec = selftest._Recorder("nan")
+    rec.check("fine", 0.5, 1.0)
+    rec.check("nan", float("nan"), 1.0)
+    rec.check("fine again", 0.25, 1.0)
+    assert not rec.result.passed and rec.result.checks == 3
+    assert rec.result.failures == ["nan: error nan > tol 1.0e+00"]
+    assert rec.result.worst_error_over_tol == math.inf
 
 
 def test_converge_command(tmp_path):

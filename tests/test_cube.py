@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from identity_checks import binomial_split_check
 import hypflow.cube as cube
 from hypflow.cube import (
     BlockCounts,
@@ -12,7 +13,6 @@ from hypflow.cube import (
     SymmetricSpec,
     apply_Tzk,
     beckner_expand,
-    binomial_split_check,
     _block_phi_matrix,
     hadamard_transform,
     log_binomial_weights,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from identity_checks import mixed_moment_check
 import hypflow.flows as flows
 from hypflow.cube import TAIL_RTOL, BlockCounts, SymmetricSpec, TailCut, apply_Tzk
 from hypflow.errors import EvaluatorMismatchError
@@ -15,7 +16,6 @@ from hypflow.flows import (
     janson_heat,
     janson_mehler,
     janson_quadrature,
-    mixed_moment_check,
 )
 from hypflow.hermite import HermiteSeries, PolySeries, gaussian_smooth, hermite_scaled_sum
 from hypflow.quadrature import gh_rule

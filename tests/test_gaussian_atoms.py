@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from identity_checks import lebesgue_integral
 from hypflow.errors import DomainError
 from hypflow.gaussian_atoms import (
     GaussianAtom,
@@ -9,7 +10,6 @@ from hypflow.gaussian_atoms import (
     exp_tilt,
     fourier_transform_atom,
     gamma_integral,
-    lebesgue_integral,
     mehler_apply_atom,
     mehler_atom_scaled,
     smooth_imaginary,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from identity_checks import exp_phi_endpoint_identities
 import hypflow.hausdorff_young
 from hypflow.errors import AccuracyError
 from hypflow.gaussian_atoms import GaussianAtom
@@ -12,7 +13,6 @@ from hypflow.hausdorff_young import (
     HYInput,
     conjugate_exponent,
     exp_flow_phi,
-    exp_phi_endpoint_identities,
     gaussian_extremizer_input,
     hy_endpoints,
     hy_verify,

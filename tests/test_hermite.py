@@ -5,20 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from identity_checks import (
+    gaussian_rotation_check,
+    heat_quadrature,
+    mehler_fourier_check,
+    mehler_kernel_check,
+)
 from hypflow.hermite import (
     HermiteSeries,
     PolySeries,
     basis_convert,
-    gaussian_rotation_check,
     gaussian_smooth,
     heat_poly,
     heat_poly_series,
-    heat_quadrature,
     hermite_eval,
     hermite_scaled_sum,
     mehler_apply_series,
-    mehler_fourier_check,
-    mehler_kernel_check,
 )
 from hypflow.quadrature import gh_rule
 
