@@ -107,14 +107,12 @@ def _z_from_params(params: dict, p: float) -> complex:
     return complex(params.get("z_re") or 0.0, params.get("z_im") or 0.0)
 
 
-def _retolerance(report: FlowReport, tol: float | None) -> FlowReport:
-    """Apply a --tol override to the monotonicity verdict (tol = 0 flags noise)."""
-    if tol is None:
-        return report
-    return dataclasses.replace(report, tol_abs=tol, tol_rel=tol)
-
-
-def _monotone_verdicts(report: FlowReport) -> dict:
+def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
+    """Write flow.csv under the --tol override of the monotonicity verdict
+    (tol = 0 flags noise) and return the verdict fields for the manifest."""
+    if config.tol is not None:
+        report = dataclasses.replace(report, tol_abs=config.tol, tol_rel=config.tol)
+    write_flow_csv(report, out / "flow.csv")
     verdict = report.verdict()
     return {
         "verdict": verdict.label,
@@ -153,10 +151,9 @@ def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     n = int(params["n"])
     spec = SymmetricSpec(n=n, a=_parse_complex_list(params["coeffs"]))
     ks = [int(k) for k in str(params["ks"]).split(",")] if params.get("ks") else None
-    report = _retolerance(discrete_flow(spec, ExponentTriple(p, q, z), ks=ks), config.tol)
-    write_flow_csv(report, out / "flow.csv")
-    manifest = {"n": n, "p": p, "q": q, "z": z, **_monotone_verdicts(report), **report.diagnostics}
-    return (EXIT_OK if report.verdict().nondecreasing else EXIT_VIOLATION), manifest
+    report = discrete_flow(spec, ExponentTriple(p, q, z), ks=ks)
+    manifest = {"n": n, "p": p, "q": q, "z": z, **_flow_output(report, config, out), **report.diagnostics}
+    return (EXIT_OK if manifest["nondecreasing"] else EXIT_VIOLATION), manifest
 
 
 def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
@@ -166,18 +163,10 @@ def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     z = _z_from_params(params, p)
     g = PolySeries(_parse_complex_list(params["coeffs"]))
     s_points = int(params.get("s_points", 21))
-    report = _retolerance(
-        janson_flow(
-            g,
-            ExponentTriple(p, q, z),
-            s_grid=np.linspace(0.0, 1.0, s_points),
-            rule=config.nodes,
-        ),
-        config.tol,
-    )
-    write_flow_csv(report, out / "flow.csv")
-    manifest = {"p": p, "q": q, "z": z, **_monotone_verdicts(report), **report.diagnostics}
-    return (EXIT_OK if report.verdict().nondecreasing else EXIT_VIOLATION), manifest
+    s_grid = np.linspace(0.0, 1.0, s_points)
+    report = janson_flow(g, ExponentTriple(p, q, z), s_grid=s_grid, rule=config.nodes)
+    manifest = {"p": p, "q": q, "z": z, **_flow_output(report, config, out), **report.diagnostics}
+    return (EXIT_OK if manifest["nondecreasing"] else EXIT_VIOLATION), manifest
 
 
 def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
@@ -215,10 +204,8 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     else:
         raise ValueError("hy-flow needs either gaussian=true or hermite_coeffs")
     s_points = int(params.get("s_points", 21))
-    report = _retolerance(
-        phi_flow(inp, s_grid=np.linspace(0.0, 1.0, s_points), rule=config.nodes), config.tol
-    )
-    write_flow_csv(report, out / "flow.csv")
+    report = phi_flow(inp, s_grid=np.linspace(0.0, 1.0, s_points), rule=config.nodes)
+    verdicts = _flow_output(report, config, out)
     norm_fhat, scaled_norm = hy_endpoints(inp)
     manifest = {
         "p": p,
@@ -229,9 +216,9 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
         "constant": sharp_constant(p),
         "endpoint_norm_fhat_q": norm_fhat,
         "endpoint_scaled_norm_f_p": scaled_norm,
-        **_monotone_verdicts(report),
+        **verdicts,
     }
-    ok = report.verdict().nondecreasing and norm_fhat <= scaled_norm + (config.tol or 1e-8)
+    ok = verdicts["nondecreasing"] and norm_fhat <= scaled_norm + (config.tol or 1e-8)
     return (EXIT_OK if ok else EXIT_VIOLATION), manifest
 
 
@@ -240,11 +227,8 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
     p = float(params["p"])
     fam = ExpFamily(atoms=tuple(_parse_atoms(params["atoms"])))
     s_points = int(params.get("s_points", 21))
-    report = _retolerance(
-        exp_flow_phi(fam, p, s_grid=np.linspace(0.0, 1.0, s_points), rule=config.nodes),
-        config.tol,
-    )
-    write_flow_csv(report, out / "flow.csv")
+    report = exp_flow_phi(fam, p, s_grid=np.linspace(0.0, 1.0, s_points), rule=config.nodes)
+    verdicts = _flow_output(report, config, out)
     manifest = {
         "p": p,
         "q": conjugate_exponent(p),
@@ -254,7 +238,7 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
         "constant": sharp_constant(p),
         "endpoint_gap": report.values[-1] - report.values[0],
         "nesting": "outer-x-inner-u",
-        **_monotone_verdicts(report),
+        **verdicts,
     }
     real_frequencies = all(abs(t.imag) <= 1e-12 for _, t in fam.atoms)
     ok = report.values[0] <= report.values[-1] + (config.tol or 1e-8)

@@ -27,8 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import hermite_eval
-
 ENUMERATION_CAP = 24  # 2^n complex values; above this only collapsed inputs
 
 
@@ -199,9 +197,9 @@ def _phi_level_value(ell: int, n: int, j: int) -> float:
 class BecknerExpansion:
     """phi_ell(x/sqrt(n)) = sum_m coeffs[m] H_m((x_1+..+x_n)/sqrt(n)) on the cube.
 
-    max_residual is the worst reconstruction error over all n+1 sum levels,
-    scaled by max(1, |level value|) so extreme levels (where the values grow
-    like powers of sqrt(n)) do not drown the comparison in float noise.
+    max_residual is the worst error of the expansion with these (rounded)
+    coefficients over all n+1 sum levels, taken exactly and rounded once,
+    relative to max(1, |level value|).
     """
 
     n: int
@@ -217,12 +215,14 @@ def beckner_expand(n: int, ell: int) -> BecknerExpansion:
     recurrence phi_{l+1} = S phi_l - l(n-l+1)/n phi_{l-1} and the Hermite
     relation S H_m = H_{m+1} + m H_{m-1} give the coefficients exactly: they
     are run as integers over the common denominator n^l and each is rounded
-    once, so the wrong-parity ones are exact zeros.  max_residual then checks
-    the expansion in float at every sum level.  Degrees above 20 are
-    rejected: that float check is no longer trustworthy there.
+    once, so the wrong-parity ones are exact zeros.  At the level of j (+1)s,
+    with t = 2j - n, phi_ell is an integer ell! e_ell over n^{ell/2}, and so
+    is H_m(t / sqrt(n)) = P_m(t) / n^{m/2} with P_{m+1} = t P_m - m n P_{m-1};
+    max_residual takes their difference in integers.  Degrees above 20 are
+    rejected.
     """
     if ell > 20:
-        raise ValueError("expansion degree above 20 rejected (float residual check unreliable)")
+        raise ValueError("expansion degree above 20 rejected")
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n, got ell = {ell}, n = {n}")
     prev: list[int] = []
@@ -238,12 +238,21 @@ def beckner_expand(n: int, ell: int) -> BecknerExpansion:
         prev, cur = cur, [n * c for c in nxt]
     coeffs = np.array([c / n**ell for c in cur])
 
-    all_sums = np.array([(2 * j - n) / math.sqrt(n) for j in range(n + 1)])
-    all_phi = np.array([_phi_level_value(ell, n, j) for j in range(n + 1)])
-    recon = np.zeros_like(all_sums)
-    for m in range(ell + 1):
-        recon += coeffs[m] * np.real(hermite_eval(m, all_sums))
-    residual = float(np.max(np.abs(recon - all_phi) / np.maximum(1.0, np.abs(all_phi))))
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    den = max(d for _, d in ratios)
+    # den n^{(ell-m)/2} coeffs[m]; (ell - m) // 2 is exact wherever coeffs[m] != 0
+    nums = [a * (den // d) * n ** ((ell - m) // 2) for m, (a, d) in enumerate(ratios)]
+    residual = 0.0
+    for j in range(n + 1):
+        # e_ell of j entries +1 and n - j entries -1: the y^ell coefficient of (1 + y)^j (1 - y)^(n-j)
+        level = math.factorial(ell) * sum(
+            math.comb(j, i) * math.comb(n - j, ell - i) * (-1) ** (ell - i) for i in range(ell + 1)
+        )
+        recon, h_prev, h = 0, 0, 1
+        for m, a in enumerate(nums):
+            recon += a * h
+            h_prev, h = h, (2 * j - n) * h - m * n * h_prev
+        residual = max(residual, abs(recon - den * level) / den / max(math.sqrt(n) ** ell, abs(level)))
     return BecknerExpansion(n=n, ell=ell, coeffs=coeffs, max_residual=residual)
 
 
@@ -310,9 +319,10 @@ class SymmetricSpec:
 # the two blocks, so the mixed norm becomes a binomially weighted double sum
 # over a (k+1) x (n-k+1) table.  The table is kept factored as U^T M V and
 # only the rows and columns that carry weight are formed; what is dropped is
-# bounded and the bound is checked against the kept value.
+# bounded and the bound is checked against the kept value (cut_mixed_norm,
+# which the Gaussian outer grids of flows use as well).
 
-# Certified relative effect the dropped binomial tails may have on one value.
+# Certified relative effect the dropped cells may have on one value.
 TAIL_RTOL = 1e-15
 # Share of an axis' bound mass a dropped tail may hold when the cut is
 # chosen.  The bound overestimates the value by orders of magnitude, so this
@@ -409,11 +419,10 @@ class CollapsedTable:
 
 
 class TailCut(NamedTuple):
-    """What one collapsed mixed norm dropped.
+    """What one cut_mixed_norm dropped.
 
     bound is the certified relative effect of the dropped cells on the value
-    (0 when every cell was kept); cells_kept of the table's (or, in flows,
-    the outer grid's) cells were kept.
+    (0 when every cell was kept); cells_kept of the grid's cells were kept.
     """
 
     bound: float
@@ -421,17 +430,7 @@ class TailCut(NamedTuple):
     cells: int
 
 
-def _mixed_value(re, im, w_first, w_second, p: float, q: float):
-    """(sum_a w_first (sum_b w_second |f|^q)^{p/q}, inner sums) with |f|^2 = re^2 + im^2; overwrites re, im."""
-    re *= re
-    im *= im
-    re += im
-    np.power(re, q / 2.0, out=re)
-    inner = re @ w_second
-    return float(np.dot(w_first, inner ** (p / q))), inner
-
-
-def _window(mass: np.ndarray, share: float = _CUT_SHARE) -> tuple[slice, np.ndarray]:
+def _window(mass: np.ndarray, share: float) -> tuple[slice, np.ndarray]:
     """The narrowest index window each of whose two tails holds at most
     share / 2 of every row of `mass` (nonnegative, one row per constraint),
     and each row's sum outside it.  The whole range if a row sum is not
@@ -452,44 +451,64 @@ def _window(mass: np.ndarray, share: float = _CUT_SHARE) -> tuple[slice, np.ndar
     return slice(lo, hi), tail
 
 
-def _cut_norm(table: CollapsedTable, w_first, w_second, p: float, q: float) -> tuple[float, TailCut]:
-    """The mixed norm over the kept cells, with the certified bound on the rest.
+def cut_mixed_norm(
+    abs_q, w_rows: np.ndarray, w_cols: np.ndarray, p: float, q: float, bound=None, *, share: float
+) -> tuple[float, TailCut]:
+    """sum_i w_rows[i] (sum_j w_cols[j] F[i, j])^{p/q} for F = |f|^q >= 0, and its TailCut.
 
-    Row a of the table is f(a, b) = sum_m C[a, m] V[m, b] over the N columns
-    m of mix that are not zero.  By the power mean inequality
-    |f|^q <= N^{q-1} sum_m |C[a, m]|^q |V[m, b]|^q, so the inner sum over
-    the dropped columns is at most B(a) = N^{q-1} sum_m |C[a, m]|^q G[m],
-    with G[m] those columns' sum of w |V[m, b]|^q.  For a kept row with kept
-    inner sum A and r = p/q <= 1, (A + B)^r - A^r <= min(B^r, r A^{r-1} B)
-    by the subadditivity and the concavity of x^r; a dropped row adds at
-    most B(a)^r with G over all columns.  Dropping cells only lowers the
-    value.  If the summed bound exceeds TAIL_RTOL times the kept value,
-    every cell is formed instead.
+    abs_q(rows, cols) forms F on a block of two slices.  Without `bound`
+    every cell is formed.  With bound = (spread, R, C), any nonnegative
+    rank-K majorant F <= spread * R @ C (R rows x K, C K x columns), only
+    the rows and columns chosen by _window (tails of at most `share` of the
+    majorant mass) are formed.  With G = w_cols * C and r = p/q <= 1, a kept
+    row i with kept inner sum A_i misses at most B_i = spread R[i] @ G', G'
+    the sums of G over the dropped columns, so its term w_i A_i^r moves by at
+    most w_i min(B_i^r, r A_i^{r-1} B_i) (subadditivity and concavity of
+    x^r); a dropped row adds at most w_i (spread R[i] @ G'')^r, G'' the sums
+    over all columns.  Dropping cells only lowers the value.  If the summed
+    bound exceeds TAIL_RTOL times the kept value, or a majorant is not
+    finite, every cell is formed instead.
     """
     r = p / q
-    active = np.any(table.mix != 0, axis=0)
-    spread = float(np.count_nonzero(active)) ** (q - 1.0)
-    coeffs = table.row_coefficients()[:, active]
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs_q = np.abs(coeffs) ** q
-        col_mass = w_second * np.abs(table.second[active]) ** q
-        cols, col_tail = _window(col_mass)
-        rows, row_tail = _window((w_first * (spread * coeffs_q @ col_mass.sum(axis=1)) ** r)[None, :])
+    rows = slice(0, len(w_rows))
+    cols = slice(0, len(w_cols))
+    if bound is not None:
+        spread, big_r, big_c = bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            col_mass = w_cols * big_c
+            cols, col_tail = _window(col_mass, share)
+            rows, row_tail = _window((w_rows * (spread * big_r @ col_mass.sum(axis=1)) ** r)[None, :], share)
     kept = (rows.stop - rows.start) * (cols.stop - cols.start)
-    cells = table.shape[0] * table.shape[1]
-    parts = _real_gemm(coeffs[rows], table.second[active][:, cols])
-    value, inner = _mixed_value(*parts, w_first[rows], w_second[cols], p, q)
+    cells = len(w_rows) * len(w_cols)
+    inner = abs_q(rows, cols) @ w_cols[cols]
+    value = float(np.dot(w_rows[rows], inner**r))
     if kept == cells:
         return value, TailCut(0.0, cells, cells)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        col_bound = spread * coeffs_q[rows] @ col_tail
+        col_bound = spread * big_r[rows] @ col_tail
         tangent = r * col_bound / inner ** (1.0 - r)
-        dropped = float(row_tail[0]) + float(np.dot(w_first[rows], np.fmin(col_bound**r, tangent)))
-    bound = 0.0 if not dropped else dropped / value if value > 0 else math.inf
-    if bound <= TAIL_RTOL:
-        return value, TailCut(bound, kept, cells)
-    value, _ = _mixed_value(*_real_gemm(coeffs, table.second[active]), w_first, w_second, p, q)
-    return value, TailCut(0.0, cells, cells)
+        dropped = float(row_tail[0]) + float(np.dot(w_rows[rows], np.fmin(col_bound**r, tangent)))
+    rel = 0.0 if not dropped else dropped / value if value > 0 else math.inf
+    if rel <= TAIL_RTOL:
+        return value, TailCut(rel, kept, cells)
+    return cut_mixed_norm(abs_q, w_rows, w_cols, p, q, share=share)
+
+
+def cut_summary(cuts: list[TailCut]) -> dict:
+    """The largest bound (tail_bound) and the share of cells kept (cells_kept_share) over `cuts`."""
+    cells = sum(cut.cells for cut in cuts)
+    return {
+        "tail_bound": max((cut.bound for cut in cuts), default=0.0),
+        "cells_kept_share": sum(cut.cells_kept for cut in cuts) / cells if cells else 1.0,
+    }
+
+
+def _abs_q(re: np.ndarray, im: np.ndarray, q: float) -> np.ndarray:
+    """|re + i im|^q, overwriting re and im."""
+    re *= re
+    im *= im
+    re += im
+    return np.power(re, q / 2.0, out=re)
 
 
 def mixed_norm_collapsed(
@@ -505,20 +524,31 @@ def mixed_norm_collapsed(
     `table[a, b]` holds the function value at any point with a (+1)s in the
     first block and b in the second; the averages become binomially weighted
     sums over the counts.  A CollapsedTable (from symmetric_tzk_table) is
-    cut to the rows and columns that carry weight, with a certified bound
-    (see _cut_norm); a dense table is summed whole.  If `cuts` is given, the
+    cut by cut_mixed_norm: over the N nonzero columns m of mix, f(a, b) =
+    sum_m C[a, m] V[m, b], so |f|^q <= N^{q-1} sum_m |C[a, m]|^q |V[m, b]|^q
+    (power mean).  A dense table is summed whole.  If `cuts` is given, the
     TailCut of this call is appended to it.
     """
     _check_exponents(p, q)
     if tuple(np.shape(table)) != (k + 1, n - k + 1):
         raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
     w_first, w_second = log_binomial_weights(k), log_binomial_weights(n - k)
+    bound = None
     if isinstance(table, CollapsedTable):
-        value, cut = _cut_norm(table, w_first, w_second, p, q)
+        active = np.any(table.mix != 0, axis=0)
+        coeffs, second = table.row_coefficients()[:, active], table.second[active]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = (float(np.count_nonzero(active)) ** (q - 1.0), np.abs(coeffs) ** q, np.abs(second) ** q)
+
+        def abs_q(rows, cols):
+            return _abs_q(*_real_gemm(coeffs[rows], second[:, cols]), q)
     else:
         table = np.asarray(table, dtype=complex)
-        value, _ = _mixed_value(table.real.copy(), table.imag.copy(), w_first, w_second, p, q)
-        cut = TailCut(0.0, table.size, table.size)
+
+        def abs_q(rows, cols):
+            return _abs_q(table.real[rows, cols].copy(), table.imag[rows, cols].copy(), q)
+
+    value, cut = cut_mixed_norm(abs_q, w_first, w_second, p, q, bound, share=_CUT_SHARE)
     if cuts is not None:
         cuts.append(cut)
     return value

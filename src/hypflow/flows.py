@@ -32,9 +32,11 @@ doubled until the value is stable.  Past ~100 nodes most of that grid carries
 weights too small to matter, so each evaluator also supplies a separable
 majorant |inner(u, x)| <= M_u(|u|) + M_x(|x|), and only a centred block of
 the grid is formed; the dropped cells are bounded and the bound is checked
-against the kept value (see _outer_average).  With P nonnegative and
-nondecreasing on [0, inf), |inner| <= P(|X|) and
-|X| <= sqrt(s)|u| + |z| sqrt(1-s)|x|:
+against the kept value by cube.cut_mixed_norm, the kernel that cuts the
+discrete flow's tables too (its docstring holds the proof).  Each evaluator
+passes its inner average as a function of X = u sqrt(s) + z x sqrt(1-s)
+and a bound P with |inner| <= P(|X|).  With P nonnegative and
+nondecreasing on [0, inf) and |X| <= sqrt(s)|u| + |z| sqrt(1-s)|x|:
 
     M_u(a) = P(2 sqrt(s) a),   M_x(b) = P(2 |z| sqrt(1-s) b),
 
@@ -60,10 +62,10 @@ from numpy.polynomial import polynomial as _poly
 from .cube import (
     CubeFunction,
     SymmetricSpec,
-    TAIL_RTOL,
     TailCut,
-    _window,
     apply_Tzk,
+    cut_mixed_norm,
+    cut_summary,
     mixed_norm,
     mixed_norm_collapsed,
     symmetric_tzk_table,
@@ -85,9 +87,9 @@ DEFAULT_S_GRID_POINTS = 21
 _AUTO_START = 32
 _AUTO_CAP = 512
 _AUTO_RTOL = 1e-10
-# Share of an axis' majorant mass a dropped tail may hold (cube's _CUT_SHARE
-# plays the same part).  The majorants overestimate the grid by many orders
-# of magnitude, so this sits far below TAIL_RTOL.
+# Share of an axis' majorant mass a dropped tail may hold (the cube's tables
+# use 1e-20).  The majorants overestimate the grid by many orders of
+# magnitude, so this sits far below cube.TAIL_RTOL.
 _GRID_SHARE = 1e-28
 
 
@@ -133,10 +135,7 @@ def discrete_flow(
             (k, mixed_norm_collapsed(symmetric_tzk_table(f, t.z, k), n, k, t.p, t.q, cuts=cuts))
             for k in ks
         ]
-        diagnostics = {
-            "tail_bound": max(cut.bound for cut in cuts),
-            "cells_kept_share": sum(cut.cells_kept for cut in cuts) / sum(cut.cells for cut in cuts),
-        }
+        diagnostics = cut_summary(cuts)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return FlowReport(parameter_name="k", samples=tuple(samples), diagnostics=diagnostics)
@@ -192,59 +191,26 @@ def _outer_average(
     integrand(u, x) gives inner on the product of the node arrays u (rows)
     and x (columns).  Without a majorant every cell is formed.  With
     majorant = (M_u, M_x) at the nodes, |inner(u_i, x_j)| <= M_u[i] + M_x[j],
-    only the centred rows I and columns J chosen by cube's _window (tails of
-    at most _GRID_SHARE of the majorant mass) are formed.  With r = p/q <= 1,
-    A_i the kept inner sum of row i and W the weight of the dropped columns,
-    the power mean inequality (a + b)^q <= 2^{q-1} (a^q + b^q) bounds a kept
-    row's dropped inner sum by
-
-        B_i = 2^{q-1} (M_u[i]^q W + sum_{j not in J} w_j M_x[j]^q),
-
-    which moves its term w_i A_i^r by at most w_i min(B_i^r, r A_i^{r-1} B_i)
-    (subadditivity and concavity of x^r); a dropped row adds at most
-    w_i (2^{q-1} (M_u[i]^q + sum_j w_j M_x[j]^q))^r.  Dropping cells only
-    lowers the value.  If the summed bound exceeds TAIL_RTOL times the kept
-    value, every cell is formed instead, as without a majorant.  If `cuts`
-    is given, the TailCut of this grid is appended to it.
+    cut_mixed_norm forms only the block that carries weight under the
+    rank-2 majorant |inner|^q <= 2^{q-1} (M_u[i]^q * 1 + 1 * M_x[j]^q) of
+    the power mean inequality.  If `cuts` is given, the TailCut of this
+    grid is appended to it.
     """
     nodes, w = rule.nodes, rule.weights
+    bound = None
     if majorant is not None:
-        cut = _cut_average(integrand, nodes, w, p, q, *majorant)
-        if cut is not None:
-            value, tail = cut
-            if cuts is not None:
-                cuts.append(tail)
-            return value
-    x_avg = (np.abs(integrand(nodes, nodes)) ** q) @ w
+        ones = np.ones_like(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu_q, mx_q = majorant[0] ** q, majorant[1] ** q
+        bound = (2.0 ** (q - 1.0), np.stack((mu_q, ones), axis=1), np.stack((ones, mx_q)))
+
+    def abs_q(rows: slice, cols: slice) -> np.ndarray:
+        return np.abs(integrand(nodes[rows], nodes[cols])) ** q
+
+    value, cut = cut_mixed_norm(abs_q, w, w, p, q, bound, share=_GRID_SHARE)
     if cuts is not None:
-        cuts.append(TailCut(0.0, nodes.size**2, nodes.size**2))
-    return float(np.dot(w, x_avg ** (p / q)))
-
-
-def _cut_average(integrand, nodes, w, p, q, m_u, m_x) -> tuple[float, TailCut] | None:
-    """_outer_average on the kept block and its TailCut, or None when the
-    block is the whole grid or its bound exceeds TAIL_RTOL."""
-    r = p / q
-    spread = 2.0 ** (q - 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu_q, mx_q = m_u**q, m_x**q
-        cols, col_tail = _window(np.stack((w, w * mx_q)), _GRID_SHARE)
-        row_mass = w * (spread * (mu_q + np.dot(w, mx_q))) ** r
-        rows, row_tail = _window(row_mass[None, :], _GRID_SHARE)
-    kept = (rows.stop - rows.start) * (cols.stop - cols.start)
-    cells = nodes.size**2
-    if kept == cells:
-        return None
-    inner = (np.abs(integrand(nodes[rows], nodes[cols])) ** q) @ w[cols]
-    value = float(np.dot(w[rows], inner**r))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        col_bound = spread * (mu_q[rows] * col_tail[0] + col_tail[1])
-        tangent = r * col_bound / inner ** (1.0 - r)
-        dropped = float(row_tail[0]) + float(np.dot(w[rows], np.fmin(col_bound**r, tangent)))
-    bound = 0.0 if not dropped else dropped / value if value > 0 else math.inf
-    if not bound <= TAIL_RTOL:
-        return None
-    return value, TailCut(bound, kept, cells)
+        cuts.append(cut)
+    return value
 
 
 def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStats | None = None) -> float:
@@ -265,9 +231,14 @@ def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStat
     return est.value
 
 
-def _janson_outer(integrand, bound, rs: float, zrc: complex, t: ExponentTriple, rule, stats) -> float:
-    """J(s) on the outer grids, with the majorant of P = bound (see _separable_majorant)."""
+def _janson_outer(inner, bound, s: float, t: ExponentTriple, rule, stats) -> float:
+    """J(s) on the outer grids of inner(X), X = sqrt(s) u + z sqrt(1-s) x,
+    with the majorant of P = bound (see _separable_majorant)."""
+    rs, zrc = math.sqrt(s), t.z * math.sqrt(1.0 - s)
     cuts = None if stats is None else stats.cuts
+
+    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return inner(rs * u[:, None] + zrc * x[None, :])
 
     def evaluate(rule: QuadratureRule) -> float:
         majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
@@ -294,7 +265,6 @@ def janson_quadrature(
         raise ValueError("flow parameter s must lie in [0, 1]")
     inner_rule = gh_rule(g.degree // 2 + 2)
     rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
-    zrc = t.z * rc
     inner_shift = (
         1j * rs * inner_rule.nodes[:, None] + 1j * t.z * rc * inner_rule.nodes[None, :]
     ).ravel()
@@ -306,14 +276,13 @@ def janson_quadrature(
         # |inner| <= sum_k w_k |g(X + shift_k)| <= sum_k w_k P(|X| + |shift_k|)
         return inner_w @ poly_bound(radius + abs_shift)
 
-    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        base = rs * u[:, None] + zrc * x[None, :]
-        inner = np.zeros(base.shape, dtype=complex)
+    def inner(base: np.ndarray) -> np.ndarray:
+        out = np.zeros(base.shape, dtype=complex)
         for shift, weight in zip(inner_shift, inner_w):
-            inner += weight * g(base + shift)
-        return inner
+            out += weight * g(base + shift)
+        return out
 
-    return _janson_outer(integrand, bound, rs, zrc, t, rule, stats)
+    return _janson_outer(inner, bound, s, t, rule, stats)
 
 
 def _scaled_hermite_majorant(coeffs: np.ndarray, sigma: complex) -> Callable[[np.ndarray], np.ndarray]:
@@ -347,14 +316,8 @@ def janson_mehler(
         raise ValueError("flow parameter s must lie in [0, 1]")
     coeffs = gaussian_smooth(g).coeffs
     sigma = s + (1.0 - s) * t.z * t.z
-    rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
-    zrc = t.z * rc
     bound = _scaled_hermite_majorant(coeffs, sigma)
-
-    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return hermite_scaled_sum(coeffs, rs * u[:, None] + zrc * x[None, :], sigma)
-
-    return _janson_outer(integrand, bound, rs, zrc, t, rule, stats)
+    return _janson_outer(lambda x: hermite_scaled_sum(coeffs, x, sigma), bound, s, t, rule, stats)
 
 
 def janson_heat(
@@ -379,14 +342,7 @@ def janson_heat(
         raise ValueError("flow parameter s must lie in [0, 1]")
     poly = basis_convert(gt, "hermite_to_monomial")
     evolved = heat_poly_series((1.0 - s) * (1.0 - t.z * t.z), poly)
-    rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
-    zrc = t.z * rc
-    bound = _monomial_majorant(evolved.coeffs)
-
-    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return evolved(rs * u[:, None] + zrc * x[None, :])
-
-    return _janson_outer(integrand, bound, rs, zrc, t, rule, stats)
+    return _janson_outer(evolved, _monomial_majorant(evolved.coeffs), s, t, rule, stats)
 
 
 _EVALUATORS = {
@@ -430,11 +386,8 @@ def janson_flow(
                     f"evaluators disagree at s = {grid[i]}: "
                     f"{evaluator} gave {values[i]!r}, quadrature gave {ref!r}"
                 )
-    cuts = [cut for st in (*stats, spot) for cut in st.cuts]
-    cells = sum(cut.cells for cut in cuts)
     diagnostics = {
-        "tail_bound": max((cut.bound for cut in cuts), default=0.0),
-        "cells_kept_share": sum(cut.cells_kept for cut in cuts) / cells if cells else 1.0,
+        **cut_summary([cut for st in (*stats, spot) for cut in st.cuts]),
         "cap_hits": [float(s) for s, st in zip(grid, stats) if st.capped],
     }
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)

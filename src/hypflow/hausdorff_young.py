@@ -23,6 +23,7 @@ Here the damping is z = i sqrt(p/q).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -298,6 +299,7 @@ def exp_flow_phi(
     z = 1j * math.sqrt(p / q)
     grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
 
+    @functools.cache  # the ends are asked for twice: on the grid and for the comparison
     def value_at(s: float) -> float:
         if not fam.atoms:
             return 0.0

@@ -121,8 +121,9 @@ def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):
     [
         ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--s-points", "5"],
         ["discrete-flow", "--n", "8", "--p", "1.5", "--q", "3", "--z-re", "0.4", "--z-im", "0.2", "--coeffs", "0,1,1"],
+        ["hy-exp", "--p", "1.5", "--atoms", "1:0.5,-0.3:-1.1"],
     ],
-    ids=["janson-flow", "discrete-flow"],
+    ids=["janson-flow", "discrete-flow", "hy-exp"],
 )
 def test_determinism_byte_identical(tmp_path, args):
     code1, out1 = run(args, tmp_path, "a")

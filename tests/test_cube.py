@@ -14,6 +14,7 @@ from hypflow.cube import (
     apply_Tzk,
     beckner_expand,
     _block_phi_matrix,
+    cut_mixed_norm,
     hadamard_transform,
     log_binomial_weights,
     mixed_norm,
@@ -24,6 +25,7 @@ from hypflow.cube import (
     walsh_analyze,
     walsh_synthesize,
 )
+from hypflow.quadrature import gh_rule
 
 
 def point_from_mask(mask: int, n: int) -> np.ndarray:
@@ -216,6 +218,29 @@ def test_beckner_parity_and_residual():
         assert exp_.max_residual <= 1e-11
 
 
+def test_beckner_residual_is_exact():
+    # float sums of the level values and Hermite terms cancelled to 3.9e-2 here
+    assert beckner_expand(200, 20).max_residual <= 1e-15
+    # against an all-rational evaluation, where sqrt(n) is an integer
+    for n, ell in [(196, 20), (64, 20), (36, 7), (9, 4)]:
+        exp_ = beckner_expand(n, ell)
+        root = math.isqrt(n)
+        worst = Fraction(0)
+        for j in range(n + 1):
+            # e_ell of j entries +1 and n - j entries -1, by the Krawtchouk recurrence
+            k_prev, e = 0, 1
+            for l in range(ell):
+                k_prev, e = e, ((2 * j - n) * e - (n - l + 1) * k_prev) // (l + 1)
+            phi = Fraction(math.factorial(ell) * e, root**ell)
+            s = Fraction(2 * j - n, root)
+            recon, h_prev, h = Fraction(0), Fraction(0), Fraction(1)
+            for m in range(ell + 1):
+                recon += Fraction(float(exp_.coeffs[m])) * h
+                h_prev, h = h, s * h - m * h_prev
+            worst = max(worst, abs(recon - phi) / max(1, abs(phi)))
+        assert exp_.max_residual == pytest.approx(float(worst), rel=1e-12, abs=0.0), (n, ell)
+
+
 def test_beckner_rejects_bad_degrees():
     with pytest.raises(ValueError):
         beckner_expand(30, 21)
@@ -364,6 +389,73 @@ def test_tail_cut_falls_back_to_the_full_table(monkeypatch):
     value, full, cut = _cut_and_full(spec, 0.3 + 0.2j, 150, 1.5, 3.0)
     assert cut == cube.TailCut(0.0, 151 * 251, 151 * 251)
     assert value == full
+
+
+def _rank_k_case(rng, weights, positions, k):
+    """|f|^q on a grid with a random nonnegative rank-k majorant spread * R @ C above it."""
+    degrees = rng.integers(0, 7, size=(2, k))
+    big_r = rng.uniform(0.5, 2.0, size=k) * (1.0 + np.abs(positions[0]))[:, None] ** degrees[0]
+    big_c = rng.uniform(0.5, 2.0, size=(k, 1)) * (1.0 + np.abs(positions[1]))[None, :] ** degrees[1][:, None]
+    spread = float(rng.uniform(1.0, 4.0))
+    values = spread * (big_r @ big_c) * rng.uniform(size=(weights[0].size, weights[1].size))
+    return (lambda rows, cols: values[rows, cols].copy()), (spread, big_r, big_c)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cut_mixed_norm_within_its_bound(monkeypatch, k):
+    rng = np.random.default_rng(40 + k)
+    rule = gh_rule(256)
+    binomial = [log_binomial_weights(t) for t in (300, 500)]
+    grids = [
+        ((rule.weights, rule.weights), (rule.nodes, rule.nodes), 1e-28),
+        (binomial, [np.arange(w.size) - w.size // 2 for w in binomial], 1e-20),
+    ]
+    dropped = 0
+    for weights, positions, share in grids:
+        cells = weights[0].size * weights[1].size
+        for _ in range(4):
+            abs_q, bound = _rank_k_case(rng, weights, positions, k)
+            p = float(rng.uniform(1.0, 3.0))
+            q = float(rng.uniform(p, 4.0))
+            value, cut = cut_mixed_norm(abs_q, *weights, p, q, bound, share=share)
+            full, full_cut = cut_mixed_norm(abs_q, *weights, p, q, share=share)
+            assert full_cut == cube.TailCut(0.0, cells, cells)
+            assert 0.0 <= cut.bound <= cube.TAIL_RTOL
+            noise = 1e-15 * full
+            assert value <= full + noise
+            assert full - value <= cut.bound * value + noise
+            dropped += cut.cells_kept < cells
+            # a coarse cut drops real mass: the bound covers it, and where
+            # |f|^q is its majorant, the bound is what was dropped
+            monkeypatch.setattr(cube, "TAIL_RTOL", 1.0)
+            coarse, coarse_cut = cut_mixed_norm(abs_q, *weights, p, q, bound, share=1e-4)
+            assert 0.0 < full - coarse <= coarse_cut.bound * coarse
+            spread, big_r, big_c = bound
+
+            def tight(rows, cols):
+                return spread * (big_r[rows] @ big_c[:, cols])
+
+            tight_full = cut_mixed_norm(tight, *weights, p, q, share=share)[0]
+            tight_cut, tight_tail = cut_mixed_norm(tight, *weights, p, q, bound, share=1e-4)
+            assert 0.999 * tight_tail.bound <= (tight_full - tight_cut) / tight_cut <= tight_tail.bound
+            # a bound no cut can meet: the fallback is the full sum, bit for bit
+            monkeypatch.setattr(cube, "TAIL_RTOL", -1.0)
+            assert cut_mixed_norm(abs_q, *weights, p, q, bound, share=share) == (full, full_cut)
+            monkeypatch.undo()
+    assert dropped > 0
+
+
+def test_cut_mixed_norm_keeps_everything_under_an_overflowing_majorant():
+    rng = np.random.default_rng(7)
+    rule = gh_rule(128)
+    abs_q, bound = _rank_k_case(rng, (rule.weights, rule.weights), (rule.nodes, rule.nodes), 2)
+    full = cut_mixed_norm(abs_q, rule.weights, rule.weights, 1.5, 3.0, share=1e-28)[0]
+    for factor, cell in ((1, (3, 0)), (2, (1, 5))):  # an inf in R, then in C
+        overflowing = [bound[0], bound[1].copy(), bound[2].copy()]
+        overflowing[factor][cell] = np.inf
+        value, cut = cut_mixed_norm(abs_q, rule.weights, rule.weights, 1.5, 3.0, overflowing, share=1e-28)
+        assert cut == cube.TailCut(0.0, 128 * 128, 128 * 128)
+        assert value == full
 
 
 def test_collapsed_table_matches_block_evaluation():

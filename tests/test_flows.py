@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from identity_checks import mixed_moment_check
+import hypflow.cube as cube
 import hypflow.flows as flows
 from hypflow.cube import TAIL_RTOL, BlockCounts, SymmetricSpec, TailCut, apply_Tzk
 from hypflow.errors import EvaluatorMismatchError
@@ -222,10 +223,10 @@ def _cut_and_full(monkeypatch, evaluate):
     """(value, TailCut) with the cut, then with every cell formed."""
     runs = []
     for rtol in (TAIL_RTOL, -1.0):  # a negative bound budget forces the full grid
-        monkeypatch.setattr(flows, "TAIL_RTOL", rtol)
+        monkeypatch.setattr(cube, "TAIL_RTOL", rtol)
         stats = OuterStats()
         runs.append((evaluate(stats), *stats.cuts))
-    monkeypatch.setattr(flows, "TAIL_RTOL", TAIL_RTOL)
+    monkeypatch.setattr(cube, "TAIL_RTOL", TAIL_RTOL)
     return runs
 
 
@@ -303,11 +304,11 @@ def test_forced_fallback_is_bitwise_the_full_grid(monkeypatch):
         inner = hermite_scaled_sum(gaussian_smooth(g).coeffs, big_x, sigma)
         x_avg = (np.abs(inner) ** t.q) @ rule.weights
         want = float(np.dot(rule.weights, x_avg ** (t.p / t.q)))
-        monkeypatch.setattr(flows, "TAIL_RTOL", -1.0)
+        monkeypatch.setattr(cube, "TAIL_RTOL", -1.0)
         stats = OuterStats()
         assert janson_mehler(g, t, s, rule, stats) == want
         assert stats.cuts == [TailCut(0.0, 256 * 256, 256 * 256)]
-        monkeypatch.setattr(flows, "TAIL_RTOL", TAIL_RTOL)
+        monkeypatch.setattr(cube, "TAIL_RTOL", TAIL_RTOL)
         stats = OuterStats()
         assert abs(janson_mehler(g, t, s, rule, stats) - want) <= 1e-15 * want
         assert stats.cuts[0].cells_kept < stats.cuts[0].cells
