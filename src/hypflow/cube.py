@@ -320,7 +320,8 @@ class SymmetricSpec:
 # over a (k+1) x (n-k+1) table.  The table is kept factored as U^T M V and
 # only the rows and columns that carry weight are formed; what is dropped is
 # bounded and the bound is checked against the kept value (cut_mixed_norm,
-# which the Gaussian outer grids of flows use as well).
+# which the Gaussian outer grids of flows and the exponential-family grids
+# of hausdorff_young use as well).
 
 # Certified relative effect the dropped cells may have on one value.
 TAIL_RTOL = 1e-15
@@ -511,6 +512,27 @@ def _abs_q(re: np.ndarray, im: np.ndarray, q: float) -> np.ndarray:
     return np.power(re, q / 2.0, out=re)
 
 
+def factored_mixed_norm(
+    left: np.ndarray, right: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray, p: float, q: float, *, share: float
+) -> tuple[float, TailCut]:
+    """cut_mixed_norm of the table f = left @ right (rows x K times K x columns).
+
+    |f|^q <= K^{q-1} |left|^q @ |right|^q by the power mean inequality over
+    the K terms of each cell, and that rank-K majorant chooses the cells
+    formed.  A real `right` is multiplied by one real GEMM.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (float(left.shape[1]) ** (q - 1.0), np.abs(left) ** q, np.abs(right) ** q)
+
+    def abs_q(rows: slice, cols: slice) -> np.ndarray:
+        if np.isrealobj(right):
+            return _abs_q(*_real_gemm(left[rows], right[:, cols]), q)
+        cells = left[rows] @ right[:, cols]
+        return _abs_q(cells.real.copy(), cells.imag.copy(), q)
+
+    return cut_mixed_norm(abs_q, w_rows, w_cols, p, q, bound, share=share)
+
+
 def mixed_norm_collapsed(
     table: CollapsedTable | np.ndarray,
     n: int,
@@ -524,31 +546,25 @@ def mixed_norm_collapsed(
     `table[a, b]` holds the function value at any point with a (+1)s in the
     first block and b in the second; the averages become binomially weighted
     sums over the counts.  A CollapsedTable (from symmetric_tzk_table) is
-    cut by cut_mixed_norm: over the N nonzero columns m of mix, f(a, b) =
-    sum_m C[a, m] V[m, b], so |f|^q <= N^{q-1} sum_m |C[a, m]|^q |V[m, b]|^q
-    (power mean).  A dense table is summed whole.  If `cuts` is given, the
-    TailCut of this call is appended to it.
+    cut by factored_mixed_norm over the N nonzero columns m of mix,
+    f(a, b) = sum_m C[a, m] V[m, b].  A dense table is summed whole.  If
+    `cuts` is given, the TailCut of this call is appended to it.
     """
     _check_exponents(p, q)
     if tuple(np.shape(table)) != (k + 1, n - k + 1):
         raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
     w_first, w_second = log_binomial_weights(k), log_binomial_weights(n - k)
-    bound = None
     if isinstance(table, CollapsedTable):
         active = np.any(table.mix != 0, axis=0)
         coeffs, second = table.row_coefficients()[:, active], table.second[active]
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = (float(np.count_nonzero(active)) ** (q - 1.0), np.abs(coeffs) ** q, np.abs(second) ** q)
-
-        def abs_q(rows, cols):
-            return _abs_q(*_real_gemm(coeffs[rows], second[:, cols]), q)
+        value, cut = factored_mixed_norm(coeffs, second, w_first, w_second, p, q, share=_CUT_SHARE)
     else:
         table = np.asarray(table, dtype=complex)
 
         def abs_q(rows, cols):
             return _abs_q(table.real[rows, cols].copy(), table.imag[rows, cols].copy(), q)
 
-    value, cut = cut_mixed_norm(abs_q, w_first, w_second, p, q, bound, share=_CUT_SHARE)
+        value, cut = cut_mixed_norm(abs_q, w_first, w_second, p, q, share=_CUT_SHARE)
     if cuts is not None:
         cuts.append(cut)
     return value

@@ -146,8 +146,8 @@ class OuterStats:
     """What the outer grids of one flow sample did, for the diagnostics.
 
     cuts holds one TailCut per grid formed (bound 0 for a full grid);
-    capped says that the node doubling stopped at _AUTO_CAP without meeting
-    _AUTO_RTOL.
+    capped says that the node doubling stopped at its cap (_AUTO_CAP for
+    the outer grids) without meeting its tolerance.
     """
 
     cuts: list[TailCut] = field(default_factory=list)

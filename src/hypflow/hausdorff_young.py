@@ -39,10 +39,11 @@ from .gaussian_atoms import (
     recentred_lr_norm,
 )
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
-from .quadrature import QuadratureRule, doubled, integrate_entire, resolve_rule
+from .quadrature import Estimate, QuadratureRule, doubled, integrate_entire, resolve_rule
 from .reporting import FlowReport
 from .two_point import ExponentTriple
-from .flows import _auto_outer, _outer_average, default_s_grid, janson_mehler
+from .cube import cut_summary, factored_mixed_norm
+from .flows import _GRID_SHARE, OuterStats, _auto_outer, default_s_grid, janson_mehler
 
 _ENDPOINT_TOL = 1e-8
 
@@ -271,13 +272,33 @@ class ExpFamily:
         return complex(rule.weights @ vals @ rule.weights)
 
 
-def _abs_power_average(fn, r: float) -> float:
+def _abs_power_average(fn, r: float) -> Estimate:
     """E |fn(G)|^r for standard Gaussian G, doubled from 64 up to 4096 nodes."""
 
     def average(rule: QuadratureRule) -> float:
         return float(rule.integrate(lambda x: np.abs(fn(x)) ** r).real)
 
-    return doubled(average, 64, 4096, 1e-10).value
+    return doubled(average, 64, 4096, 1e-10)
+
+
+def _exp_flow_factors(
+    fam: ExpFamily, s: float, z: complex, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C) with Phi_s(x_i, u_j) = (R @ C)[i, j] on the nodes, one column of R per atom.
+
+    R[i, l] = c_l exp(zx_l x_i - zx_l^2 / 2 - k_l) and C[l, j] =
+    exp(zu_l u_j - zu_l^2 / 2 + k_l), zx_l = t_l sqrt(s), zu_l = t_l z sqrt(1-s).
+    The real shift k_l splits the largest real exponent of each atom evenly
+    between its two factors, so neither overflows where their product
+    (the cell phi_s_closed forms with one exp) stays in range.
+    """
+    amps = np.array([c for c, _ in fam.atoms])
+    freqs = np.array([t for _, t in fam.atoms])
+    zx, zu = freqs * math.sqrt(s), freqs * z * math.sqrt(1.0 - s)
+    left = nodes[:, None] * zx - zx * zx / 2.0
+    right = zu[:, None] * nodes - (zu * zu / 2.0)[:, None]
+    shift = 0.5 * (left.real.max(axis=0) - right.real.max(axis=1))
+    return amps * np.exp(left - shift), np.exp(right + shift[:, None])
 
 
 def exp_flow_phi(
@@ -291,30 +312,44 @@ def exp_flow_phi(
 
     Damping is z = i sqrt(p/q); the inner average runs over the z-coupled
     variable and the outer over the sqrt(s)-coupled one, matching the flow's
-    displayed nesting.  The endpoint comparison phi_exp(0) <= phi_exp(1) is
-    asserted; violation raises InequalityViolationError, and a non-finite
-    endpoint raises AccuracyError.
+    displayed nesting.  At interior s each grid is the rank-L table of
+    _exp_flow_factors, cut by cube.factored_mixed_norm.  The endpoint
+    comparison phi_exp(0) <= phi_exp(1) is asserted; violation raises
+    InequalityViolationError, and a non-finite endpoint raises
+    AccuracyError.  The report's diagnostics give, over every interior grid
+    formed, the largest certified relative bound of the dropped cells
+    (tail_bound) and the share of cells kept (cells_kept_share), and every
+    s, the ends included, whose doubling stopped at its cap unconverged
+    (cap_hits).
     """
     q = conjugate_exponent(p)
     z = 1j * math.sqrt(p / q)
     grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
+    stats: dict[float, OuterStats] = {}
 
     @functools.cache  # the ends are asked for twice: on the grid and for the comparison
     def value_at(s: float) -> float:
+        st = stats[s] = OuterStats()
         if not fam.atoms:
             return 0.0
         # the endpoints degenerate to one-variable integrals (Phi_1 does not
         # depend on u, Phi_0 not on x); a 1-D ladder with a high node cap
         # resolves the |.|^r kinks of sign-changing real families there
-        if s == 1.0:
-            return _abs_power_average(lambda x: fam.phi_s_closed(1.0, z, x, 0.0), p)
-        if s == 0.0:
-            return _abs_power_average(lambda u: fam.phi_s_closed(0.0, z, 0.0, u), q) ** (p / q)
+        if s in (0.0, 1.0):
+            if s == 1.0:
+                est = _abs_power_average(lambda x: fam.phi_s_closed(1.0, z, x, 0.0), p)
+            else:
+                est = _abs_power_average(lambda u: fam.phi_s_closed(0.0, z, 0.0, u), q)
+            st.capped = not est.converged
+            return est.value if s == 1.0 else est.value ** (p / q)
 
         def evaluate(r: QuadratureRule) -> float:
-            return _outer_average(lambda x, u: fam.phi_s_closed(s, z, x[:, None], u[None, :]), r, p, q)
+            left, right = _exp_flow_factors(fam, s, z, r.nodes)
+            value, cut = factored_mixed_norm(left, right, r.weights, r.weights, p, q, share=_GRID_SHARE)
+            st.cuts.append(cut)
+            return value
 
-        return _auto_outer(evaluate, rule, raise_on_failure=True)
+        return _auto_outer(evaluate, rule, raise_on_failure=True, stats=st)
 
     values = [value_at(float(s)) for s in grid]
     phi0, phi1 = value_at(0.0), value_at(1.0)
@@ -327,7 +362,11 @@ def exp_flow_phi(
             rhs=phi1,
             witness=fam,
         )
-    return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)))
+    diagnostics = {
+        **cut_summary([cut for st in stats.values() for cut in st.cuts]),
+        "cap_hits": [s for s in sorted(stats) if stats[s].capped],
+    }
+    return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 
 def exp_family_final_atoms(fam: ExpFamily, p: float) -> list[GaussianAtom]:

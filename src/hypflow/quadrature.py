@@ -76,13 +76,19 @@ def _orthonormal_ladder(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, 
     root = np.sqrt(np.arange(n + 1.0))
     prev = np.zeros_like(x)
     last = np.ones_like(x)
+    spare = np.empty_like(x)
     exponent = np.zeros(x.shape, dtype=np.int64)
     for m in range(n):
-        prev, last = last, (x * last - root[m] * prev) / root[m + 1]
+        # (x last - root[m] prev) / root[m+1], in place on three rotating buffers
+        np.multiply(prev, root[m], out=prev)
+        np.multiply(x, last, out=spare)
+        np.subtract(spare, prev, out=spare)
+        np.divide(spare, root[m + 1], out=spare)
+        prev, last, spare = last, spare, prev
         if m % 32 == 31 or m == n - 1:
             _, e = np.frexp(np.maximum(np.abs(prev), np.abs(last)))
-            prev = np.ldexp(prev, -e)
-            last = np.ldexp(last, -e)
+            np.ldexp(prev, -e, out=prev)
+            np.ldexp(last, -e, out=last)
             exponent += e
     return prev, last, exponent
 
@@ -180,10 +186,11 @@ class Estimate:
     nodes yet; error bars on reported values will need it beside step.
 
     A value that stopped at the cap unconverged is never raised here.
-    flows._auto_outer flags it in OuterStats.capped (janson_flow's
-    cap_hits), or raises AccuracyError when asked to and the last step
-    exceeds 1e-4 relative or is NaN (exp_flow_phi at interior s).  Every
-    other caller passes it on unflagged.
+    flows._auto_outer flags it in OuterStats.capped (the cap_hits of
+    janson_flow and exp_flow_phi), or raises AccuracyError when asked to
+    and the last step exceeds 1e-4 relative or is NaN (exp_flow_phi at
+    interior s); exp_flow_phi flags its s = 0, 1 ends in cap_hits too.
+    Every other caller passes it on unflagged.
     """
 
     value: float

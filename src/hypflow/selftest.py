@@ -44,8 +44,6 @@ from .two_point import (
     real_failure_threshold,
 )
 
-DEFAULT_SEED = 0xC0FFEE
-
 
 @dataclass
 class SuiteResult:
@@ -249,7 +247,7 @@ def run_criterion(index: int, rng: np.random.Generator, quick: bool = False) -> 
     return rec.result
 
 
-def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False) -> list[SuiteResult]:
+def run_selftest(seed: int, quick: bool = False) -> list[SuiteResult]:
     """Run every criterion in order; one independent child stream each."""
     streams = np.random.SeedSequence(seed).spawn(len(CRITERIA))
     return [run_criterion(i, np.random.default_rng(s), quick) for i, s in enumerate(streams)]

@@ -6,7 +6,10 @@ quadrature.doubled, with the code they fed.
 `_abs_power_average` are kept verbatim, with `mehler_atom_scaled`,
 `_mehler_atom_log_abs` and `hy_endpoints`, for tests that require the shared
 doubling, the shared recentred norm and the shared Mehler-atom formula to
-return the same values.  Not collected by pytest (no test_ prefix).
+return the same values.  `exp_grid_value` and `exp_flow_interior` are the
+interior samples of `exp_flow_phi` as they were before the factored grids:
+`phi_s_closed` on every cell of every grid.  Not collected by pytest (no
+test_ prefix).
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 from hypflow.errors import AccuracyError, DomainError, InequalityViolationError
 from hypflow.flows import OuterStats
 from hypflow.gaussian_atoms import DOMAIN_EPS, GaussianAtom, _require_damping, fourier_transform_atom
-from hypflow.hausdorff_young import HYInput, sharp_constant
+from hypflow.hausdorff_young import ExpFamily, HYInput, conjugate_exponent, sharp_constant
 from hypflow.hermite import PolySeries, basis_convert, heat_poly_series
 from hypflow.quadrature import QuadratureRule, gh_rule, resolve_rule
 
@@ -276,3 +279,16 @@ def _abs_power_average(fn, r: float, start: int = 64, cap: int = 4096) -> float:
             return cur
         prev = cur
     return prev
+
+
+def exp_grid_value(fam: ExpFamily, p: float, s: float, rule: QuadratureRule) -> float:
+    """E_x (E_u |Phi_s(x, u)|^q)^{p/q} on every cell of the rule's product grid."""
+    q = conjugate_exponent(p)
+    z = 1j * math.sqrt(p / q)
+    table = np.abs(fam.phi_s_closed(s, z, rule.nodes[:, None], rule.nodes[None, :])) ** q
+    return float(np.dot(rule.weights, (table @ rule.weights) ** (p / q)))
+
+
+def exp_flow_interior(fam: ExpFamily, p: float, s: float) -> float:
+    """exp_flow_phi at one interior s: exp_grid_value doubled by _auto_outer."""
+    return _auto_outer(lambda rule: exp_grid_value(fam, p, s, rule), None, raise_on_failure=True)

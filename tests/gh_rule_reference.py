@@ -1,12 +1,14 @@
 """Frozen reference: the Gauss-Hermite rule builder as it was before the
-asymptotic first guesses.
+asymptotic first guesses, and the orthonormal ladder as it was before it ran
+in place.
 
 `_gh_rule_cached` is kept verbatim.  It takes the squared nonnegative nodes
 from the eigenvalues of the even block of J^2 (a half-size symmetric
 tridiagonal matrix, through scipy), then runs two Newton passes on the
 orthonormal recurrence and takes the Christoffel-Darboux weights from the
-last one.  Tests compare the production rules with it.  Not collected by
-pytest (no test_ prefix).
+last one.  `_orthonormal_ladder` is kept verbatim too; it allocates two new
+arrays per step.  Tests compare the production rules and ladder with them.
+Not collected by pytest (no test_ prefix).
 """
 from __future__ import annotations
 
@@ -15,7 +17,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from hypflow.quadrature import QuadratureRule, _orthonormal_ladder
+from hypflow.quadrature import QuadratureRule
+
+
+def _orthonormal_ladder(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal (phat_{n-1}(x), phat_n(x)) as (prev, last, exponent).
+
+    The true values are prev and last times 2**exponent.  Every 32 steps,
+    and after the last, the pair is rescaled by a power of two so that the
+    larger of the two lies in [0.5, 1).  That is exact, and keeps the pair in
+    float range for extreme nodes of any rule size: one step grows it by at
+    most a factor |x| + 1.
+    """
+    root = np.sqrt(np.arange(n + 1.0))
+    prev = np.zeros_like(x)
+    last = np.ones_like(x)
+    exponent = np.zeros(x.shape, dtype=np.int64)
+    for m in range(n):
+        prev, last = last, (x * last - root[m] * prev) / root[m + 1]
+        if m % 32 == 31 or m == n - 1:
+            _, e = np.frexp(np.maximum(np.abs(prev), np.abs(last)))
+            prev = np.ldexp(prev, -e)
+            last = np.ldexp(last, -e)
+            exponent += e
+    return prev, last, exponent
 
 
 @lru_cache(maxsize=None)

@@ -51,7 +51,7 @@ def test_discrete_flow_manifest_reports_the_tail_cut(tmp_path):
     assert 0.0 < manifest["cells_kept_share"] < 1.0
 
 
-_SCIPY_PROBE = """
+_FRESH_PROBE = """
 import json, sys
 from hypflow.cli import main
 
@@ -69,6 +69,7 @@ seen = {}
 for i, (name, args) in enumerate(calls.items()):
     seen[name] = main([name.split()[0], *args, "--out", f"{out}/{i}"])
 seen["scipy"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+seen["hypflow.selftest"] = "hypflow.selftest" in sys.modules
 print(json.dumps(seen))
 """
 
@@ -79,17 +80,28 @@ def _fresh_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def test_no_cli_command_loads_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory) -> dict:
     # one fresh interpreter runs every command that computes, so nothing imported
     # by other tests can hide an import, and a lazy import anywhere shows
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        [sys.executable, "-c", _FRESH_PROBE, str(tmp_path_factory.mktemp("fresh"))],
         env=_fresh_env(),
         capture_output=True,
         text=True,
         check=True,
     )
-    seen = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_no_computing_command_loads_the_selftest_registry(fresh_run):
+    # discrete-flow, hy-exp and two-point-scan among them
+    assert fresh_run["hypflow.selftest"] is False
+
+
+def test_no_cli_command_loads_scipy(fresh_run):
+    seen = dict(fresh_run)
+    seen.pop("hypflow.selftest")
     assert seen.pop("scipy") == []
     assert seen == dict.fromkeys(
         ["discrete-flow", "converge", "janson-flow", "hy-flow --gaussian",
@@ -114,6 +126,20 @@ def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):
     assert 0.0 < manifest["tail_bound"] <= 1e-15
     assert 0.0 < manifest["cells_kept_share"] < 1.0
     assert 1.0 in manifest["cap_hits"] and 0.0 not in manifest["cap_hits"]
+
+
+def test_hy_exp_manifest_reports_cut_and_cap_hits(tmp_path):
+    # the README family: the |.|^q kinks hold the doubling at its cap near s = 1
+    args = ["hy-exp", "--p", "1.3333333333333333", "--atoms", "1:0.5,-0.3:-1.1", "--s-points", "5"]
+    code, out = run(args, tmp_path)
+    assert code == EXIT_OK
+    lines = (out / "flow.csv").read_text().splitlines()
+    assert lines[0] == "parameter,value,delta_to_prev" and len(lines) == 7
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdict"] == "holds"
+    assert 0.0 < manifest["tail_bound"] <= 1e-15
+    assert 0.0 < manifest["cells_kept_share"] < 0.5
+    assert manifest["cap_hits"] == [0.75, 1.0]
 
 
 @pytest.mark.parametrize(

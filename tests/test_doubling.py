@@ -3,7 +3,9 @@
 Each test runs the code as it is, then swaps the reference loop (and, for
 phi_flow, the reference Mehler-atom formula) back in with monkeypatch and
 runs it again: the values must be bit-identical, except the polynomial
-hy_endpoints route, whose norm exponent is rounded in another order.
+hy_endpoints route, whose norm exponent is rounded in another order.  The
+interior samples of exp_flow_phi, whose grids are now factored and cut,
+are also held to 1e-14 of the reference's full grids.
 """
 import math
 
@@ -31,7 +33,7 @@ from hypflow.hausdorff_young import (
     phi_flow,
 )
 from hypflow.hermite import HermiteSeries, PolySeries, gaussian_smooth
-from hypflow.quadrature import doubled
+from hypflow.quadrature import Estimate, doubled
 from hypflow.two_point import ExponentTriple
 
 SEED = 20261018
@@ -133,8 +135,20 @@ def test_exp_flow_phi_bit_identical(monkeypatch):
 
     new = run()
     monkeypatch.setattr(hy, "_auto_outer", ref._auto_outer)
-    monkeypatch.setattr(hy, "_abs_power_average", ref._abs_power_average)
+    monkeypatch.setattr(
+        hy, "_abs_power_average", lambda fn, r: Estimate(ref._abs_power_average(fn, r), 0, 0.0, True)
+    )
     assert new == run()
+
+
+def test_exp_flow_phi_interior_matches_the_full_grids():
+    # the factored, tail-cut grids against phi_s_closed on every cell
+    grid = [0.05, 0.25, 0.5, 0.75, 0.95]
+    for fam, p in zip(_exp_families(), (4 / 3, 1.5, 2.0, 4 / 3, 1.5, 2.0, 1.25)):
+        report = exp_flow_phi(fam, p, s_grid=grid)
+        for s, value in report.samples:
+            want = ref.exp_flow_interior(fam, p, s)
+            assert abs(value - want) <= 1e-14 * want, (fam, p, s)
 
 
 def test_exp_flow_phi_accuracy_error_unchanged(monkeypatch):
@@ -143,6 +157,8 @@ def test_exp_flow_phi_accuracy_error_unchanged(monkeypatch):
     fam = ExpFamily(
         atoms=((0.3661858537229255, -0.649414999777468), (-0.6841151736064445, 0.8607375733597276))
     )
+    with pytest.raises(AccuracyError, match="512 nodes"):
+        ref.exp_flow_interior(fam, 1.5, 0.999)
     with pytest.raises(AccuracyError, match="512 nodes"):
         exp_flow_phi(fam, 1.5, s_grid=[0.999])
     monkeypatch.setattr(hy, "_auto_outer", ref._auto_outer)

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import doubling_reference
 from identity_checks import exp_phi_endpoint_identities
 import hypflow.hausdorff_young
+from hypflow import cube
+from hypflow.cube import factored_mixed_norm
 from hypflow.errors import AccuracyError
 from hypflow.gaussian_atoms import GaussianAtom
 from hypflow.hausdorff_young import (
@@ -22,8 +25,8 @@ from hypflow.hausdorff_young import (
     sharp_constant,
 )
 from hypflow.hermite import HermiteSeries, PolySeries
-from hypflow.flows import janson_quadrature
-from hypflow.quadrature import gh_rule
+from hypflow.flows import _GRID_SHARE, janson_quadrature
+from hypflow.quadrature import Estimate, gh_rule
 from hypflow.two_point import ExponentTriple
 
 
@@ -236,8 +239,13 @@ def test_exp_flow_endpoint_average_ignores_nodes_with_zero_weight():
 
 
 def test_exp_flow_nan_interior_sample_raises():
-    # |Phi_s|^q overflows on the outer grids: every doubling step is NaN
+    # |Phi_s|^q overflows on the kept cells of the outer grids: every
+    # doubling step is NaN
     with pytest.raises(AccuracyError, match="512 nodes"):
+        exp_flow_phi(ExpFamily(atoms=((1.0, 30j),)), 1.5, s_grid=[0.5])
+    # at 12j it overflows only on cells of zero weight, which the tail cut
+    # drops, so s = 0.5 settles; the 1-D end s = 0 still overflows
+    with pytest.raises(AccuracyError, match="not finite"):
         exp_flow_phi(ExpFamily(atoms=((1.0, 12j),)), 1.5, s_grid=[0.5])
 
 
@@ -247,9 +255,119 @@ def test_exp_flow_non_finite_endpoint_raises(monkeypatch):
         exp_flow_phi(ExpFamily(atoms=((1e300, 0.0),)), 4 / 3, s_grid=[0.0, 1.0])
     # with phi(1) NaN and phi(0) finite, the comparison phi(0) > phi(1) + tol is false
     p = 4 / 3
-    monkeypatch.setattr(hypflow.hausdorff_young, "_abs_power_average", lambda fn, r: math.nan if r == p else 1.0)
+    monkeypatch.setattr(
+        hypflow.hausdorff_young,
+        "_abs_power_average",
+        lambda fn, r: Estimate(math.nan if r == p else 1.0, 64, math.inf, False),
+    )
     with pytest.raises(AccuracyError, match="not finite"):
         exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), p, s_grid=[0.5])
+
+
+def _exp_cases(rng, count, max_freq, ps=(4 / 3, 1.5, 2.0)):
+    """(family, p, s): 1-3 atoms, normal amplitudes, |t| <= max_freq, every other one real."""
+    for trial in range(count):
+        k = int(rng.integers(1, 4))
+        freqs = rng.uniform(0.0, max_freq, size=k) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=k))
+        if trial % 2:
+            freqs = freqs.real
+        amps = rng.normal(size=k) + 1j * rng.normal(size=k)
+        s = float(rng.choice([0.05, 0.3, 0.5, 0.9, 0.99]))
+        yield ExpFamily(atoms=tuple(zip(amps, freqs))), float(rng.choice(ps)), s
+
+
+def test_exp_flow_factors_match_phi_s_closed():
+    rng = np.random.default_rng(11)
+    for fam, p, s in _exp_cases(rng, 12, 3.0):
+        z = 1j * math.sqrt(p / conjugate_exponent(p))
+        freqs = np.abs([t for _, t in fam.atoms])
+        for n in (64, 512):
+            x = gh_rule(n).nodes
+            left, right = hypflow.hausdorff_young._exp_flow_factors(fam, s, z, x)
+            assert left.shape == (n, len(fam.atoms)) and right.shape == (len(fam.atoms), n)
+            got = left @ right
+            want = fam.phi_s_closed(s, z, x[:, None], x[None, :])
+            size = np.abs(left) @ np.abs(right)
+            # phi_s_closed rounds exponents of size up to |t| (|x| + |u| + |t|),
+            # over 100 at the 512-node edges: agree to a few ulp of that
+            exponent = 1.0 + freqs.max() * (np.abs(x)[:, None] + np.abs(x)[None, :] + freqs.max())
+            assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * exponent * size)
+
+
+def test_exp_flow_grid_cut_within_its_bound(monkeypatch):
+    rng = np.random.default_rng(12)
+    rule = gh_rule(512)
+    dropped = 0
+    for fam, p, s in _exp_cases(rng, 12, 3.0):
+        q = conjugate_exponent(p)
+        z = 1j * math.sqrt(p / q)
+        left, right = hypflow.hausdorff_young._exp_flow_factors(fam, s, z, rule.nodes)
+        bounds = []
+        kernel = cube.cut_mixed_norm
+        monkeypatch.setattr(cube, "cut_mixed_norm", lambda *args, **kw: bounds.append(args[5]) or kernel(*args, **kw))
+        value, cut = factored_mixed_norm(left, right, rule.weights, rule.weights, p, q, share=_GRID_SHARE)
+        monkeypatch.undo()
+        cells = left @ right
+        table = np.abs(cells) ** q
+        spread, big_r, big_c = bounds[0]
+        assert np.all(table <= (1.0 + 1e-12) * spread * (big_r @ big_c))  # the majorant holds
+        full = float(np.dot(rule.weights, (table @ rule.weights) ** (p / q)))
+        assert 0.0 <= cut.bound <= cube.TAIL_RTOL
+        assert value <= full * (1.0 + 1e-15)
+        assert full - value <= cut.bound * value + 1e-15 * full
+        dropped += cut.cells_kept < cut.cells
+        # a bound no cut can meet: every cell is formed, bit for bit as here
+        monkeypatch.setattr(cube, "TAIL_RTOL", -1.0)
+        forced, forced_cut = factored_mixed_norm(left, right, rule.weights, rule.weights, p, q, share=_GRID_SHARE)
+        table = cube._abs_q(cells.real.copy(), cells.imag.copy(), q)
+        assert forced == float(np.dot(rule.weights, (table @ rule.weights) ** (p / q)))
+        assert forced_cut == cube.TailCut(0.0, 512 * 512, 512 * 512)
+        monkeypatch.undo()
+    assert dropped == 12
+
+
+@pytest.mark.parametrize("max_freq, sizes", [(20.0, (64, 512)), (80.0, (32, 64))])
+def test_exp_flow_grids_finite_where_the_full_grids_are(max_freq, sizes):
+    # R and C split one exp into two; the largest real exponent of each atom
+    # is shared between them, so neither factor overflows on its own
+    rng = np.random.default_rng(13)
+    finite = 0
+    for trial, (fam, p, s) in enumerate(_exp_cases(rng, 60, max_freq, (1.1, 4 / 3, 1.5, 2.0))):
+        rule = gh_rule(sizes[trial % 2])
+        q = conjugate_exponent(p)
+        left, right = hypflow.hausdorff_young._exp_flow_factors(fam, s, 1j * math.sqrt(p / q), rule.nodes)
+        with np.errstate(all="ignore"):
+            want = doubling_reference.exp_grid_value(fam, p, s, rule)
+            got = factored_mixed_norm(left, right, rule.weights, rule.weights, p, q, share=_GRID_SHARE)[0]
+        if math.isfinite(want):
+            finite += 1
+            assert abs(got - want) <= 1e-12 * want, (fam, p, s)
+    assert finite >= 15
+
+
+def test_exp_flow_factors_share_the_largest_exponent():
+    # one real atom far past the 32-node range: at s = 1/2, exp(-zu^2/2) alone
+    # overflows and exp(-zx^2/2) alone underflows, yet every cell is finite
+    fam, p, s, rule = ExpFamily(atoms=((1.0, 80.0),)), 1.5, 0.5, gh_rule(32)
+    left, right = hypflow.hausdorff_young._exp_flow_factors(fam, s, 1j * math.sqrt(p / 3.0), rule.nodes)
+    assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+    got = factored_mixed_norm(left, right, rule.weights, rule.weights, p, 3.0, share=_GRID_SHARE)[0]
+    want = doubling_reference.exp_grid_value(fam, p, s, rule)
+    assert 0.0 < want and abs(got - want) <= 1e-12 * want
+
+
+def test_exp_flow_diagnostics_list_every_capped_sample():
+    # the README family at p = 4/3 hits the 512-node cap from s = 0.6 on, and
+    # its s = 1 end (a 1-D ladder) stops unconverged at 4096 nodes
+    fam = ExpFamily(atoms=((1.0, 0.5), (-0.3, -1.1)))
+    report = exp_flow_phi(fam, 4 / 3, s_grid=[0.25, 0.5, 0.75])
+    assert report.diagnostics["cap_hits"] == [0.75, 1.0]
+    assert 0.0 < report.diagnostics["tail_bound"] <= 1e-15
+    assert 0.0 < report.diagnostics["cells_kept_share"] < 0.5
+    smooth = exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), 2.0, s_grid=[0.0, 0.5, 1.0])
+    assert smooth.diagnostics["cap_hits"] == []
+    pinned = exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), 2.0, s_grid=[0.5], rule=64)
+    assert 0.0 < pinned.diagnostics["cells_kept_share"] < 1.0 and pinned.diagnostics["cap_hits"] == []
 
 
 def test_exp_flow_endpoint_change_of_variables():

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermitenorm
 
-from hypflow.quadrature import Estimate, _gh_rule_cached, doubled, gh_rule, integrate_entire
+from hypflow.quadrature import (
+    Estimate,
+    _first_guesses,
+    _gh_rule_cached,
+    _orthonormal_ladder,
+    doubled,
+    gh_rule,
+    integrate_entire,
+)
 
 import gh_rule_reference
 
@@ -107,6 +115,16 @@ def test_rules_match_the_eigenvalue_rules_through_300_nodes():
 @pytest.mark.parametrize("n", [512, 1024, 2047, 2048, 4095, 4096])
 def test_large_rules_match_the_eigenvalue_rules(n):
     _assert_matches_reference_rule(n)
+
+
+def test_in_place_ladder_is_bit_identical_to_the_allocating_one():
+    for n in [*range(1, 400), 511, 512, 513, 1023, 2047, 3670, 4095]:
+        # the first guesses and points 10 % beyond them, past the largest zero
+        guesses = _first_guesses(n)
+        x = np.concatenate((guesses, 1.1 * guesses))
+        got, want = _orthonormal_ladder(x, n), gh_rule_reference._orthonormal_ladder(x, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, err_msg=str(n))
 
 
 def _hermite_zero(n: int, guess: float) -> Decimal:
