@@ -190,6 +190,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
         "errors_strictly_decreasing": decreasing,
         "worst_error": max(errs) if errs else 0.0,
         "verdict": "converging" if decreasing else "not-decreasing",
+        "continuous": table.diagnostics,
     }
     return (EXIT_OK if decreasing else EXIT_VIOLATION), manifest
 
@@ -217,6 +218,7 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
         "endpoint_norm_fhat_q": norm_fhat,
         "endpoint_scaled_norm_f_p": scaled_norm,
         **verdicts,
+        **report.diagnostics,
     }
     ok = verdicts["nondecreasing"] and norm_fhat <= scaled_norm + (config.tol or 1e-8)
     return (EXIT_OK if ok else EXIT_VIOLATION), manifest

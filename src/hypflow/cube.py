@@ -399,7 +399,9 @@ class CollapsedTable:
     table[a, b] = sum_{j,m} first[j, a] mix[j, m] second[m, b], with the real
     block matrices of the first k and the last n - k coordinates and the
     complex coupling mix[j, m] = a_{j+m} C(j+m, m) z^m.  np.asarray gives the
-    dense table; mixed_norm_collapsed forms only the cells it keeps.
+    dense table; mixed_norm_collapsed forms only the cells it keeps.  The
+    Janson grids of flows are the same table in the Gaussian limit, with
+    Hermite polynomials or monomials at Gauss nodes as the block matrices.
     """
 
     first: np.ndarray
@@ -533,6 +535,16 @@ def factored_mixed_norm(
     return cut_mixed_norm(abs_q, w_rows, w_cols, p, q, bound, share=share)
 
 
+def table_mixed_norm(
+    table: CollapsedTable, w_rows: np.ndarray, w_cols: np.ndarray, p: float, q: float, *, share: float
+) -> tuple[float, TailCut]:
+    """factored_mixed_norm of a CollapsedTable over the N nonzero columns m
+    of its mix: f[a, b] = sum_m C[a, m] second[m, b], C = row_coefficients()."""
+    active = np.any(table.mix != 0, axis=0)
+    coeffs, second = table.row_coefficients()[:, active], table.second[active]
+    return factored_mixed_norm(coeffs, second, w_rows, w_cols, p, q, share=share)
+
+
 def mixed_norm_collapsed(
     table: CollapsedTable | np.ndarray,
     n: int,
@@ -546,8 +558,7 @@ def mixed_norm_collapsed(
     `table[a, b]` holds the function value at any point with a (+1)s in the
     first block and b in the second; the averages become binomially weighted
     sums over the counts.  A CollapsedTable (from symmetric_tzk_table) is
-    cut by factored_mixed_norm over the N nonzero columns m of mix,
-    f(a, b) = sum_m C[a, m] V[m, b].  A dense table is summed whole.  If
+    cut by table_mixed_norm.  A dense table is summed whole.  If
     `cuts` is given, the TailCut of this call is appended to it.
     """
     _check_exponents(p, q)
@@ -555,9 +566,7 @@ def mixed_norm_collapsed(
         raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
     w_first, w_second = log_binomial_weights(k), log_binomial_weights(n - k)
     if isinstance(table, CollapsedTable):
-        active = np.any(table.mix != 0, axis=0)
-        coeffs, second = table.row_coefficients()[:, active], table.second[active]
-        value, cut = factored_mixed_norm(coeffs, second, w_first, w_second, p, q, share=_CUT_SHARE)
+        value, cut = table_mixed_norm(table, w_first, w_second, p, q, share=_CUT_SHARE)
     else:
         table = np.asarray(table, dtype=complex)
 
@@ -585,8 +594,23 @@ def symmetric_tzk_table(spec: SymmetricSpec, z: complex, k: int) -> CollapsedTab
     if not 0 <= k <= n:
         raise ValueError(f"split index must satisfy 0 <= k <= {n}")
     l_max = spec.degree
+    return CollapsedTable(
+        _block_phi_matrix(l_max, n, k), _block_phi_matrix(l_max, n, n - k), coupling_matrix(spec.a, z)
+    )
+
+
+def coupling_matrix(a: np.ndarray, z: complex) -> np.ndarray:
+    """mix[j, m] = a_{j+m} C(j+m, m) z^m, zero for j + m > deg.
+
+    By the binomial identity B_l(x + z y) = sum_m C(l, m) B_{l-m}(x) z^m B_m(y),
+    sum_l a_l B_l(x + z y) = sum_{j,m} B_j(x) mix[j, m] B_m(y).  It holds for
+    the block symmetric functions (symmetric_tzk_table), for the monomials,
+    and for the scaled Hermite polynomials when sigma splits into the two
+    blocks' variances (the Janson grids of flows).
+    """
+    l_max = len(a) - 1
     mix = np.zeros((l_max + 1, l_max + 1), dtype=complex)
     for j in range(l_max + 1):
         for m in range(l_max + 1 - j):
-            mix[j, m] = spec.a[j + m] * math.comb(j + m, m) * complex(z) ** m
-    return CollapsedTable(_block_phi_matrix(l_max, n, k), _block_phi_matrix(l_max, n, n - k), mix)
+            mix[j, m] = a[j + m] * math.comb(j + m, m) * complex(z) ** m
+    return mix

@@ -13,13 +13,14 @@ for polynomial g.  J is evaluated by three independent routes:
 
   * janson_quadrature - the inner double Gaussian average is itself done by
     a product quadrature (exact for polynomials once the rule covers the
-    degree); nothing but the defining integrals is used.
+    degree); nothing but the defining integrals is used: the moments of
+    the inner rule's shifts give the inner polynomial's coefficients.
   * janson_mehler - the inner average collapses to the scaled-Hermite sum
     sum a_l h_l(X; sigma) with X = u sqrt(s) + z x sqrt(1-s) and
-    sigma = s + (1-s) z^2, where h_l(X; sigma) = sigma^{l/2} H_l(X/sqrt(sigma))
-    is evaluated by the branch-free recurrence h_{l+1} = X h_l - l sigma h_{l-1}.
-    This removes the removable singularity at sigma = 0 that the closed
-    form with explicit square roots exhibits.
+    sigma = s + (1-s) z^2, where h_l(X; sigma) = sigma^{l/2} H_l(X/sqrt(sigma)).
+    It splits into H_j(u) and H_m(x) factors (below), so no square root of
+    sigma is taken, and sigma = 0, a removable singularity of the closed
+    form with explicit square roots, is regular.
   * janson_heat - the inner average is the heat flow of g~ at complex time
     (1-s)(1-z^2) evaluated at u + z x, and the two outer averages are heat
     flows at real times s and 1-s evaluated at 0.
@@ -28,47 +29,43 @@ Any disagreement between evaluators beyond tolerance is an error, never
 averaged away.
 
 The outer averages run on the product u-by-x grid of one Gauss-Hermite rule,
-doubled until the value is stable.  Past ~100 nodes most of that grid carries
-weights too small to matter, so each evaluator also supplies a separable
-majorant |inner(u, x)| <= M_u(|u|) + M_x(|x|), and only a centred block of
-the grid is formed; the dropped cells are bounded and the bound is checked
-against the kept value by cube.cut_mixed_norm, the kernel that cuts the
-discrete flow's tables too (its docstring holds the proof).  Each evaluator
-passes its inner average as a function of X = u sqrt(s) + z x sqrt(1-s)
-and a bound P with |inner| <= P(|X|).  With P nonnegative and
-nondecreasing on [0, inf) and |X| <= sqrt(s)|u| + |z| sqrt(1-s)|x|:
+doubled until the value is stable.  Each evaluator reduces its inner average
+to a polynomial sum_l c_l P_l(X) in X = sqrt(s) u + z sqrt(1-s) x, in the
+basis P_{l+1} = X P_l - l kappa P_{l-1}: the scaled Hermite polynomials
+h_l(X; sigma), sigma = s + (1-s) z^2, for mehler (kappa = 1), the monomials
+for quadrature and heat (kappa = 0).  Both split across the two axes by
+the binomial identity, so the grid is the Gaussian limit of the discrete
+flow's collapsed table (cube.coupling_matrix):
 
-    M_u(a) = P(2 sqrt(s) a),   M_x(b) = P(2 |z| sqrt(1-s) b),
+    inner(u_i, x_k) = sum_{j,m} P_j(u_i) s^{j/2} c_{j+m} C(j+m, m) (z sqrt(1-s))^m P_m(x_k),
 
-since P of a sum is at most P of twice the larger term (at s = 0, s = 1 or
-z = 0 one axis drops out of X, takes P alone and the other 0).  Per
-evaluator:
-
-  * mehler: P(t) = sum |c_l| Hbar_l(t; |sigma|), with the absolute-value
-    recurrence Hbar_{m+1} = t Hbar_m + m |sigma| Hbar_{m-1}.
-  * quadrature: P(t) = sum_k w_k sum |a_l| (t + |shift_k|)^l over the
-    inner rule's imaginary shifts and weights.
-  * heat: P(t) = sum |a_l| t^l on the evolved coefficients.
+with P at kappa = 1 the Hermite polynomials He.  That rank-(d+1) table goes
+through cube.table_mixed_norm, the kernel that cuts the cube's tables too:
+the power-mean majorant (d+1)^{q-1} |left|^q |right|^q chooses the centred
+block of cells that carries weight, the dropped cells are bounded, and the
+full grid is formed if the bound exceeds cube.TAIL_RTOL (the proof is in
+cube.cut_mixed_norm).  No cell is evaluated by a per-cell recurrence.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from .cube import (
+    CollapsedTable,
     CubeFunction,
     SymmetricSpec,
     TailCut,
     apply_Tzk,
-    cut_mixed_norm,
+    coupling_matrix,
     cut_summary,
     mixed_norm,
     mixed_norm_collapsed,
     symmetric_tzk_table,
+    table_mixed_norm,
 )
 from .errors import AccuracyError, EvaluatorMismatchError
 from .hermite import (
@@ -154,63 +151,13 @@ class OuterStats:
     capped: bool = False
 
 
-def _separable_majorant(
-    bound: Callable[[np.ndarray], np.ndarray], rs: float, zrc: complex, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(M_u, M_x) at the nodes for |inner(u, x)| <= P(|rs u + zrc x|).
-
-    P (`bound`) must be nonnegative and nondecreasing on [0, inf).  Then
-    P(a + b) <= P(2 max(a, b)) <= P(2a) + P(2b).  When rs or zrc is 0
-    (s = 1, s = 0 or z = 0), X depends on one axis at most and that axis
-    takes P(a) alone, the other 0.
-    """
-    a = np.abs(nodes)
-    if rs and zrc:
-        return bound(2.0 * rs * a), bound(2.0 * abs(zrc) * a)
-    if zrc:
-        return np.zeros_like(a), bound(abs(zrc) * a)
-    return bound(rs * a), np.zeros_like(a)
-
-
-def _monomial_majorant(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> sum |a_l| t^l, which bounds |sum a_l w^l| for |w| <= t."""
-    abs_coeffs = np.abs(coeffs)
-    return lambda t: _poly.polyval(t, abs_coeffs)
-
-
-def _outer_average(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rule: QuadratureRule,
-    p: float,
-    q: float,
-    majorant: tuple[np.ndarray, np.ndarray] | None = None,
-    cuts: list[TailCut] | None = None,
-) -> float:
-    """E_u (E_x |inner(u, x)|^q)^{p/q} on the rule's product grid.
-
-    integrand(u, x) gives inner on the product of the node arrays u (rows)
-    and x (columns).  Without a majorant every cell is formed.  With
-    majorant = (M_u, M_x) at the nodes, |inner(u_i, x_j)| <= M_u[i] + M_x[j],
-    cut_mixed_norm forms only the block that carries weight under the
-    rank-2 majorant |inner|^q <= 2^{q-1} (M_u[i]^q * 1 + 1 * M_x[j]^q) of
-    the power mean inequality.  If `cuts` is given, the TailCut of this
-    grid is appended to it.
-    """
-    nodes, w = rule.nodes, rule.weights
-    bound = None
-    if majorant is not None:
-        ones = np.ones_like(w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu_q, mx_q = majorant[0] ** q, majorant[1] ** q
-        bound = (2.0 ** (q - 1.0), np.stack((mu_q, ones), axis=1), np.stack((ones, mx_q)))
-
-    def abs_q(rows: slice, cols: slice) -> np.ndarray:
-        return np.abs(integrand(nodes[rows], nodes[cols])) ** q
-
-    value, cut = cut_mixed_norm(abs_q, w, w, p, q, bound, share=_GRID_SHARE)
-    if cuts is not None:
-        cuts.append(cut)
-    return value
+def outer_diagnostics(samples: Sequence[tuple[float, OuterStats]], *extra: OuterStats) -> dict:
+    """The parameters of the samples whose doubling stopped at the cap
+    (cap_hits) and, if any grid was cut, cut_summary over the grids of the
+    samples and of `extra` (tail_bound, cells_kept_share)."""
+    cuts = [cut for st in (*(st for _, st in samples), *extra) for cut in st.cuts]
+    hits = {"cap_hits": [float(s) for s, st in samples if st.capped]}
+    return {**cut_summary(cuts), **hits} if cuts else hits
 
 
 def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStats | None = None) -> float:
@@ -231,18 +178,25 @@ def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStat
     return est.value
 
 
-def _janson_outer(inner, bound, s: float, t: ExponentTriple, rule, stats) -> float:
-    """J(s) on the outer grids of inner(X), X = sqrt(s) u + z sqrt(1-s) x,
-    with the majorant of P = bound (see _separable_majorant)."""
-    rs, zrc = math.sqrt(s), t.z * math.sqrt(1.0 - s)
-    cuts = None if stats is None else stats.cuts
+def _basis(nodes: np.ndarray, kappa: float, degree: int) -> np.ndarray:
+    """Rows P_0..P_degree at the nodes, P_{j+1} = y P_j - j kappa P_{j-1}."""
+    unit = np.eye(degree + 1)
+    return np.array([hermite_scaled_sum(unit[j, : j + 1], nodes, kappa).real for j in range(degree + 1)])
 
-    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return inner(rs * u[:, None] + zrc * x[None, :])
+
+def _janson_outer(coeffs: np.ndarray, kappa: float, s: float, t: ExponentTriple, rule, stats) -> float:
+    """J(s) for the inner average sum_l coeffs[l] P_l(X), X = sqrt(s) u + z sqrt(1-s) x,
+    as the factored table P(u)^T diag(sqrt(s)^j) mix P(x) (see the module docstring)."""
+    scale = math.sqrt(s) ** np.arange(coeffs.size)
+    mix = scale[:, None] * coupling_matrix(coeffs, t.z * math.sqrt(1.0 - s))
 
     def evaluate(rule: QuadratureRule) -> float:
-        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
-        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
+        basis = _basis(rule.nodes, kappa, coeffs.size - 1)
+        table = CollapsedTable(basis, basis, mix)
+        value, cut = table_mixed_norm(table, rule.weights, rule.weights, t.p, t.q, share=_GRID_SHARE)
+        if stats is not None:
+            stats.cuts.append(cut)
+        return value
 
     return _auto_outer(evaluate, rule, stats=stats)
 
@@ -269,38 +223,13 @@ def janson_quadrature(
         1j * rs * inner_rule.nodes[:, None] + 1j * t.z * rc * inner_rule.nodes[None, :]
     ).ravel()
     inner_w = (inner_rule.weights[:, None] * inner_rule.weights[None, :]).ravel()
-    poly_bound = _monomial_majorant(g.coeffs)
-    abs_shift = np.abs(inner_shift)[:, None]
-
-    def bound(radius: np.ndarray) -> np.ndarray:
-        # |inner| <= sum_k w_k |g(X + shift_k)| <= sum_k w_k P(|X| + |shift_k|)
-        return inner_w @ poly_bound(radius + abs_shift)
-
-    def inner(base: np.ndarray) -> np.ndarray:
-        out = np.zeros(base.shape, dtype=complex)
-        for shift, weight in zip(inner_shift, inner_w):
-            out += weight * g(base + shift)
-        return out
-
-    return _janson_outer(inner, bound, s, t, rule, stats)
-
-
-def _scaled_hermite_majorant(coeffs: np.ndarray, sigma: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> sum |c_l| Hbar_l(t), Hbar_{m+1} = t Hbar_m + m |sigma| Hbar_{m-1}.
-
-    By induction |h_l(X; sigma)| <= Hbar_l(|X|), and Hbar_l has nonnegative
-    coefficients, so the sum bounds |sum c_l h_l(X; sigma)| for |X| <= t.
-    """
-    abs_coeffs, abs_sigma = np.abs(coeffs), abs(sigma)
-
-    def bound(t: np.ndarray) -> np.ndarray:
-        out, prev, cur = np.zeros_like(t), np.zeros_like(t), np.ones_like(t)
-        for m, c in enumerate(abs_coeffs):
-            out += c * cur
-            prev, cur = cur, t * cur + m * abs_sigma * prev
-        return out
-
-    return bound
+    degrees = np.arange(g.degree + 1)
+    moments = (inner_shift[None, :] ** degrees[:, None]) @ inner_w
+    # E g(X + shift) = sum_m X^m sum_l a_l C(l, m) E[shift^(l-m)]
+    coeffs = np.array(
+        [sum(g.coeffs[l] * math.comb(l, m) * moments[l - m] for l in range(m, g.degree + 1)) for m in degrees]
+    )
+    return _janson_outer(coeffs, 0.0, s, t, rule, stats)
 
 
 def janson_mehler(
@@ -310,14 +239,12 @@ def janson_mehler(
     rule: QuadratureRule | int | None = None,
     stats: OuterStats | None = None,
 ) -> float:
-    """J(s) with the inner average in scaled-Hermite closed form."""
+    """J(s) with the inner average in scaled-Hermite closed form,
+    sum a_l h_l(X; sigma) with sigma = s + (1-s) z^2 (see hermite_scaled_sum)."""
     t.require_ordered()
     if not 0.0 <= s <= 1.0:
         raise ValueError("flow parameter s must lie in [0, 1]")
-    coeffs = gaussian_smooth(g).coeffs
-    sigma = s + (1.0 - s) * t.z * t.z
-    bound = _scaled_hermite_majorant(coeffs, sigma)
-    return _janson_outer(lambda x: hermite_scaled_sum(coeffs, x, sigma), bound, s, t, rule, stats)
+    return _janson_outer(gaussian_smooth(g).coeffs, 1.0, s, t, rule, stats)
 
 
 def janson_heat(
@@ -342,7 +269,7 @@ def janson_heat(
         raise ValueError("flow parameter s must lie in [0, 1]")
     poly = basis_convert(gt, "hermite_to_monomial")
     evolved = heat_poly_series((1.0 - s) * (1.0 - t.z * t.z), poly)
-    return _janson_outer(evolved, _monomial_majorant(evolved.coeffs), s, t, rule, stats)
+    return _janson_outer(evolved.coeffs, 0.0, s, t, rule, stats)
 
 
 _EVALUATORS = {
@@ -386,10 +313,7 @@ def janson_flow(
                     f"evaluators disagree at s = {grid[i]}: "
                     f"{evaluator} gave {values[i]!r}, quadrature gave {ref!r}"
                 )
-    diagnostics = {
-        **cut_summary([cut for st in (*stats, spot) for cut in st.cuts]),
-        "cap_hits": [float(s) for s, st in zip(grid, stats) if st.capped],
-    }
+    diagnostics = outer_diagnostics(list(zip(grid, stats)), spot)
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 
@@ -404,16 +328,18 @@ def convergence_experiment(
 
     The discrete side runs the collapsed backend (block-symmetric inputs
     only); the continuous side is the scaled-Hermite evaluator with the same
-    exponents and damping.
+    exponents and damping, and the table's diagnostics say how its outer
+    grids went (outer_diagnostics).
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a_ for a_, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    continuous = janson_mehler(PolySeries(np.asarray(a, dtype=complex)), t, s, rule)
+    stats = OuterStats()
+    continuous = janson_mehler(PolySeries(np.asarray(a, dtype=complex)), t, s, rule, stats)
     rows = []
     for n in n_list:
         k = round(s * n)
         spec = SymmetricSpec(n=n, a=np.asarray(a, dtype=complex))
         discrete = discrete_flow(spec, t, ks=[k]).values[0]
         rows.append(ConvergenceRow(n=n, k=k, discrete=discrete, continuous=continuous))
-    return ConvergenceTable(rows=tuple(rows))
+    return ConvergenceTable(rows=tuple(rows), diagnostics=outer_diagnostics([(s, stats)]))

@@ -42,8 +42,8 @@ from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
 from .quadrature import Estimate, QuadratureRule, doubled, integrate_entire, resolve_rule
 from .reporting import FlowReport
 from .two_point import ExponentTriple
-from .cube import cut_summary, factored_mixed_norm
-from .flows import _GRID_SHARE, OuterStats, _auto_outer, default_s_grid, janson_mehler
+from .cube import factored_mixed_norm
+from .flows import _GRID_SHARE, OuterStats, _auto_outer, default_s_grid, janson_mehler, outer_diagnostics
 
 _ENDPOINT_TOL = 1e-8
 
@@ -129,16 +129,22 @@ def phi_flow(
     s_grid: Sequence[float] | None = None,
     rule: QuadratureRule | int | None = None,
 ) -> FlowReport:
-    """phi(s) = (J(s) p^{1/2} / q^{p/2q})^{1/p} over the grid, z = i sqrt(p-1)."""
+    """phi(s) = (J(s) p^{1/2} / q^{p/2q})^{1/p} over the grid, z = i sqrt(p-1).
+
+    The report's diagnostics are flows.outer_diagnostics of the samples:
+    cap_hits on both routes, tail_bound and cells_kept_share on the
+    polynomial route, whose grids are cut.
+    """
     grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
     p, q = inp.p, inp.q
     bridge = math.sqrt(p) / q ** (p / (2.0 * q))
     values = []
-    for s in grid:
+    stats = [OuterStats() for _ in grid]
+    for s, st in zip(grid, stats):
         s = float(s)
         if inp.g_tilde is not None:
             j_val = janson_mehler(
-                PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), s, rule
+                PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), s, rule, st
             )
         else:
             atom = inp.g_tilde_atom()
@@ -150,9 +156,10 @@ def phi_flow(
                 big_x = rs * r.nodes[:, None] + z * rc * r.nodes[None, :]
                 return _outer_average_log(mehler_atom_log_abs(sigma, atom, big_x), r, p, q)
 
-            j_val = _auto_outer(evaluate, rule)
+            j_val = _auto_outer(evaluate, rule, stats=st)
         values.append((j_val * bridge) ** (1.0 / p))
-    return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)))
+    diagnostics = outer_diagnostics(list(zip(grid, stats)))
+    return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 
 def _poly_gaussian_lr_norm(poly: PolySeries, quad: float, log_amp: float, r: float) -> float:
@@ -317,10 +324,10 @@ def exp_flow_phi(
     comparison phi_exp(0) <= phi_exp(1) is asserted; violation raises
     InequalityViolationError, and a non-finite endpoint raises
     AccuracyError.  The report's diagnostics give, over every interior grid
-    formed, the largest certified relative bound of the dropped cells
-    (tail_bound) and the share of cells kept (cells_kept_share), and every
-    s, the ends included, whose doubling stopped at its cap unconverged
-    (cap_hits).
+    formed (none: no entry), the largest certified relative bound of the
+    dropped cells (tail_bound) and the share of cells kept
+    (cells_kept_share), and every s, the ends included, whose doubling
+    stopped at its cap unconverged (cap_hits).
     """
     q = conjugate_exponent(p)
     z = 1j * math.sqrt(p / q)
@@ -362,10 +369,7 @@ def exp_flow_phi(
             rhs=phi1,
             witness=fam,
         )
-    diagnostics = {
-        **cut_summary([cut for st in stats.values() for cut in st.cuts]),
-        "cap_hits": [s for s in sorted(stats) if stats[s].capped],
-    }
+    diagnostics = outer_diagnostics(sorted(stats.items()))
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 

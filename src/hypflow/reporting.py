@@ -107,10 +107,15 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Discrete-vs-continuous values with a least-squares log-log error slope."""
+    """Discrete-vs-continuous values with a least-squares log-log error slope.
+
+    diagnostics holds how the continuous value was obtained, for the
+    manifest only, as in FlowReport.
+    """
 
     rows: tuple[ConvergenceRow, ...]
     noise_floor: float = 1e-13
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def slope(self) -> float | None:

@@ -8,8 +8,12 @@ quadrature.doubled, with the code they fed.
 doubling, the shared recentred norm and the shared Mehler-atom formula to
 return the same values.  `exp_grid_value` and `exp_flow_interior` are the
 interior samples of `exp_flow_phi` as they were before the factored grids:
-`phi_s_closed` on every cell of every grid.  Not collected by pytest (no
-test_ prefix).
+`phi_s_closed` on every cell of every grid.  `janson_quadrature`,
+`janson_mehler` and `janson_heat` (with `_janson_outer`, `_outer_average`
+and the separable majorants they pass) are the Janson evaluators as they
+were before their grids became factored tables: the inner polynomial by a
+per-cell recurrence on every cell formed, under the rank-2 majorant
+M_u(|u|) + M_x(|x|).  Not collected by pytest (no test_ prefix).
 """
 from __future__ import annotations
 
@@ -17,19 +21,30 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as _poly
 
+from hypflow.cube import TailCut, cut_mixed_norm
 from hypflow.errors import AccuracyError, DomainError, InequalityViolationError
 from hypflow.flows import OuterStats
 from hypflow.gaussian_atoms import DOMAIN_EPS, GaussianAtom, _require_damping, fourier_transform_atom
 from hypflow.hausdorff_young import ExpFamily, HYInput, conjugate_exponent, sharp_constant
-from hypflow.hermite import PolySeries, basis_convert, heat_poly_series
+from hypflow.hermite import (
+    HermiteSeries,
+    PolySeries,
+    basis_convert,
+    gaussian_smooth,
+    heat_poly_series,
+    hermite_scaled_sum,
+)
 from hypflow.quadrature import QuadratureRule, gh_rule, resolve_rule
+from hypflow.two_point import ExponentTriple
 
 MAX_NODES = 512
 _AUTO_START = 32
 _AUTO_CAP = 512
 _AUTO_RTOL = 1e-10
 _ENDPOINT_TOL = 1e-8
+_GRID_SHARE = 1e-28
 
 
 def converged_value(
@@ -292,3 +307,176 @@ def exp_grid_value(fam: ExpFamily, p: float, s: float, rule: QuadratureRule) -> 
 def exp_flow_interior(fam: ExpFamily, p: float, s: float) -> float:
     """exp_flow_phi at one interior s: exp_grid_value doubled by _auto_outer."""
     return _auto_outer(lambda rule: exp_grid_value(fam, p, s, rule), None, raise_on_failure=True)
+
+
+def _separable_majorant(
+    bound: Callable[[np.ndarray], np.ndarray], rs: float, zrc: complex, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M_u, M_x) at the nodes for |inner(u, x)| <= P(|rs u + zrc x|).
+
+    P (`bound`) must be nonnegative and nondecreasing on [0, inf).  Then
+    P(a + b) <= P(2 max(a, b)) <= P(2a) + P(2b).  When rs or zrc is 0
+    (s = 1, s = 0 or z = 0), X depends on one axis at most and that axis
+    takes P(a) alone, the other 0.
+    """
+    a = np.abs(nodes)
+    if rs and zrc:
+        return bound(2.0 * rs * a), bound(2.0 * abs(zrc) * a)
+    if zrc:
+        return np.zeros_like(a), bound(abs(zrc) * a)
+    return bound(rs * a), np.zeros_like(a)
+
+
+def _monomial_majorant(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> sum |a_l| t^l, which bounds |sum a_l w^l| for |w| <= t."""
+    abs_coeffs = np.abs(coeffs)
+    return lambda t: _poly.polyval(t, abs_coeffs)
+
+
+def _outer_average(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rule: QuadratureRule,
+    p: float,
+    q: float,
+    majorant: tuple[np.ndarray, np.ndarray] | None = None,
+    cuts: list[TailCut] | None = None,
+) -> float:
+    """E_u (E_x |inner(u, x)|^q)^{p/q} on the rule's product grid.
+
+    integrand(u, x) gives inner on the product of the node arrays u (rows)
+    and x (columns).  Without a majorant every cell is formed.  With
+    majorant = (M_u, M_x) at the nodes, |inner(u_i, x_j)| <= M_u[i] + M_x[j],
+    cut_mixed_norm forms only the block that carries weight under the
+    rank-2 majorant |inner|^q <= 2^{q-1} (M_u[i]^q * 1 + 1 * M_x[j]^q) of
+    the power mean inequality.  If `cuts` is given, the TailCut of this
+    grid is appended to it.
+    """
+    nodes, w = rule.nodes, rule.weights
+    bound = None
+    if majorant is not None:
+        ones = np.ones_like(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu_q, mx_q = majorant[0] ** q, majorant[1] ** q
+        bound = (2.0 ** (q - 1.0), np.stack((mu_q, ones), axis=1), np.stack((ones, mx_q)))
+
+    def abs_q(rows: slice, cols: slice) -> np.ndarray:
+        return np.abs(integrand(nodes[rows], nodes[cols])) ** q
+
+    value, cut = cut_mixed_norm(abs_q, w, w, p, q, bound, share=_GRID_SHARE)
+    if cuts is not None:
+        cuts.append(cut)
+    return value
+
+
+def _janson_outer(inner, bound, s: float, t: ExponentTriple, rule, stats) -> float:
+    """J(s) on the outer grids of inner(X), X = sqrt(s) u + z sqrt(1-s) x,
+    with the majorant of P = bound (see _separable_majorant)."""
+    rs, zrc = math.sqrt(s), t.z * math.sqrt(1.0 - s)
+    cuts = None if stats is None else stats.cuts
+
+    def integrand(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return inner(rs * u[:, None] + zrc * x[None, :])
+
+    def evaluate(rule: QuadratureRule) -> float:
+        majorant = _separable_majorant(bound, rs, zrc, rule.nodes)
+        return _outer_average(integrand, rule, t.p, t.q, majorant, cuts)
+
+    return _auto_outer(evaluate, rule, stats=stats)
+
+
+def janson_quadrature(
+    g: PolySeries,
+    t: ExponentTriple,
+    s: float,
+    rule: QuadratureRule | int | None = None,
+    stats: OuterStats | None = None,
+) -> float:
+    """J(s) with the inner double average done by product quadrature.
+
+    The inner rule only needs to cover deg(g); the outer rule handles the
+    non-polynomial |.|^q layers and is doubled until stable when not given.
+    If `stats` is given, it records the outer grids (see OuterStats).
+    """
+    t.require_ordered()
+    if not 0.0 <= s <= 1.0:
+        raise ValueError("flow parameter s must lie in [0, 1]")
+    inner_rule = gh_rule(g.degree // 2 + 2)
+    rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
+    inner_shift = (
+        1j * rs * inner_rule.nodes[:, None] + 1j * t.z * rc * inner_rule.nodes[None, :]
+    ).ravel()
+    inner_w = (inner_rule.weights[:, None] * inner_rule.weights[None, :]).ravel()
+    poly_bound = _monomial_majorant(g.coeffs)
+    abs_shift = np.abs(inner_shift)[:, None]
+
+    def bound(radius: np.ndarray) -> np.ndarray:
+        # |inner| <= sum_k w_k |g(X + shift_k)| <= sum_k w_k P(|X| + |shift_k|)
+        return inner_w @ poly_bound(radius + abs_shift)
+
+    def inner(base: np.ndarray) -> np.ndarray:
+        out = np.zeros(base.shape, dtype=complex)
+        for shift, weight in zip(inner_shift, inner_w):
+            out += weight * g(base + shift)
+        return out
+
+    return _janson_outer(inner, bound, s, t, rule, stats)
+
+
+def _scaled_hermite_majorant(coeffs: np.ndarray, sigma: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> sum |c_l| Hbar_l(t), Hbar_{m+1} = t Hbar_m + m |sigma| Hbar_{m-1}.
+
+    By induction |h_l(X; sigma)| <= Hbar_l(|X|), and Hbar_l has nonnegative
+    coefficients, so the sum bounds |sum c_l h_l(X; sigma)| for |X| <= t.
+    """
+    abs_coeffs, abs_sigma = np.abs(coeffs), abs(sigma)
+
+    def bound(t: np.ndarray) -> np.ndarray:
+        out, prev, cur = np.zeros_like(t), np.zeros_like(t), np.ones_like(t)
+        for m, c in enumerate(abs_coeffs):
+            out += c * cur
+            prev, cur = cur, t * cur + m * abs_sigma * prev
+        return out
+
+    return bound
+
+
+def janson_mehler(
+    g: PolySeries,
+    t: ExponentTriple,
+    s: float,
+    rule: QuadratureRule | int | None = None,
+    stats: OuterStats | None = None,
+) -> float:
+    """J(s) with the inner average in scaled-Hermite closed form."""
+    t.require_ordered()
+    if not 0.0 <= s <= 1.0:
+        raise ValueError("flow parameter s must lie in [0, 1]")
+    coeffs = gaussian_smooth(g).coeffs
+    sigma = s + (1.0 - s) * t.z * t.z
+    bound = _scaled_hermite_majorant(coeffs, sigma)
+    return _janson_outer(lambda x: hermite_scaled_sum(coeffs, x, sigma), bound, s, t, rule, stats)
+
+
+def janson_heat(
+    gt: HermiteSeries,
+    t: ExponentTriple,
+    s: float,
+    rule: QuadratureRule | int | None = None,
+    stats: OuterStats | None = None,
+) -> float:
+    """J(s) as a composition of three heat flows.
+
+    Inner: the heat extension of g~ at complex time (1-s)(1-z^2), taken at
+    u + z*x (a polynomial identity, so the complex time is branch-free).
+    Outer: heat averages at real times 1-s (in x, at 0) and s (in u, at 0),
+    which reduce to scaled Gauss-Hermite sums.  Interior s only; the s = 0, 1
+    limits are delegated to the scaled-Hermite evaluator.
+    """
+    t.require_ordered()
+    if s in (0.0, 1.0):
+        return janson_mehler(PolySeries(gt.coeffs), t, s, rule, stats)
+    if not 0.0 < s < 1.0:
+        raise ValueError("flow parameter s must lie in [0, 1]")
+    poly = basis_convert(gt, "hermite_to_monomial")
+    evolved = heat_poly_series((1.0 - s) * (1.0 - t.z * t.z), poly)
+    return _janson_outer(evolved, _monomial_majorant(evolved.coeffs), s, t, rule, stats)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypflow.cli
@@ -247,6 +248,21 @@ def test_hy_flow_manifest_fields(tmp_path):
     assert abs(manifest["phi0"] - manifest["phi1"]) <= 1e-8
 
 
+def test_hy_flow_manifest_lists_capped_samples(tmp_path):
+    # at p = 1.5 (q = 3) |h|^3 is not smooth where h vanishes, and no sample
+    # of this input settles to 1e-10 by 512 nodes: the manifest must say so
+    code, out = run(["hy-flow", "--p", "1.5", "--hermite-coeffs", "1,2,0,1"], tmp_path)
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cap_hits"] == [float(s) for s in np.linspace(0.0, 1.0, 21)]
+    assert 0.0 < manifest["tail_bound"] <= 1e-15 and 0.0 < manifest["cells_kept_share"] < 1.0
+    # the atom route forms full grids: it reports cap_hits alone
+    code, out = run(["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "5"], tmp_path, "gaussian")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert code == EXIT_OK and manifest["cap_hits"] == []
+    assert "tail_bound" not in manifest and "cells_kept_share" not in manifest
+
+
 def test_hy_exp_runs_final_form(tmp_path):
     code, out = run(
         ["hy-exp", "--p", "1.5", "--atoms", "1:0.5,-0.3:-1.1", "--s-points", "5"], tmp_path
@@ -319,6 +335,9 @@ def test_converge_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["errors_strictly_decreasing"]
     assert manifest["slope"] is not None
+    continuous = manifest["continuous"]
+    assert continuous["cap_hits"] == []
+    assert 0.0 < continuous["tail_bound"] <= 1e-15 and 0.0 < continuous["cells_kept_share"] < 1.0
 
 
 def test_empty_flow_report_writes_header_only(tmp_path):

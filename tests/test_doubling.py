@@ -5,7 +5,9 @@ phi_flow, the reference Mehler-atom formula) back in with monkeypatch and
 runs it again: the values must be bit-identical, except the polynomial
 hy_endpoints route, whose norm exponent is rounded in another order.  The
 interior samples of exp_flow_phi, whose grids are now factored and cut,
-are also held to 1e-14 of the reference's full grids.
+are also held to 1e-14 of the reference's full grids, and the Janson
+evaluators, whose grids are now factored tables, to 2e-15 of the
+reference's per-cell grids.
 """
 import math
 
@@ -87,6 +89,41 @@ def test_janson_evaluators_bit_identical(name, monkeypatch):
     assert [st for _, st in new] == [st for _, st in old]  # cuts and capped
     assert any(st.capped for _, st in new) and not all(st.capped for _, st in new)
     assert pinned == evaluator(*cases[1][:3], 48, None)
+
+
+_REFERENCE_JANSON = {
+    "quadrature": ref.janson_quadrature,
+    "mehler": ref.janson_mehler,
+    "heat": lambda g, t, s, rule, stats: ref.janson_heat(gaussian_smooth(g), t, s, rule, stats),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JANSON))
+def test_janson_factored_grids_match_the_cell_grids(name):
+    # the rank-(d+1) factored tables against the frozen per-cell evaluators:
+    # z imaginary (Hausdorff-Young), complex (a gated triple as in the cube
+    # workloads), real and 0, every s on fixed and doubled rules, the degree
+    # cycling through 0..6
+    rng = np.random.default_rng(SEED + 3)
+    p, q = 1.6, 3.3
+    gated = 0.8 * math.sqrt((p - 1.0) / (q - 1.0)) * np.exp(0.7j)
+    triples = [
+        ExponentTriple(4 / 3, 4.0, 1j / math.sqrt(3.0)),
+        ExponentTriple(p, q, complex(gated)),
+        ExponentTriple(1.5, 3.0, 0.45),
+        ExponentTriple(2.0, 4.0, 0.0),
+    ]
+    cases = [(t, s, rule) for t in triples for s in (0.0, 0.3, 0.5, 0.97, 1.0) for rule in (64, 256, 512, None)]
+    capped = 0
+    for i, (t, s, rule) in enumerate(cases):
+        g = PolySeries(_complex_normal(rng, i % 7 + 1))
+        new, old = OuterStats(), OuterStats()
+        value = _JANSON[name](g, t, s, rule, new)
+        want = _REFERENCE_JANSON[name](g, t, s, rule, old)
+        assert abs(value - want) <= 2e-15 * want, (name, g.coeffs, t, s, rule)
+        assert new.capped == old.capped, (name, g.coeffs, t, s, rule)
+        capped += new.capped
+    assert 0 < capped < len(cases) // 4  # only the doubled rules can hit the cap
 
 
 def _phi_inputs():

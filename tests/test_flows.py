@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermevander
 
 from identity_checks import mixed_moment_check
 import hypflow.cube as cube
@@ -231,18 +232,19 @@ def _cut_and_full(monkeypatch, evaluate):
 
 
 def test_outer_majorants_bound_the_full_grid(monkeypatch):
-    # every cell of the full grid lies under M_u(|u|) + M_x(|x|)
+    # every cell of the full factored grid lies under the power-mean
+    # majorant K^(q-1) |left|^q @ |right|^q that chooses the cells formed
     checked = []
-    original = flows._outer_average
+    original = cube.factored_mixed_norm
 
-    def spy(integrand, rule, p, q, majorant=None, cuts=None):
-        m_u, m_x = majorant
-        size = np.abs(integrand(rule.nodes, rule.nodes))
-        assert np.all(size <= (m_u[:, None] + m_x[None, :]) * (1.0 + 1e-12))
-        checked.append(size.shape)
-        return original(integrand, rule, p, q, majorant, cuts)
+    def spy(left, right, w_rows, w_cols, p, q, *, share):
+        size_q = np.abs(left @ right) ** q
+        majorant = left.shape[1] ** (q - 1.0) * (np.abs(left) ** q @ np.abs(right) ** q)
+        assert np.all(size_q <= majorant * (1.0 + 1e-12))
+        checked.append(size_q.shape)
+        return original(left, right, w_rows, w_cols, p, q, share=share)
 
-    monkeypatch.setattr(flows, "_outer_average", spy)
+    monkeypatch.setattr(cube, "factored_mixed_norm", spy)
     rng = np.random.default_rng(0x3A7)
     rule = gh_rule(96)
     for z in (0.0, 0.7 - 0.4j, 1j * math.sqrt(1 / 3)):
@@ -252,7 +254,7 @@ def test_outer_majorants_bound_the_full_grid(monkeypatch):
             for s in (0.0, 0.3, 1.0):
                 for evaluate in flows._EVALUATORS.values():
                     evaluate(g, t, s, rule, None)
-    assert len(checked) == 3 * 4 * 3 * 3
+    assert len(checked) == 3 * 4 * 3 * 3 and set(checked) == {(96, 96)}
 
 
 @pytest.mark.parametrize("nodes", [64, 256, 512])
@@ -297,13 +299,27 @@ def test_forced_fallback_is_bitwise_the_full_grid(monkeypatch):
     p = 4 / 3
     t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
     rule = gh_rule(256)
+    coeffs = gaussian_smooth(g).coeffs
     for s in (0.0, 0.45, 1.0):
-        # the full-grid formula, written out independently of flows
-        sigma = s + (1 - s) * t.z * t.z
-        big_x = math.sqrt(s) * rule.nodes[:, None] + t.z * math.sqrt(1 - s) * rule.nodes[None, :]
-        inner = hermite_scaled_sum(gaussian_smooth(g).coeffs, big_x, sigma)
-        x_avg = (np.abs(inner) ** t.q) @ rule.weights
+        # the full factored table, written out independently of flows:
+        # He_j at the nodes and sqrt(s)^j a_{j+m} C(j+m, m) (z sqrt(1-s))^m
+        zeta = t.z * math.sqrt(1 - s)
+        he = hermevander(rule.nodes, 3).T
+        mix = np.zeros((4, 4), dtype=complex)
+        for j in range(4):
+            for m in range(4 - j):
+                mix[j, m] = math.sqrt(s) ** j * (coeffs[j + m] * math.comb(j + m, m) * zeta**m)
+        active = np.any(mix != 0, axis=0)
+        left, right = (he.T @ mix)[:, active], he[active]
+        stacked = np.concatenate((left.real, left.imag)) @ right
+        re, im = stacked[:256], stacked[256:]
+        x_avg = ((re * re + im * im) ** (t.q / 2)) @ rule.weights
         want = float(np.dot(rule.weights, x_avg ** (t.p / t.q)))
+        # the per-cell scaled-Hermite recurrence it replaces
+        sigma = s + (1 - s) * t.z * t.z
+        big_x = math.sqrt(s) * rule.nodes[:, None] + zeta * rule.nodes[None, :]
+        cells = (np.abs(hermite_scaled_sum(coeffs, big_x, sigma)) ** t.q) @ rule.weights
+        assert abs(want - float(np.dot(rule.weights, cells ** (t.p / t.q)))) <= 1e-15 * want
         monkeypatch.setattr(cube, "TAIL_RTOL", -1.0)
         stats = OuterStats()
         assert janson_mehler(g, t, s, rule, stats) == want
@@ -325,6 +341,67 @@ def test_janson_mehler_512_grid_keeps_few_cells():
         (cut,) = stats.cuts
         assert 0.0 < cut.bound <= TAIL_RTOL
         assert cut.cells_kept < 0.2 * cut.cells, (s, cut)
+
+
+def test_janson_flow_evaluates_no_grid_cell_by_cell(monkeypatch):
+    # guards the speed of the flows: the grids are factored tables, so the
+    # recurrence and the series only ever see 1-D node arrays; a silent
+    # return to per-cell evaluation hands them a 2-D grid and fails here
+    dims = {"hermite_scaled_sum": [], "PolySeries": []}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            dims[name].extend(np.ndim(a) for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(flows, "hermite_scaled_sum", spy("hermite_scaled_sum", hermite_scaled_sum))
+    monkeypatch.setattr(PolySeries, "__call__", spy("PolySeries", PolySeries.__call__))
+    p = 4 / 3
+    t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
+    g = PolySeries([1.0, 2.0, 0.0, 1.0])
+    for evaluator in sorted(flows._EVALUATORS):
+        janson_flow(g, t, s_grid=[0.0, 0.4, 0.8, 1.0], evaluator=evaluator)
+    assert dims["hermite_scaled_sum"] and max(dims["hermite_scaled_sum"]) == 1
+    assert max(dims["PolySeries"], default=1) == 1
+
+
+def test_janson_table_and_cube_table_share_the_coupling(monkeypatch):
+    # the Janson grid is the Gaussian limit of the cube table: both build
+    # mix[j, m] = a_{j+m} C(j+m, m) z^m through one helper, the grid with
+    # z sqrt(1-s) in place of z
+    assert flows.coupling_matrix is cube.coupling_matrix
+    original, seen = cube.coupling_matrix, []
+
+    def spy(a, z):
+        seen.append(complex(z))
+        return original(a, z)
+
+    monkeypatch.setattr(cube, "coupling_matrix", spy)
+    monkeypatch.setattr(flows, "coupling_matrix", spy)
+    a = [0.5, 1.0 - 1.0j, 0.0, 0.3j]
+    table = cube.symmetric_tzk_table(SymmetricSpec(n=40, a=a), 0.4j, 10)
+    assert np.array_equal(table.mix, original(np.asarray(a, dtype=complex), 0.4j))
+    t = ExponentTriple(1.5, 3.0, 0.6j)
+    janson_mehler(PolySeries(a), t, 0.36, 64)
+    assert seen == [0.4j, 0.6j * 0.8]
+
+
+def test_block_phi_matrix_tends_to_scaled_hermite():
+    # the paper's limit: phi_j of the first k = s n coordinates, at the count
+    # c nearest (k + sqrt(k) u) / 2, tends to s^(j/2) He_j(u) with
+    # u = (2c - k) / sqrt(k), at rate 1/n
+    s, l_max = 0.5, 5
+    errors = []
+    for n in (400, 1600, 6400, 25600):
+        k = round(s * n)
+        counts = np.rint((k + math.sqrt(k) * np.linspace(-3.0, 3.0, 25)) / 2).astype(int)
+        u = (2 * counts - k) / math.sqrt(k)
+        want = (k / n) ** (np.arange(l_max + 1)[:, None] / 2) * hermevander(u, l_max).T
+        errors.append(np.max(np.abs(cube._block_phi_matrix(l_max, n, k)[:, counts] - want)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse >= 3.0 * fine, errors
 
 
 def test_janson_flow_diagnostics():
@@ -405,6 +482,10 @@ def test_convergence_spec_experiment_slope():
     errs = [r.abs_error for r in table.rows]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert table.slope is not None and table.slope <= -0.4
+    # the continuous side's outer grids: cut within the certified bound, resolved at s = 0.5
+    diag = table.diagnostics
+    assert 0.0 < diag["tail_bound"] <= TAIL_RTOL and 0.0 < diag["cells_kept_share"] < 1.0
+    assert diag["cap_hits"] == []
 
 
 def test_discrete_monotone_under_two_point_precondition():
