@@ -5,79 +5,91 @@ Walsh analysis and damped flows on the Hamming cube, the two-point
 inequality with counterexample search, discrete-to-continuous convergence
 experiments, and the sharp Hausdorff-Young pipeline.  The CLI entry point is
 `hypflow` (see hypflow.cli).
+
+The names below are re-exported lazily (PEP 562): `hypflow.X` imports the
+one module that defines X on first use, so importing the package, or one of
+its modules, loads nothing else.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .cube import (
-    BecknerExpansion,
-    BlockCounts,
-    CubeFunction,
-    SymmetricSpec,
-    apply_Tzk,
-    beckner_expand,
-    mixed_norm,
-    mixed_norm_collapsed,
-    phi_block_eval,
-    phi_symmetric,
-    walsh_analyze,
-    walsh_synthesize,
-)
-from .errors import (
-    AccuracyError,
-    DomainError,
-    EvaluatorMismatchError,
-    HypflowError,
-    InequalityViolationError,
-)
-from .flows import (
-    convergence_experiment,
-    discrete_flow,
-    janson_flow,
-    janson_heat,
-    janson_mehler,
-    janson_quadrature,
-)
-from .gaussian_atoms import (
-    GaussianAtom,
-    exp_tilt,
-    fourier_transform_atom,
-    gamma_integral,
-    mehler_apply_atom,
-    mehler_atom_scaled,
-    smooth_imaginary,
-)
-from .hausdorff_young import (
-    ExpFamily,
-    HYInput,
-    exp_flow_phi,
-    gaussian_extremizer_input,
-    hy_endpoints,
-    hy_verify,
-    lemma_A_check,
-    lemma_F_check,
-    phi_flow,
-    sharp_constant,
-)
-from .hermite import (
-    HermiteSeries,
-    PolySeries,
-    basis_convert,
-    gaussian_smooth,
-    heat_poly,
-    heat_poly_series,
-    hermite_eval,
-    mehler_apply_series,
-)
-from .quadrature import QuadratureRule, gh_rule
-from .reporting import ConvergenceTable, FlowReport
-from .two_point import (
-    ExponentTriple,
-    MarginRecord,
-    SearchBudget,
-    extremal_ratio,
-    infinitesimal_margin,
-    real_failure_threshold,
-    region_scan,
-    two_point_margin,
-)
+# name -> the module that defines it
+_EXPORTS = {
+    "BecknerExpansion": "cube",
+    "BlockCounts": "cube",
+    "CubeFunction": "cube",
+    "SymmetricSpec": "cube",
+    "apply_Tzk": "cube",
+    "beckner_expand": "cube",
+    "mixed_norm": "cube",
+    "mixed_norm_collapsed": "cube",
+    "phi_block_eval": "cube",
+    "phi_symmetric": "cube",
+    "walsh_analyze": "cube",
+    "walsh_synthesize": "cube",
+    "AccuracyError": "errors",
+    "DomainError": "errors",
+    "EvaluatorMismatchError": "errors",
+    "HypflowError": "errors",
+    "InequalityViolationError": "errors",
+    "convergence_experiment": "flows",
+    "discrete_flow": "flows",
+    "janson_flow": "flows",
+    "janson_heat": "flows",
+    "janson_mehler": "flows",
+    "janson_quadrature": "flows",
+    "GaussianAtom": "gaussian_atoms",
+    "exp_tilt": "gaussian_atoms",
+    "fourier_transform_atom": "gaussian_atoms",
+    "gamma_integral": "gaussian_atoms",
+    "mehler_apply_atom": "gaussian_atoms",
+    "mehler_atom_scaled": "gaussian_atoms",
+    "smooth_imaginary": "gaussian_atoms",
+    "ExpFamily": "hausdorff_young",
+    "HYInput": "hausdorff_young",
+    "exp_flow_phi": "hausdorff_young",
+    "gaussian_extremizer_input": "hausdorff_young",
+    "hy_endpoints": "hausdorff_young",
+    "hy_verify": "hausdorff_young",
+    "lemma_A_check": "hausdorff_young",
+    "lemma_F_check": "hausdorff_young",
+    "phi_flow": "hausdorff_young",
+    "sharp_constant": "hausdorff_young",
+    "HermiteSeries": "hermite",
+    "PolySeries": "hermite",
+    "basis_convert": "hermite",
+    "gaussian_smooth": "hermite",
+    "heat_poly": "hermite",
+    "heat_poly_series": "hermite",
+    "hermite_eval": "hermite",
+    "mehler_apply_series": "hermite",
+    "QuadratureRule": "quadrature",
+    "gh_rule": "quadrature",
+    "ConvergenceTable": "reporting",
+    "FlowReport": "reporting",
+    "ExponentTriple": "two_point",
+    "MarginRecord": "two_point",
+    "SearchBudget": "two_point",
+    "extremal_ratio": "two_point",
+    "infinitesimal_margin": "two_point",
+    "real_failure_threshold": "two_point",
+    "region_scan": "two_point",
+    "two_point_margin": "two_point",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -12,8 +12,10 @@ Only selftest draws random numbers.  It runs the acceptance criteria of
 hypflow.selftest, the registry the test suite runs too, and gives each
 criterion an independent stream from the single 64-bit --seed through
 numpy's SeedSequence spawning.  Every other command is deterministic and
-ignores --seed; its witnesses come from fixed grids and searches.  The env
-var HYPFLOW_THREADS caps scan parallelism (default 1).
+ignores --seed; its witnesses come from fixed grids and searches.
+
+Each handler imports the hypflow modules it runs, so a cold call loads only
+those: two-point-scan never loads the cube, flow or quadrature layers.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,21 +32,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .cube import SymmetricSpec
 from .errors import HypflowError, InequalityViolationError
-from .flows import convergence_experiment, discrete_flow, janson_flow
-from .hausdorff_young import (
-    ExpFamily,
-    HYInput,
-    conjugate_exponent,
-    exp_flow_phi,
-    gaussian_extremizer_input,
-    hy_endpoints,
-    hy_verify,
-    phi_flow,
-    sharp_constant,
-)
-from .hermite import HermiteSeries, PolySeries
 from .reporting import (
     FlowReport,
     write_convergence_csv,
@@ -53,7 +40,6 @@ from .reporting import (
     write_manifest,
     write_region_csv,
 )
-from .two_point import ExponentTriple, SearchBudget, disk_grid, region_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,12 +108,13 @@ def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
 
 
 def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .two_point import SearchBudget, disk_grid, region_scan
+
     params = config.params
     p, q = float(params["p"]), float(params["q"])
     resolution = float(params.get("resolution", 0.05))
     budget = SearchBudget.reduced() if params.get("budget", "reduced") == "reduced" else SearchBudget()
-    threads = int(os.environ.get("HYPFLOW_THREADS", "1"))
-    rows = region_scan(p, q, disk_grid(resolution), budget=budget, threads=threads)
+    rows = region_scan(p, q, disk_grid(resolution), budget=budget)
     write_region_csv(rows, out / "scan.csv")
     bad = [r for r in rows if r.global_holds and not r.infinitesimal_holds]
     manifest = {
@@ -145,6 +132,10 @@ def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .cube import SymmetricSpec
+    from .flows import discrete_flow
+    from .two_point import ExponentTriple
+
     params = config.params
     p, q = float(params["p"]), float(params["q"])
     z = _z_from_params(params, p)
@@ -157,6 +148,11 @@ def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .flows import janson_flow
+    from .hausdorff_young import conjugate_exponent
+    from .hermite import PolySeries
+    from .two_point import ExponentTriple
+
     params = config.params
     p = float(params["p"])
     q = float(params.get("q") or conjugate_exponent(p))
@@ -170,6 +166,9 @@ def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .flows import convergence_experiment
+    from .two_point import ExponentTriple
+
     params = config.params
     p, q = float(params["p"]), float(params["q"])
     z = _z_from_params(params, p)
@@ -196,6 +195,9 @@ def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .hausdorff_young import HYInput, gaussian_extremizer_input, hy_endpoints, phi_flow, sharp_constant
+    from .hermite import HermiteSeries
+
     params = config.params
     p = float(params["p"])
     if params.get("gaussian"):
@@ -225,6 +227,8 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .hausdorff_young import ExpFamily, conjugate_exponent, exp_flow_phi, hy_verify, sharp_constant
+
     params = config.params
     p = float(params["p"])
     fam = ExpFamily(atoms=tuple(_parse_atoms(params["atoms"])))

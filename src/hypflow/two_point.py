@@ -13,6 +13,15 @@ a necessary condition; whether it is also sufficient is open in part of the
 exponent range, so the scanner below only ever reports holds-on-grid or
 fails-with-witness, never "verified".
 
+A region scan runs one extremal-ratio search and one quadratic-form scan
+for its whole grid of z (pass `zs=` to extremal_ratio or
+infinitesimal_margin_min).  The search's grid stage goes z by z; its
+compass refinement moves every z in lockstep, one evaluation per step for
+all z still moving, so the number of evaluations follows the slowest z,
+not the number of z.  Every z gets bit for bit its single-z result; the
+batch result holds arrays over zs, with the evaluation counts summed and
+the `complete` flags joined by "and".
+
 Exponent pairs are carried by ExponentTriple.  Construction accepts any
 p, q >= 1: the ordering p <= q is required only by the operations whose
 derivations need it (the mixed norms and flows), and those enforce it
@@ -94,13 +103,26 @@ def _unit_directions(angles: int) -> np.ndarray:
     return w
 
 
-def infinitesimal_margin_min(t: ExponentTriple, angles: int = 256) -> float:
-    """Worst quadratic-form margin over a uniform scan of unit directions."""
+def _disk_points(zs) -> np.ndarray:
+    """zs as a 1-D complex array, checked like ExponentTriple.z."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if np.any(np.abs(zs) > 1.0 + _Z_RADIUS_SLACK):
+        raise ValueError(f"|z| must be <= 1, got {float(np.max(np.abs(zs)))}")
+    return zs
+
+
+def infinitesimal_margin_min(t: ExponentTriple, angles: int = 256, zs=None):
+    """Worst quadratic-form margin over a uniform scan of unit directions.
+
+    With an array `zs`, the margin at t.p, t.q for every z of zs (t.z is not
+    used), as an array; every entry is bit for bit the single-z value.
+    """
     w = _unit_directions(angles)
-    wz = w * t.z
+    wz = w * (t.z if zs is None else _disk_points(zs)[:, None])
     lhs = (t.q - 2.0) * wz.real**2 + np.abs(wz) ** 2
     rhs = (t.p - 2.0) * w.real**2 + np.abs(w) ** 2
-    return float(np.min(rhs - lhs))
+    margins = np.min(rhs - lhs, axis=-1)
+    return float(margins) if zs is None else margins
 
 
 @dataclass(frozen=True)
@@ -130,9 +152,12 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class ExtremalSearchResult:
-    sup_ratio: float
-    witness_a: complex
-    witness_b: complex
+    """One search, or with `zs` a batch: then sup_ratio, witness_a and witness_b
+    are arrays over zs, evaluations is their sum and complete their conjunction."""
+
+    sup_ratio: float | np.ndarray
+    witness_a: complex | np.ndarray
+    witness_b: complex | np.ndarray
     evaluations: int
     complete: bool
 
@@ -142,10 +167,11 @@ def _denominator(p: float, b: np.ndarray) -> np.ndarray:
     return (0.5 * (np.abs(1.0 + b) ** p + np.abs(1.0 - b) ** p)) ** (1.0 / p)
 
 
-def _ratio_grid(t: ExponentTriple, b: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """lhs/rhs at a = 1 for an array of complex b; rhs, if given, is _denominator(t.p, b)."""
-    lhs = (0.5 * (np.abs(1.0 + t.z * b) ** t.q + np.abs(1.0 - t.z * b) ** t.q)) ** (1.0 / t.q)
-    return lhs / (_denominator(t.p, b) if rhs is None else rhs)
+def _ratio_grid(p: float, q: float, z, b: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """lhs/rhs at a = 1 for complex b and damping z, which broadcast together;
+    rhs, if given, is _denominator(p, b)."""
+    lhs = (0.5 * (np.abs(1.0 + z * b) ** q + np.abs(1.0 - z * b) ** q)) ** (1.0 / q)
+    return lhs / (_denominator(p, b) if rhs is None else rhs)
 
 
 _DIAG = (1.0 + 1.0j) / math.sqrt(2.0)
@@ -188,7 +214,7 @@ def _search_grid(budget: SearchBudget, p: float) -> _SearchGrid:
     return _SearchGrid(points, rhs, steps, complete)
 
 
-def extremal_ratio(t: ExponentTriple, budget: SearchBudget | None = None) -> ExtremalSearchResult:
+def extremal_ratio(t: ExponentTriple, budget: SearchBudget | None = None, zs=None) -> ExtremalSearchResult:
     """Maximize lhs/rhs over complex (a, b).
 
     Joint phase and scale invariance reduce the search to a in {0, 1}: the
@@ -213,47 +239,76 @@ def extremal_ratio(t: ExponentTriple, budget: SearchBudget | None = None) -> Ext
     point in one evaluation, and the first size that improves is taken, which
     is the step the one-at-a-time compass would take next.
 
+    With an array `zs`, the search runs at t.p, t.q for every z of zs (t.z is
+    not used).  The grid stage goes one z at a time, which keeps its
+    temporaries at the grid's size; the compass runs all z in lockstep, each
+    z with its own step size, best point and evaluation count, and one
+    evaluation per iteration covers the remaining ladders of every z still
+    moving.  A z leaves the compass when its ladder is spent or its budget
+    is.  Every z gets bit for bit the result of its own single search; the
+    batch result holds sup_ratio, witness_a and witness_b as arrays over zs,
+    `evaluations` as their sum and `complete` as their conjunction.
+
     `evaluations` counts the grid points evaluated plus 8 per compass step
-    of that one-at-a-time sequence; it never exceeds `max_evals`, and
+    of the one-at-a-time sequence; per z it never exceeds `max_evals`, and
     `complete` is False when the grid or the compass was cut by it.
     """
     if budget is None:
         budget = SearchBudget()
+    batch = zs is not None
+    zs = _disk_points(zs) if batch else np.array([t.z])
     grid = _search_grid(budget, float(t.p))
-    ratios = _ratio_grid(t, grid.points, grid.rhs)
-    evals = grid.points.size
-    complete = grid.complete
+    width = _COMPASS.size
+    sup = np.empty(zs.size)
+    b_best = np.empty(zs.size, dtype=complex)
+    ray = np.zeros(zs.size, dtype=bool)
+    for r, z in enumerate(zs):  # grid stage
+        ratios = _ratio_grid(t.p, t.q, z, grid.points, grid.rhs)
+        near = np.flatnonzero(np.abs(ratios - np.max(ratios)) <= 1e-12)
+        k = near[np.argmin(np.abs(grid.points[near]))]
+        b_best[r] = grid.points[k]
+        sup[r] = ratios[k]
+        radius = abs(complex(z))  # a = 0 ray: ratio is exactly |z|
+        if radius > sup[r]:
+            ray[r] = True
+            sup[r] = radius
+            b_best[r] = 1.0 + 0.0j
 
-    best = float(np.max(ratios))
-    near = np.flatnonzero(np.abs(ratios - best) <= 1e-12)
-    k = near[np.argmin(np.abs(grid.points[near]))]
-    b_best = complex(grid.points[k])
-    best = float(ratios[k])
-
-    # a = 0 ray: ratio is exactly |z|.
-    if abs(t.z) > best:
-        return ExtremalSearchResult(abs(t.z), 0.0, 1.0 + 0.0j, evals, complete)
-
-    level = 0
-    while level < len(grid.steps):
-        steps = grid.steps[level : level + (budget.max_evals - evals) // _COMPASS.size]
-        if not steps.size:
-            complete = False
+    evals = np.full(zs.size, grid.points.size)
+    level = np.zeros(zs.size, dtype=int)
+    cut = np.zeros(zs.size, dtype=bool)
+    # Compass stage.  Each row z still moving tries its remaining ladder,
+    # grid.steps[level : level + room], from its own best point; room is
+    # what is left of the ladder and of the row's budget.
+    rows = np.flatnonzero(~ray)
+    while True:
+        rows = rows[level[rows] < len(grid.steps)]
+        room = np.minimum(len(grid.steps) - level[rows], (budget.max_evals - evals[rows]) // width)
+        cut[rows[room == 0]] = True
+        rows, room = rows[room > 0], room[room > 0]
+        if not rows.size:
             break
-        cand = b_best + steps
-        vals = _ratio_grid(t, cand.ravel()).reshape(cand.shape)
-        better = np.flatnonzero(vals.max(axis=1) > best + 1e-15)
-        if not better.size:  # every remaining size halved away
-            evals += vals.size
-            level += len(steps)
-            continue
-        j = int(better[0])
-        evals += _COMPASS.size * (j + 1)
-        level += j
-        i = int(np.argmax(vals[j]))
-        best = float(vals[j, i])
-        b_best = complex(cand[j, i])
-    return ExtremalSearchResult(best, 1.0 + 0.0j, b_best, evals, complete)
+        span = np.arange(room.max())
+        valid = span < room[:, None]
+        cand = np.repeat(b_best[rows], room)[:, None] + grid.steps[(level[rows][:, None] + span)[valid]]
+        vals = np.full((rows.size, span.size, width), -np.inf)
+        vals[valid] = _ratio_grid(t.p, t.q, np.repeat(zs[rows], room)[:, None], cand)
+        # per row, the first size that improves and its first best direction
+        better = vals.max(axis=2) > sup[rows][:, None] + 1e-15
+        moved = better.any(axis=1)
+        j = np.where(moved, better.argmax(axis=1), room)  # every remaining size halved away
+        evals[rows] += width * np.where(moved, j + 1, room)
+        level[rows] += j
+        m = np.flatnonzero(moved)
+        i = vals[m, j[m]].argmax(axis=1)
+        sup[rows[m]] = vals[m, j[m], i]
+        b_best[rows[m]] = cand[(np.cumsum(room) - room)[m] + j[m], i]
+
+    complete = grid.complete and not cut.any()
+    if batch:
+        return ExtremalSearchResult(sup, np.where(ray, 0j, 1.0 + 0.0j), b_best, int(evals.sum()), complete)
+    a = 0.0 if ray[0] else 1.0 + 0.0j
+    return ExtremalSearchResult(float(sup[0]), a, complex(b_best[0]), int(evals[0]), complete)
 
 
 def real_failure_threshold(
@@ -304,36 +359,30 @@ def region_scan(
     budget: SearchBudget | None = None,
     ratio_tol: float = 1e-9,
     margin_tol: float = 1e-7,
-    threads: int = 1,
 ) -> list[RegionScanRow]:
     """Evaluate both forms of the inequality on a grid of damping parameters.
 
     Each z gets a quadratic-form scan over `angles` directions and an
-    extremal-ratio search (reduced budget by default).  Output vocabulary is
-    holds-on-grid / fails-with-witness only.
+    extremal-ratio search (reduced budget by default); both run once for the
+    whole grid, as batches over z.  Output vocabulary is holds-on-grid /
+    fails-with-witness only.
     """
     if budget is None:
         budget = SearchBudget.reduced()
-
-    def one(z: complex) -> RegionScanRow:
-        t = ExponentTriple(p, q, z)
-        inf_min = infinitesimal_margin_min(t, angles)
-        res = extremal_ratio(t, budget)
-        return RegionScanRow(
+    zs = _disk_points(z_grid)
+    t = ExponentTriple(p, q, 0.0)
+    margins = infinitesimal_margin_min(t, angles, zs=zs).tolist()
+    res = extremal_ratio(t, budget, zs=zs)
+    return [
+        RegionScanRow(
             p=p,
             q=q,
-            z=complex(z),
-            infinitesimal_margin_min=inf_min,
-            sup_ratio=res.sup_ratio,
-            witness_b=res.witness_b,
-            global_holds=res.sup_ratio <= 1.0 + ratio_tol,
-            infinitesimal_holds=inf_min >= -margin_tol,
+            z=z,
+            infinitesimal_margin_min=margin,
+            sup_ratio=sup,
+            witness_b=b,
+            global_holds=sup <= 1.0 + ratio_tol,
+            infinitesimal_holds=margin >= -margin_tol,
         )
-
-    zs = list(z_grid)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, zs))
-    return [one(z) for z in zs]
+        for z, margin, sup, b in zip(zs.tolist(), margins, res.sup_ratio.tolist(), res.witness_b.tolist())
+    ]

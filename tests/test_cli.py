@@ -1,4 +1,5 @@
 """CLI harness: exit codes, CSV schemas, determinism, config handling."""
+import importlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import hypflow.cli
-from hypflow import selftest
+from hypflow import hausdorff_young, selftest
 from hypflow.errors import AccuracyError
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
 from hypflow.reporting import FlowReport, write_flow_csv
@@ -58,17 +59,19 @@ from hypflow.cli import main
 
 out = sys.argv[1]
 calls = {
+    "two-point-scan": ["--p", "2", "--q", "4", "--resolution", "0.5"],
     "discrete-flow": ["--n", "12", "--p", "2", "--q", "4", "--z-re", "0.5", "--coeffs", "0,1,1"],
     "converge": ["--p", "1.5", "--q", "3", "--z-re", "0.5", "--coeffs", "0,1,0,1", "--n-list", "16,64"],
     "janson-flow": ["--p", "1.5", "--coeffs", "1,1j", "--s-points", "3"],
     "hy-flow --gaussian": ["--p", "1.5", "--gaussian", "--s-points", "3"],
     "hy-flow --hermite-coeffs": ["--p", "1.5", "--hermite-coeffs", "1,0.5", "--s-points", "3"],
     "hy-exp": ["--p", "1.5", "--atoms", "1:0.5,-0.3:-1.1", "--s-points", "3"],
-    "two-point-scan": ["--p", "2", "--q", "4", "--resolution", "0.5"],
 }
 seen = {}
 for i, (name, args) in enumerate(calls.items()):
     seen[name] = main([name.split()[0], *args, "--out", f"{out}/{i}"])
+    if i == 0:
+        seen["loaded by two-point-scan"] = sorted(sys.modules)
 seen["scipy"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 seen["hypflow.selftest"] = "hypflow.selftest" in sys.modules
 print(json.dumps(seen))
@@ -103,12 +106,30 @@ def test_no_computing_command_loads_the_selftest_registry(fresh_run):
 def test_no_cli_command_loads_scipy(fresh_run):
     seen = dict(fresh_run)
     seen.pop("hypflow.selftest")
+    seen.pop("loaded by two-point-scan")
     assert seen.pop("scipy") == []
     assert seen == dict.fromkeys(
         ["discrete-flow", "converge", "janson-flow", "hy-flow --gaussian",
          "hy-flow --hermite-coeffs", "hy-exp", "two-point-scan"],
         EXIT_OK,
     )
+
+
+def test_two_point_scan_loads_only_what_it_runs(fresh_run):
+    # two-point-scan runs first in the fresh interpreter
+    loaded = set(fresh_run["loaded by two-point-scan"])
+    unused = ["hypflow.cube", "hypflow.flows", "hypflow.hermite", "hypflow.quadrature",
+              "hypflow.gaussian_atoms", "hypflow.hausdorff_young", "numpy.polynomial"]
+    assert loaded.isdisjoint(unused), sorted(loaded.intersection(unused))
+    assert "hypflow.two_point" in loaded
+
+
+def test_package_reexports_resolve_on_first_use():
+    for name, module in hypflow._EXPORTS.items():
+        assert getattr(hypflow, name) is getattr(importlib.import_module(f"hypflow.{module}"), name)
+    assert set(hypflow.__all__) <= set(dir(hypflow))
+    with pytest.raises(AttributeError):
+        hypflow.no_such_name
 
 
 def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):
@@ -368,7 +389,8 @@ def test_non_finite_flow_sample_is_never_a_pass(bad, tmp_path, monkeypatch):
         rep.verdict()
     with pytest.raises(AccuracyError):
         write_flow_csv(rep, tmp_path / "flow.csv")
-    monkeypatch.setattr(hypflow.cli, "phi_flow", lambda *args, **kwargs: rep)
+    # the handler imports phi_flow when it runs, from its home module
+    monkeypatch.setattr(hausdorff_young, "phi_flow", lambda *args, **kwargs: rep)
     code, out = run(["hy-flow", "--p", "1.5", "--gaussian"], tmp_path)
     assert code == EXIT_VIOLATION
     assert json.loads((out / "manifest.json").read_text())["verdict"] == "fails-with-witness"

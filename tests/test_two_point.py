@@ -178,11 +178,11 @@ def test_two_point_scan_csv_matches_reference(tmp_path):
 def test_extremal_ratio_breaks_ties_as_reference(monkeypatch):
     # An even stand-in ratio with a maximum off the lattice: the compass meets
     # exact ties, between -b and its conjugate, and must take the first one.
-    def tied(t, b, rhs=None):
+    def tied(b):
         return np.exp(-((np.abs(b.real) - 0.33) ** 2) - (np.abs(b.imag) - 0.04) ** 2)
 
-    monkeypatch.setattr(two_point, "_ratio_grid", tied)
-    monkeypatch.setattr(ref, "_ratio_grid", tied)
+    monkeypatch.setattr(two_point, "_ratio_grid", lambda p, q, z, b, rhs=None: tied(b))
+    monkeypatch.setattr(ref, "_ratio_grid", lambda t, b: tied(b))
     t = ExponentTriple(2.0, 4.0, 0.1)
     for budget in (SearchBudget.reduced(), SearchBudget()):
         new, old = extremal_ratio(t, budget), ref.extremal_ratio(t, budget)
@@ -194,9 +194,9 @@ def _count_ratio_calls(monkeypatch):
     calls = []
     original = two_point._ratio_grid
 
-    def counted(t, b, *args):
+    def counted(p, q, z, b, *args):
         calls.append(b.size)
-        return original(t, b, *args)
+        return original(p, q, z, b, *args)
 
     monkeypatch.setattr(two_point, "_ratio_grid", counted)
     return calls
@@ -227,6 +227,81 @@ def test_extremal_ratio_tries_the_halving_ladder_in_one_call(monkeypatch):
     assert len(calls) <= 14
 
 
+# disk_grid(0.25) and two points just past |z| = 1, inside ExponentTriple's
+# slack, where the a = 0 ray beats every a = 1 point when p > q
+_BATCH_ZS = np.concatenate((disk_grid(0.25), [1.0 + 1e-13, -1j * (1.0 + 1e-13)]))
+
+
+def _reference_budget(budget):
+    """The budget under which the reference, which also evaluates the mirrored
+    half of the lattice, makes the same search: max_evals cuts it in the same step."""
+    return dataclasses.replace(budget, max_evals=budget.max_evals + (_lattice_side(budget) ** 2 - 1) // 2)
+
+
+def _compass_cut(p, q, zs):
+    """The reduced budget with max_evals halfway between the least and the most
+    evaluations any z makes, so that it cuts the compass for some z only."""
+    reduced = SearchBudget.reduced()
+    counts = [extremal_ratio(ExponentTriple(p, q, z), reduced).evaluations for z in zs]
+    return dataclasses.replace(reduced, max_evals=(min(counts) + max(counts)) // 2)
+
+
+@pytest.mark.parametrize("budget", ["reduced", "full", "cut"])
+@pytest.mark.parametrize("p, q", [(1.25, 2.5), (1.5, 3.0), (2.04, 4.03), (3.0, 1.5)])
+def test_batched_search_matches_per_z_reference(budget, p, q):
+    cut = budget == "cut"
+    if cut:
+        budget = _compass_cut(p, q, _BATCH_ZS)
+    else:
+        budget = {"reduced": SearchBudget.reduced(), "full": SearchBudget()}[budget]
+    rows = region_scan(p, q, _BATCH_ZS, budget=budget)
+    olds = [ref.extremal_ratio(ExponentTriple(p, q, z), _reference_budget(budget)) for z in _BATCH_ZS]
+    for z, row, old in zip(_BATCH_ZS, rows, olds):
+        assert row.sup_ratio == old.sup_ratio, z
+        assert repr(row.witness_b) == repr(old.witness_b), z
+        assert row.infinitesimal_margin_min == ref.infinitesimal_margin_min(ExponentTriple(p, q, z)), z
+    if p > q:
+        assert any(old.witness_a == 0.0 for old in olds)  # the ray won somewhere
+    if cut:
+        assert {old.complete for old in olds} == {True, False}  # the cut hit some z, not all
+
+    batch = extremal_ratio(ExponentTriple(p, q, 0.0), budget, zs=_BATCH_ZS)
+    singles = [extremal_ratio(ExponentTriple(p, q, z), budget) for z in _BATCH_ZS]
+    assert type(batch.evaluations) is int and type(batch.complete) is bool
+    assert batch.evaluations == sum(single.evaluations for single in singles)
+    assert batch.complete == all(single.complete for single in singles)
+    assert batch.sup_ratio.tolist() == [single.sup_ratio for single in singles]
+    assert batch.witness_a.tolist() == [single.witness_a for single in singles]
+
+
+def _compass_calls(monkeypatch, p, q, zs):
+    calls = _count_ratio_calls(monkeypatch)
+    region_scan(p, q, zs)
+    return len(calls) - len(zs)  # the grid stage makes one call per z
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 4.0), (2.04, 4.03)])
+def test_compass_calls_do_not_grow_with_the_z_grid(monkeypatch, p, q):
+    # one or more per z before the lockstep search: 317 and 1,257 at least
+    coarse = _compass_calls(monkeypatch, p, q, disk_grid(0.1))
+    assert _compass_calls(monkeypatch, p, q, disk_grid(0.05)) <= coarse < 317
+
+
+@pytest.mark.parametrize("p, q", [(1.25, 2.5), (1.5, 3.0)])
+def test_compass_calls_are_the_slowest_single_z(monkeypatch, p, q):
+    # The count follows the slowest z, not the number of z.  So a finer grid
+    # can cost a few more calls (24 against 22 at (1.25, 2.5)) or, at
+    # (1.5, 3.0), hundreds: four z of disk_grid(0.05) take 471 compass calls
+    # where no z of disk_grid(0.1) takes more than 20.
+    zs = disk_grid(0.1)
+    single = []
+    for z in zs:
+        calls = _count_ratio_calls(monkeypatch)
+        extremal_ratio(ExponentTriple(p, q, z), SearchBudget.reduced())
+        single.append(len(calls) - 1)
+    assert _compass_calls(monkeypatch, p, q, zs) == max(single)
+
+
 def test_search_caches_are_read_only():
     grid = two_point._search_grid(SearchBudget.reduced(), 2.0)
     for a in (grid.points, grid.rhs, grid.steps, two_point._unit_directions(256)):
@@ -251,14 +326,6 @@ def test_region_scan():
     for r in rows:
         if r.global_holds:
             assert r.infinitesimal_margin_min >= -1e-7
-
-
-def test_region_scan_threads_match_serial():
-    grid = [0.1, 0.5, 0.2 + 0.4j]
-    serial = region_scan(2.0, 3.0, grid, budget=SearchBudget.reduced())
-    threaded = region_scan(2.0, 3.0, grid, budget=SearchBudget.reduced(), threads=3)
-    for a, b in zip(serial, threaded):
-        assert a == b
 
 
 def test_disk_grid():
