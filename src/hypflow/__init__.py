@@ -70,6 +70,7 @@ _EXPORTS = {
     "ConvergenceTable": "reporting",
     "FlowReport": "reporting",
     "ExponentTriple": "two_point",
+    "conjugate_exponent": "two_point",
     "MarginRecord": "two_point",
     "SearchBudget": "two_point",
     "extremal_ratio": "two_point",

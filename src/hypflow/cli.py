@@ -14,8 +14,13 @@ criterion an independent stream from the single 64-bit --seed through
 numpy's SeedSequence spawning.  Every other command is deterministic and
 ignores --seed; its witnesses come from fixed grids and searches.
 
-Each handler imports the hypflow modules it runs, so a cold call loads only
-those: two-point-scan never loads the cube, flow or quadrature layers.
+The front end runs on the standard library alone: importing this module,
+parsing arguments, reading and checking --config, --help, every usage or
+configuration error, and writing the CSV files and the manifest load
+neither numpy nor any numeric module.  Each handler imports the hypflow
+modules it runs, numpy with them, so a cold call loads only those:
+two-point-scan never loads the cube, flow or quadrature layers, and
+janson-flow never loads the Hausdorff-Young layer.
 """
 from __future__ import annotations
 
@@ -28,8 +33,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from . import __version__
 from .errors import HypflowError, InequalityViolationError
@@ -93,6 +96,16 @@ def _z_from_params(params: dict, p: float) -> complex:
     return complex(params.get("z_re") or 0.0, params.get("z_im") or 0.0)
 
 
+def _s_grid(params: dict):
+    """The flow commands' s grid: s_points equispaced samples of [0, 1]."""
+    import numpy as np
+
+    s_points = int(params.get("s_points", 21))
+    if s_points < 1:
+        raise ValueError(f"s_points must be at least 1, got {s_points}")
+    return np.linspace(0.0, 1.0, s_points)
+
+
 def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
     """Write flow.csv under the --tol override of the monotonicity verdict
     (tol = 0 flags noise) and return the verdict fields for the manifest."""
@@ -149,18 +162,15 @@ def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     from .flows import janson_flow
-    from .hausdorff_young import conjugate_exponent
     from .hermite import PolySeries
-    from .two_point import ExponentTriple
+    from .two_point import ExponentTriple, conjugate_exponent
 
     params = config.params
     p = float(params["p"])
     q = float(params.get("q") or conjugate_exponent(p))
     z = _z_from_params(params, p)
     g = PolySeries(_parse_complex_list(params["coeffs"]))
-    s_points = int(params.get("s_points", 21))
-    s_grid = np.linspace(0.0, 1.0, s_points)
-    report = janson_flow(g, ExponentTriple(p, q, z), s_grid=s_grid, rule=config.nodes)
+    report = janson_flow(g, ExponentTriple(p, q, z), s_grid=_s_grid(params), rule=config.nodes)
     manifest = {"p": p, "q": q, "z": z, **_flow_output(report, config, out), **report.diagnostics}
     return (EXIT_OK if manifest["nondecreasing"] else EXIT_VIOLATION), manifest
 
@@ -206,8 +216,7 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
         inp = HYInput(p=p, g_tilde=HermiteSeries(_parse_complex_list(params["hermite_coeffs"])))
     else:
         raise ValueError("hy-flow needs either gaussian=true or hermite_coeffs")
-    s_points = int(params.get("s_points", 21))
-    report = phi_flow(inp, s_grid=np.linspace(0.0, 1.0, s_points), rule=config.nodes)
+    report = phi_flow(inp, s_grid=_s_grid(params), rule=config.nodes)
     verdicts = _flow_output(report, config, out)
     norm_fhat, scaled_norm = hy_endpoints(inp)
     manifest = {
@@ -232,8 +241,7 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
     params = config.params
     p = float(params["p"])
     fam = ExpFamily(atoms=tuple(_parse_atoms(params["atoms"])))
-    s_points = int(params.get("s_points", 21))
-    report = exp_flow_phi(fam, p, s_grid=np.linspace(0.0, 1.0, s_points), rule=config.nodes)
+    report = exp_flow_phi(fam, p, s_grid=_s_grid(params), rule=config.nodes)
     verdicts = _flow_output(report, config, out)
     manifest = {
         "p": p,
@@ -416,24 +424,23 @@ _COMMON = {"config", "out", "seed", "nodes", "tol", "command"}
 
 
 def config_from_argv(argv: list[str]) -> RunConfig:
+    """The run that argv asks for: the --config file, if any, with the flags over it."""
     parser = build_parser()
     args = vars(parser.parse_args(argv))
-    file_cfg: dict[str, Any] = {}
+    data: dict[str, Any] = {}
     if args.get("config"):
-        file_cfg = json.loads(Path(args["config"]).read_text(encoding="utf-8"))
-    command = args.get("command") or file_cfg.get("command")
-    if not command:
+        data = json.loads(Path(args["config"]).read_text(encoding="utf-8"))
+        if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
+            raise ValueError("a config file must hold a JSON object, and its params an object")
+    data.update({k: args[k] for k in ("command", "seed", "nodes", "tol") if args.get(k) is not None})
+    if not data.get("command"):
         parser.error("no command given (flag or config file)")
-    params = dict(file_cfg.get("params", {}))
-    params.update({k: v for k, v in args.items() if k not in _COMMON and v is not None})
-    return RunConfig(
-        command=command,
-        params=params,
-        out=args.get("out") or file_cfg.get("out") or ".",
-        seed=args["seed"] if args.get("seed") is not None else file_cfg.get("seed", DEFAULT_SEED),
-        nodes=args.get("nodes") if args.get("nodes") is not None else file_cfg.get("nodes"),
-        tol=args.get("tol") if args.get("tol") is not None else file_cfg.get("tol"),
-    )
+    data["out"] = args.get("out") or data.get("out") or "."
+    data["params"] = {
+        **data.get("params", {}),
+        **{k: v for k, v in args.items() if k not in _COMMON and v is not None},
+    }
+    return RunConfig.from_json(data)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,17 +41,11 @@ from .gaussian_atoms import (
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
 from .quadrature import Estimate, QuadratureRule, doubled, integrate_entire, resolve_rule
 from .reporting import FlowReport
-from .two_point import ExponentTriple
+from .two_point import ExponentTriple, conjugate_exponent
 from .cube import factored_mixed_norm
 from .flows import _GRID_SHARE, OuterStats, _auto_outer, default_s_grid, janson_mehler, outer_diagnostics
 
 _ENDPOINT_TOL = 1e-8
-
-
-def conjugate_exponent(p: float) -> float:
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    return p / (p - 1.0)
 
 
 def sharp_constant(p: float) -> float:

@@ -8,11 +8,10 @@ machine-readable manifest is always written alongside as JSON.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .errors import AccuracyError
 
@@ -73,7 +72,7 @@ class FlowReport:
         worst_i, worst_d = None, 0.0
         vals = self.values
         for param, value in self.samples:
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise AccuracyError(
                     f"flow sample at {self.parameter_name} = {param:g} is {value}"
                 )
@@ -123,6 +122,8 @@ class ConvergenceTable:
         pts = [(r.n, r.abs_error) for r in self.rows if r.abs_error > self.noise_floor]
         if len(pts) < 2:
             return None
+        import numpy as np
+
         logn = np.log([n for n, _ in pts])
         loge = np.log([e for _, e in pts])
         return float(np.polyfit(logn, loge, 1)[0])
@@ -184,10 +185,12 @@ def write_manifest(manifest: dict, path: Path | str) -> None:
 def _json_default(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, Path):
+        return str(obj)
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")

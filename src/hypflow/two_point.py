@@ -60,6 +60,13 @@ class ExponentTriple:
             raise ValueError(f"operation requires p <= q, got p = {self.p} > q = {self.q}")
 
 
+def conjugate_exponent(p: float) -> float:
+    """The Hausdorff-Young dual p/(p - 1) of p in (1, 2]."""
+    if not 1.0 < p <= 2.0:
+        raise ValueError(f"p must lie in (1, 2], got {p}")
+    return p / (p - 1.0)
+
+
 @dataclass(frozen=True)
 class MarginRecord:
     """One margin evaluation: rhs - lhs, with the evaluation point attached."""

@@ -124,6 +124,101 @@ def test_two_point_scan_loads_only_what_it_runs(fresh_run):
     assert "hypflow.two_point" in loaded
 
 
+_LOADS_PROBE = """
+import json, sys
+from hypflow.cli import main
+
+seen = [["import hypflow.cli", None, sorted(sys.modules)]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([argv, main(argv), sorted(sys.modules)])
+print(json.dumps(seen))
+"""
+
+# what the standard-library front end must never load
+_NUMERIC = ["numpy"] + [
+    f"hypflow.{name}"
+    for name in ("cube", "flows", "hermite", "quadrature", "gaussian_atoms",
+                 "hausdorff_young", "two_point", "selftest")
+]
+
+
+def _loads(argvs: list) -> list:
+    """[argv, exit code, sys.modules after it] for `import hypflow.cli` and
+    then each argv run by main, all in one fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS_PROBE, json.dumps(argvs)],
+        env=_fresh_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_GOOD_CONFIG = {"command": "discrete-flow", "params": {"n": 5, "p": 2.0, "q": 4.0, "coeffs": "0,1"}}
+# config files that must each fail with exit 1 before anything runs
+_BAD_CONFIGS = {
+    "list": [_GOOD_CONFIG],
+    "unknown key": {**_GOOD_CONFIG, "nodez": 64},
+    "params not an object": {**_GOOD_CONFIG, "params": [1, 2]},
+}
+_BAD_S_POINTS = {
+    "janson-flow": ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--s-points", "0"],
+    "hy-flow": ["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "0"],
+    "hy-exp": ["hy-exp", "--p", "1.5", "--atoms", "1:0.5", "--s-points", "0"],
+}
+
+
+def _config_argv(config, path: Path) -> list:
+    path.write_text(json.dumps(config))
+    return ["--config", str(path)]
+
+
+def test_front_end_loads_no_numeric_module(tmp_path):
+    argvs = [["--help"], ["discrete-flow", "--help"], ["discrete-flow", "--n", "4"]]
+    argvs += [
+        [*_config_argv(config, tmp_path / f"{i}.json"), "--out", str(tmp_path / "never")]
+        for i, config in enumerate(_BAD_CONFIGS.values())
+    ]
+    seen = _loads(argvs)
+    assert [code for _, code, _ in seen] == [None, EXIT_OK, EXIT_OK] + [EXIT_USAGE] * 4
+    for argv, _, loaded in seen:
+        assert set(loaded).isdisjoint(_NUMERIC), (argv, sorted(set(loaded).intersection(_NUMERIC)))
+    assert not (tmp_path / "never").exists()
+
+
+def test_janson_flow_loads_no_hausdorff_young_layer(tmp_path):
+    argv = ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--s-points", "3", "--out", str(tmp_path)]
+    [_, (_, code, loaded)] = _loads([argv])
+    assert code == EXIT_OK and "hypflow.flows" in loaded
+    assert "hypflow.hausdorff_young" not in loaded and "hypflow.gaussian_atoms" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        *((argv, None) for argv in _BAD_S_POINTS.values()),
+        ([], {"command": "hy-flow", "params": {"p": 1.5, "gaussian": True, "s_points": 0}}),
+        *(([], config) for config in _BAD_CONFIGS.values()),
+    ],
+    ids=[*(f"{name} --s-points 0" for name in _BAD_S_POINTS), "config s_points 0",
+         *(f"config {name}" for name in _BAD_CONFIGS)],
+)
+def test_bad_input_exits_1_without_traceback(argv, config, tmp_path):
+    if config is not None:
+        argv = _config_argv(config, tmp_path / "run.json")
+    done = subprocess.run(
+        [sys.executable, "-m", "hypflow.cli", *argv, "--out", str(tmp_path / "out")],
+        env=_fresh_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_package_reexports_resolve_on_first_use():
     for name, module in hypflow._EXPORTS.items():
         assert getattr(hypflow, name) is getattr(importlib.import_module(f"hypflow.{module}"), name)
