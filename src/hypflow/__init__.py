@@ -18,17 +18,14 @@ __version__ = "0.1.0"
 # name -> the module that defines it
 _EXPORTS = {
     "BecknerExpansion": "cube",
-    "BlockCounts": "cube",
     "CubeFunction": "cube",
     "SymmetricSpec": "cube",
     "apply_Tzk": "cube",
     "beckner_expand": "cube",
     "mixed_norm": "cube",
     "mixed_norm_collapsed": "cube",
-    "phi_block_eval": "cube",
     "phi_symmetric": "cube",
     "walsh_analyze": "cube",
-    "walsh_synthesize": "cube",
     "AccuracyError": "errors",
     "DomainError": "errors",
     "EvaluatorMismatchError": "errors",
@@ -41,12 +38,7 @@ _EXPORTS = {
     "janson_mehler": "flows",
     "janson_quadrature": "flows",
     "GaussianAtom": "gaussian_atoms",
-    "exp_tilt": "gaussian_atoms",
     "fourier_transform_atom": "gaussian_atoms",
-    "gamma_integral": "gaussian_atoms",
-    "mehler_apply_atom": "gaussian_atoms",
-    "mehler_atom_scaled": "gaussian_atoms",
-    "smooth_imaginary": "gaussian_atoms",
     "ExpFamily": "hausdorff_young",
     "HYInput": "hausdorff_young",
     "exp_flow_phi": "hausdorff_young",
@@ -61,23 +53,18 @@ _EXPORTS = {
     "PolySeries": "hermite",
     "basis_convert": "hermite",
     "gaussian_smooth": "hermite",
-    "heat_poly": "hermite",
     "heat_poly_series": "hermite",
     "hermite_eval": "hermite",
-    "mehler_apply_series": "hermite",
     "QuadratureRule": "quadrature",
     "gh_rule": "quadrature",
     "ConvergenceTable": "reporting",
     "FlowReport": "reporting",
     "ExponentTriple": "two_point",
     "conjugate_exponent": "two_point",
-    "MarginRecord": "two_point",
     "SearchBudget": "two_point",
     "extremal_ratio": "two_point",
-    "infinitesimal_margin": "two_point",
     "real_failure_threshold": "two_point",
     "region_scan": "two_point",
-    "two_point_margin": "two_point",
 }
 
 __all__ = sorted(_EXPORTS)

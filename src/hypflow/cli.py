@@ -50,6 +50,16 @@ EXIT_VIOLATION = 2
 DEFAULT_SEED = 0xC0FFEE  # selftest's --seed
 
 
+# the type each RunConfig field must have, as named in the error message
+_FIELD_TYPES = {
+    "command": (str, "a string"),
+    "params": (dict, "an object"),
+    "out": (str, "a string"),
+    "seed": (int, "an integer"),
+    "tol": ((int, float, type(None)), "a number or null"),
+}
+
+
 @dataclass
 class RunConfig:
     """Fully serializable description of one run."""
@@ -58,7 +68,6 @@ class RunConfig:
     params: dict[str, Any]
     out: str = "."
     seed: int = DEFAULT_SEED
-    nodes: int | None = None
     tol: float | None = None
 
     def to_json(self) -> dict:
@@ -66,11 +75,20 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """The run `data` describes; ValueError for a key not in the schema,
+        a value of the wrong type (a bool is never a number) or a tol that
+        is not finite and >= 0 (a NaN tol would pass every verdict)."""
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        config = cls(**data)
+        for name, (kind, label) in _FIELD_TYPES.items():
+            value = getattr(config, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"config key {name!r} must be {label}, got {value!r}")
+        if config.tol is not None and not 0.0 <= config.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {config.tol!r}")
+        return config
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -97,12 +115,16 @@ def _z_from_params(params: dict, p: float) -> complex:
 
 
 def _s_grid(params: dict):
-    """The flow commands' s grid: s_points equispaced samples of [0, 1]."""
+    """The flow commands' s grid: s_points equispaced samples of [0, 1].
+
+    At least 2, so that s = 0 and s = 1 are both on it: phi1 and every
+    endpoint comparison read the last sample.
+    """
     import numpy as np
 
     s_points = int(params.get("s_points", 21))
-    if s_points < 1:
-        raise ValueError(f"s_points must be at least 1, got {s_points}")
+    if s_points < 2:
+        raise ValueError(f"s_points must be at least 2, got {s_points}")
     return np.linspace(0.0, 1.0, s_points)
 
 
@@ -110,7 +132,7 @@ def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
     """Write flow.csv under the --tol override of the monotonicity verdict
     (tol = 0 flags noise) and return the verdict fields for the manifest."""
     if config.tol is not None:
-        report = dataclasses.replace(report, tol_abs=config.tol, tol_rel=config.tol)
+        report = dataclasses.replace(report, tol=config.tol)
     write_flow_csv(report, out / "flow.csv")
     verdict = report.verdict()
     return {
@@ -170,7 +192,7 @@ def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     q = float(params.get("q") or conjugate_exponent(p))
     z = _z_from_params(params, p)
     g = PolySeries(_parse_complex_list(params["coeffs"]))
-    report = janson_flow(g, ExponentTriple(p, q, z), s_grid=_s_grid(params), rule=config.nodes)
+    report = janson_flow(g, ExponentTriple(p, q, z), s_grid=_s_grid(params))
     manifest = {"p": p, "q": q, "z": z, **_flow_output(report, config, out), **report.diagnostics}
     return (EXIT_OK if manifest["nondecreasing"] else EXIT_VIOLATION), manifest
 
@@ -184,9 +206,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
     z = _z_from_params(params, p)
     s = float(params.get("s", 0.5))
     n_list = [int(v) for v in str(params["n_list"]).split(",")]
-    table = convergence_experiment(
-        _parse_complex_list(params["coeffs"]), ExponentTriple(p, q, z), s, n_list, rule=config.nodes
-    )
+    table = convergence_experiment(_parse_complex_list(params["coeffs"]), ExponentTriple(p, q, z), s, n_list)
     write_convergence_csv(table, out / "convergence.csv")
     errs = [r.abs_error for r in table.rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -216,7 +236,7 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
         inp = HYInput(p=p, g_tilde=HermiteSeries(_parse_complex_list(params["hermite_coeffs"])))
     else:
         raise ValueError("hy-flow needs either gaussian=true or hermite_coeffs")
-    report = phi_flow(inp, s_grid=_s_grid(params), rule=config.nodes)
+    report = phi_flow(inp, s_grid=_s_grid(params))
     verdicts = _flow_output(report, config, out)
     norm_fhat, scaled_norm = hy_endpoints(inp)
     manifest = {
@@ -241,7 +261,7 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
     params = config.params
     p = float(params["p"])
     fam = ExpFamily(atoms=tuple(_parse_atoms(params["atoms"])))
-    report = exp_flow_phi(fam, p, s_grid=_s_grid(params), rule=config.nodes)
+    report = exp_flow_phi(fam, p, s_grid=_s_grid(params))
     verdicts = _flow_output(report, config, out)
     manifest = {
         "p": p,
@@ -347,13 +367,6 @@ def _common_flags(target: argparse.ArgumentParser, suppress: bool) -> None:
         **kw,
     )
     target.add_argument(
-        "--nodes",
-        type=int,
-        help="pin the node count of the 2-D outer grids (default: doubled until stable); "
-        "the 1-D endpoint norms and the s = 0, 1 ends of hy-exp always double",
-        **kw,
-    )
-    target.add_argument(
         "--tol", type=float, help="override the command's violation tolerance", **kw
     )
 
@@ -420,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMON = {"config", "out", "seed", "nodes", "tol", "command"}
+_COMMON = {"config", "out", "seed", "tol", "command"}
 
 
 def config_from_argv(argv: list[str]) -> RunConfig:
@@ -432,10 +445,9 @@ def config_from_argv(argv: list[str]) -> RunConfig:
         data = json.loads(Path(args["config"]).read_text(encoding="utf-8"))
         if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
             raise ValueError("a config file must hold a JSON object, and its params an object")
-    data.update({k: args[k] for k in ("command", "seed", "nodes", "tol") if args.get(k) is not None})
+    data.update({k: args[k] for k in ("command", "out", "seed", "tol") if args.get(k) is not None})
     if not data.get("command"):
         parser.error("no command given (flag or config file)")
-    data["out"] = args.get("out") or data.get("out") or "."
     data["params"] = {
         **data.get("params", {}),
         **{k: v for k, v in args.items() if k not in _COMMON and v is not None},

@@ -75,22 +75,6 @@ class CubeFunction:
         return hadamard_transform(self.coeffs)
 
 
-def walsh_synthesize(f: CubeFunction, x) -> complex:
-    """sum_S fhat(S) W_S(x) at one explicit point x in {-1,1}^n."""
-    x = np.asarray(x)
-    if x.shape != (f.n,):
-        raise ValueError(f"point must have {f.n} coordinates")
-    if not np.all(np.abs(x) == 1):
-        raise ValueError("point coordinates must be +1 or -1")
-    mask = 0
-    for j in range(f.n):
-        if x[j] == -1:
-            mask |= 1 << j
-    masks = np.arange(1 << f.n, dtype=np.uint32)
-    signs = 1.0 - 2.0 * (_popcount(masks & np.uint32(mask)) & 1)
-    return complex(np.dot(signs, f.coeffs))
-
-
 def walsh_analyze(values: np.ndarray) -> CubeFunction:
     """Recover Walsh coefficients from the full value table (inverse synthesis)."""
     values = np.asarray(values, dtype=complex)
@@ -128,19 +112,6 @@ def phi_symmetric(ell: int, inputs) -> complex:
     return complex(math.factorial(ell) * partial[ell])
 
 
-@dataclass(frozen=True)
-class BlockCounts:
-    """Counts of +1 coordinates in the two blocks split at index k."""
-
-    k: int
-    a: int
-    b: int
-
-    def validate(self, n: int) -> None:
-        if not (0 <= self.k <= n and 0 <= self.a <= self.k and 0 <= self.b <= n - self.k):
-            raise ValueError(f"invalid block counts {self} for n = {n}")
-
-
 def _truncated_binomial(count: int, coeff: complex, ell: int) -> np.ndarray:
     """Coefficients of (1 + coeff*t)^count through degree ell."""
     out = np.zeros(ell + 1, dtype=complex)
@@ -158,30 +129,6 @@ def _truncated_product(factors, ell: int) -> np.ndarray:
     for fac in factors:
         acc = np.convolve(acc, fac)[: ell + 1]
     return acc
-
-
-def phi_block_eval(ell: int, n: int, counts: BlockCounts, z: complex) -> complex:
-    """phi_ell at the block point (x'/sqrt(n), z x''/sqrt(n)) with given counts.
-
-    Any representative with `a` of +1 among the first k coordinates and `b`
-    of +1 among the rest gives the same value; the generating polynomial
-    (1+t/sn)^a (1-t/sn)^{k-a} (1+zt/sn)^b (1-zt/sn)^{n-k-b} with
-    sn = sqrt(n) is truncated at degree ell and the coefficient of t^ell is
-    scaled by ell!.
-    """
-    counts.validate(n)
-    c = 1.0 / math.sqrt(n)
-    zc = complex(z) * c
-    prod = _truncated_product(
-        (
-            _truncated_binomial(counts.a, c, ell),
-            _truncated_binomial(counts.k - counts.a, -c, ell),
-            _truncated_binomial(counts.b, zc, ell),
-            _truncated_binomial(n - counts.k - counts.b, -zc, ell),
-        ),
-        ell,
-    )
-    return complex(math.factorial(ell) * prod[ell])
 
 
 def _phi_level_value(ell: int, n: int, j: int) -> float:

@@ -80,7 +80,6 @@ from .quadrature import QuadratureRule, doubled, gh_rule, resolve_rule
 from .reporting import ConvergenceRow, ConvergenceTable, FlowReport
 from .two_point import ExponentTriple
 
-DEFAULT_S_GRID_POINTS = 21
 _AUTO_START = 32
 _AUTO_CAP = 512
 _AUTO_RTOL = 1e-10
@@ -90,8 +89,9 @@ _AUTO_RTOL = 1e-10
 _GRID_SHARE = 1e-28
 
 
-def default_s_grid(points: int = DEFAULT_S_GRID_POINTS) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
+def default_s_grid() -> np.ndarray:
+    """21 equispaced samples of [0, 1]."""
+    return np.linspace(0.0, 1.0, 21)
 
 
 def discrete_flow(
@@ -267,31 +267,16 @@ def janson_heat(
         return janson_mehler(PolySeries(gt.coeffs), t, s, rule, stats)
     if not 0.0 < s < 1.0:
         raise ValueError("flow parameter s must lie in [0, 1]")
-    poly = basis_convert(gt, "hermite_to_monomial")
+    poly = basis_convert(gt)
     evolved = heat_poly_series((1.0 - s) * (1.0 - t.z * t.z), poly)
     return _janson_outer(evolved.coeffs, 0.0, s, t, rule, stats)
 
 
-_EVALUATORS = {
-    "quadrature": lambda g, t, s, rule, stats: janson_quadrature(g, t, s, rule, stats),
-    "mehler": lambda g, t, s, rule, stats: janson_mehler(g, t, s, rule, stats),
-    "heat": lambda g, t, s, rule, stats: janson_heat(gaussian_smooth(g), t, s, rule, stats),
-}
-
-
-def janson_flow(
-    g: PolySeries,
-    t: ExponentTriple,
-    s_grid: Sequence[float] | None = None,
-    evaluator: str = "mehler",
-    rule: QuadratureRule | int | None = None,
-    spot_check: bool = True,
-    spot_tol: float = 1e-6,
-) -> FlowReport:
-    """J over an s-grid, with cross-evaluator spot checks.
+def janson_flow(g: PolySeries, t: ExponentTriple, s_grid: Sequence[float] | None = None) -> FlowReport:
+    """J over an s-grid by the scaled-Hermite evaluator, with spot checks.
 
     Three grid points (ends and middle) are re-evaluated by the product
-    quadrature; disagreement beyond spot_tol relative raises
+    quadrature; disagreement beyond 1e-6 relative raises
     EvaluatorMismatchError rather than being averaged.  The report's
     diagnostics give, over every outer grid formed (spot checks included),
     the largest certified relative bound of the dropped cells (tail_bound)
@@ -299,20 +284,16 @@ def janson_flow(
     node doubling stopped at the cap without meeting its tolerance
     (cap_hits).
     """
-    if evaluator not in _EVALUATORS:
-        raise ValueError(f"unknown evaluator {evaluator!r}; expected one of {sorted(_EVALUATORS)}")
     grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
     stats = [OuterStats() for _ in grid]
-    values = [_EVALUATORS[evaluator](g, t, float(s), rule, st) for s, st in zip(grid, stats)]
+    values = [janson_mehler(g, t, float(s), stats=st) for s, st in zip(grid, stats)]
     spot = OuterStats()
-    if spot_check and evaluator != "quadrature":
-        for i in sorted({0, len(grid) // 2, len(grid) - 1}):
-            ref = janson_quadrature(g, t, float(grid[i]), rule, spot)
-            if abs(ref - values[i]) > spot_tol * max(abs(ref), 1e-300):
-                raise EvaluatorMismatchError(
-                    f"evaluators disagree at s = {grid[i]}: "
-                    f"{evaluator} gave {values[i]!r}, quadrature gave {ref!r}"
-                )
+    for i in sorted({0, len(grid) // 2, len(grid) - 1}):
+        ref = janson_quadrature(g, t, float(grid[i]), stats=spot)
+        if abs(ref - values[i]) > 1e-6 * max(abs(ref), 1e-300):
+            raise EvaluatorMismatchError(
+                f"evaluators disagree at s = {grid[i]}: mehler gave {values[i]!r}, quadrature gave {ref!r}"
+            )
     diagnostics = outer_diagnostics(list(zip(grid, stats)), spot)
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
@@ -322,7 +303,6 @@ def convergence_experiment(
     t: ExponentTriple,
     s: float,
     n_list: Sequence[int],
-    rule: QuadratureRule | int | None = None,
 ) -> ConvergenceTable:
     """Discrete flow at k = round(s*n) against the continuous limit J(s).
 
@@ -335,7 +315,7 @@ def convergence_experiment(
     if any(b <= a_ for a_, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     stats = OuterStats()
-    continuous = janson_mehler(PolySeries(np.asarray(a, dtype=complex)), t, s, rule, stats)
+    continuous = janson_mehler(PolySeries(np.asarray(a, dtype=complex)), t, s, stats=stats)
     rows = []
     for n in n_list:
         k = round(s * n)

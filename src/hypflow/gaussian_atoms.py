@@ -3,8 +3,8 @@
 Atoms are the exponential-class test functions of the sharp Hausdorff-Young
 pipeline: the tilted exponentials exp(zeta*x - zeta^2/2) are atoms with
 alpha = 0, and Gaussian extremizers are atoms with beta = 0.  All the
-Gaussian integrals an atom meets (average against dgamma, Mehler image,
-Fourier transform) complete the square and stay in the atom class.
+Gaussian integrals an atom meets (Mehler image, Fourier transform)
+complete the square and stay in the atom class.
 
 Every closed form requires the effective quadratic coefficient to have real
 part > DOMAIN_EPS; below that the defining integral diverges (or is too
@@ -38,12 +38,6 @@ class GaussianAtom:
         return self.amplitude * np.exp(-self.quad * y * y + self.lin * y)
 
 
-def exp_tilt(zeta: complex) -> GaussianAtom:
-    """The tilted exponential x -> exp(zeta*x - zeta^2/2) as an atom."""
-    zeta = complex(zeta)
-    return GaussianAtom(np.exp(-zeta * zeta / 2.0), 0.0, zeta)
-
-
 def _require_damping(coeff: complex, what: str) -> None:
     if coeff.real <= DOMAIN_EPS:
         raise DomainError(
@@ -51,42 +45,18 @@ def _require_damping(coeff: complex, what: str) -> None:
         )
 
 
-def gamma_integral(atom: GaussianAtom) -> complex:
-    """E[atom(G)] for standard Gaussian G, in closed form."""
-    a_eff = atom.quad + 0.5
-    _require_damping(a_eff, "Gaussian average of atom")
-    return complex(atom.amplitude * np.exp(atom.lin**2 / (4.0 * a_eff)) / np.sqrt(2.0 * a_eff))
-
-
-def smooth_imaginary(atom: GaussianAtom, t_squared: complex) -> GaussianAtom:
-    """E_v[atom(A + i*t*v)] as an atom in A, for standard Gaussian v.
-
-    Only t^2 enters (the Gaussian is symmetric), so the parameter is passed
-    squared and no branch of t is chosen.  Requires Re(1 - 2*quad*t^2) > 0.
-    """
-    a, b, c = atom.quad, atom.lin, atom.amplitude
-    d = 1.0 - 2.0 * a * t_squared
-    _require_damping(d, "imaginary-direction Gaussian smoothing")
-    amp = c / np.sqrt(d) * np.exp(-t_squared * b * b / (2.0 * d))
-    return GaussianAtom(complex(amp), a / d, b / d)
-
-
-def mehler_apply_atom(w: complex, atom: GaussianAtom, x: complex) -> complex:
-    """Mehler image M_w atom evaluated at x, in closed form.
-
-    Defined through the Gaussian kernel
-        M_w f(x) = int f(y) exp(-(x*w - y)^2 / (2(1-w^2))) dy / sqrt(2 pi (1-w^2));
-    completing the square gives the value below.  Requires
-    Re(quad + 1/(2(1-w^2))) > 0, the convergence condition of the integral.
-    """
-    w = complex(w)
-    if w * w == 1.0:
-        raise ValueError("Mehler kernel is singular at w^2 = 1")
-    return mehler_atom_scaled(w * w, atom, complex(x) * w)
-
-
 def _mehler_atom_parts(sigma: complex, atom: GaussianAtom, arg):
-    """(s_k / A, B^2/(4A) - s_k*arg^2) as in mehler_atom_scaled, sigma != 1."""
+    """(s_k / A, B^2/(4A) - s_k*arg^2) for the composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)).
+
+    Written out, the square root of sigma cancels: with
+    s_k = 1/(2(1-sigma)), A = quad + s_k, B = lin + 2*s_k*arg, the image is
+
+        amplitude * sqrt(s_k / A) * exp(B^2/(4A) - s_k*arg^2),
+
+    which depends on sigma alone; sigma = 1 (the identity) is excluded.
+    Requires Re(A) > DOMAIN_EPS, the convergence condition of the Mehler
+    kernel integral.
+    """
     s_k = 1.0 / (2.0 * (1.0 - sigma))
     big_a = atom.quad + s_k
     _require_damping(big_a, "Mehler image of atom")
@@ -94,29 +64,12 @@ def _mehler_atom_parts(sigma: complex, atom: GaussianAtom, arg):
     return s_k / big_a, big_b * big_b / (4.0 * big_a) - s_k * arg * arg
 
 
-def mehler_atom_scaled(sigma: complex, atom: GaussianAtom, arg: complex) -> complex:
-    """The composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)), branch-free.
-
-    Written out, the square root of sigma cancels: with
-    s_k = 1/(2(1-sigma)), A = quad + s_k, B = lin + 2*s_k*arg,
-
-        value = amplitude * sqrt(s_k / A) * exp(B^2/(4A) - s_k*arg^2),
-
-    which depends on sigma alone.  sigma = 1 is the identity.
-    """
-    sigma = complex(sigma)
-    arg = complex(arg)
-    if sigma == 1.0:
-        return complex(atom(arg))
-    ratio, expo = _mehler_atom_parts(sigma, atom, arg)
-    return complex(atom.amplitude * np.sqrt(ratio) * np.exp(expo))
-
-
 def mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
-    """log |mehler_atom_scaled(sigma, atom, arg)| over an argument array.
+    """log |M_{sqrt(sigma)} atom (arg / sqrt(sigma))| over an argument array.
 
-    The real part of log(amplitude * sqrt(s_k / A)) + B^2/(4A) - s_k*arg^2;
-    the magnitude itself overflows where the image grows like exp(+c arg^2).
+    The real part of log(amplitude * sqrt(s_k / A)) + B^2/(4A) - s_k*arg^2
+    (see _mehler_atom_parts); the magnitude itself overflows where the
+    image grows like exp(+c arg^2).
     """
     sigma = complex(sigma)
     with np.errstate(divide="ignore"):  # a zero atom has log-magnitude -inf

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .gaussian_atoms import (
     recentred_lr_norm,
 )
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
-from .quadrature import Estimate, QuadratureRule, doubled, integrate_entire, resolve_rule
+from .quadrature import Estimate, QuadratureRule, doubled, gh_rule, integrate_entire
 from .reporting import FlowReport
 from .two_point import ExponentTriple, conjugate_exponent
 from .cube import factored_mixed_norm
@@ -91,15 +91,6 @@ class HYInput:
             self.f_atom.lin,
         )
 
-    def f_callable(self) -> Callable[[np.ndarray], np.ndarray]:
-        """f as a vectorized function of a real variable."""
-        if self.f_atom is not None:
-            return self.f_atom
-        gt = self.g_tilde
-        scale = (2.0 * np.pi) ** (-1.0 / (2.0 * self.p))
-        inv_two_p = 1.0 / (2.0 * self.p)
-        return lambda y: gt(y) * np.exp(-inv_two_p * np.asarray(y) ** 2) * scale
-
 
 def gaussian_extremizer_input(p: float) -> HYInput:
     """f(y) = exp(-pi y^2), the extremizing Gaussian, as an HYInput."""
@@ -118,11 +109,7 @@ def _outer_average_log(log_abs: np.ndarray, rule: QuadratureRule, p: float, q: f
     return float(np.dot(rule.weights, x_avg ** (p / q)))
 
 
-def phi_flow(
-    inp: HYInput,
-    s_grid: Sequence[float] | None = None,
-    rule: QuadratureRule | int | None = None,
-) -> FlowReport:
+def phi_flow(inp: HYInput, s_grid: Sequence[float] | None = None) -> FlowReport:
     """phi(s) = (J(s) p^{1/2} / q^{p/2q})^{1/p} over the grid, z = i sqrt(p-1).
 
     The report's diagnostics are flows.outer_diagnostics of the samples:
@@ -137,9 +124,7 @@ def phi_flow(
     for s, st in zip(grid, stats):
         s = float(s)
         if inp.g_tilde is not None:
-            j_val = janson_mehler(
-                PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), s, rule, st
-            )
+            j_val = janson_mehler(PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), s, stats=st)
         else:
             atom = inp.g_tilde_atom()
             z = inp.z
@@ -150,7 +135,7 @@ def phi_flow(
                 big_x = rs * r.nodes[:, None] + z * rc * r.nodes[None, :]
                 return _outer_average_log(mehler_atom_log_abs(sigma, atom, big_x), r, p, q)
 
-            j_val = _auto_outer(evaluate, rule, stats=st)
+            j_val = _auto_outer(evaluate, None, stats=st)
         values.append((j_val * bridge) ** (1.0 / p))
     diagnostics = outer_diagnostics(list(zip(grid, stats)))
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
@@ -178,7 +163,7 @@ def hy_endpoints(inp: HYInput) -> tuple[float, float]:
         norm_f = atom_lp_norm([inp.f_atom], p)
         norm_fhat = atom_lp_norm([fourier_transform_atom(inp.f_atom)], q)
     else:
-        poly = basis_convert(inp.g_tilde, "hermite_to_monomial")
+        poly = basis_convert(inp.g_tilde)
         a = 1.0 / (2.0 * p)
         log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
         norm_f = _poly_gaussian_lr_norm(poly, a, log_amp, p)
@@ -198,11 +183,9 @@ def hy_endpoints(inp: HYInput) -> tuple[float, float]:
     return norm_fhat, scaled
 
 
-def lemma_A_check(
-    zeta: complex, x: complex, rule: QuadratureRule | int | None = None
-) -> tuple[complex, complex]:
-    """(quadrature, closed form) of E_y exp(zeta (x + i y)) = exp(zeta x - zeta^2/2)."""
-    r = resolve_rule(rule, default_n=96)
+def lemma_A_check(zeta: complex, x: complex) -> tuple[complex, complex]:
+    """(96-node quadrature, closed form) of E_y exp(zeta (x + i y)) = exp(zeta x - zeta^2/2)."""
+    r = gh_rule(96)
     zeta = complex(zeta)
     x = complex(x)
     quad_val = complex(np.dot(r.weights, np.exp(zeta * (x + 1j * r.nodes))))
@@ -210,17 +193,15 @@ def lemma_A_check(
     return quad_val, closed
 
 
-def lemma_F_check(
-    t: complex, p: float, u: float, rule: QuadratureRule | int | None = None
-) -> tuple[complex, complex]:
+def lemma_F_check(t: complex, p: float, u: float) -> tuple[complex, complex]:
     """Fourier image of one modulated Gaussian: quadrature vs closed form.
 
     Left: int exp(-pi x^2 + t sqrt(2 pi p) x - t^2/2) exp(-2 pi i u x) dx by
-    recentred quadrature.  Right: exp(-i sqrt(2 pi p) t u + t^2 (p/q)/2 - pi u^2)
+    recentred 96-node quadrature.  Right: exp(-i sqrt(2 pi p) t u + t^2 (p/q)/2 - pi u^2)
     with q the conjugate exponent.
     """
     q = conjugate_exponent(p)
-    r = resolve_rule(rule, default_n=96)
+    r = gh_rule(96)
     t = complex(t)
     b = t * math.sqrt(2.0 * np.pi * p) - 2.0j * np.pi * u
     quad_val = np.exp(-t * t / 2.0) * integrate_entire(
@@ -262,16 +243,6 @@ class ExpFamily:
             total = total + c * np.exp(zx * x - zx * zx / 2.0 + zu * u - zu * zu / 2.0)
         return total
 
-    def phi_s_quadrature(
-        self, s: float, z: complex, x: complex, u: complex, rule: QuadratureRule
-    ) -> complex:
-        """The defining double Gaussian average of g, for cross-checking."""
-        rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
-        y = rule.nodes[:, None]
-        v = rule.nodes[None, :]
-        vals = self((x + 1j * y) * rs + z * (u + 1j * v) * rc)
-        return complex(rule.weights @ vals @ rule.weights)
-
 
 def _abs_power_average(fn, r: float) -> Estimate:
     """E |fn(G)|^r for standard Gaussian G, doubled from 64 up to 4096 nodes."""
@@ -302,13 +273,7 @@ def _exp_flow_factors(
     return amps * np.exp(left - shift), np.exp(right + shift[:, None])
 
 
-def exp_flow_phi(
-    fam: ExpFamily,
-    p: float,
-    s_grid: Sequence[float] | None = None,
-    rule: QuadratureRule | int | None = None,
-    endpoint_tol: float = _ENDPOINT_TOL,
-) -> FlowReport:
+def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None) -> FlowReport:
     """The exponential-family flow phi_exp(s) = E_x (E_u |Phi_s(x,u)|^q)^{p/q}.
 
     Damping is z = i sqrt(p/q); the inner average runs over the z-coupled
@@ -350,13 +315,13 @@ def exp_flow_phi(
             st.cuts.append(cut)
             return value
 
-        return _auto_outer(evaluate, rule, raise_on_failure=True, stats=st)
+        return _auto_outer(evaluate, None, raise_on_failure=True, stats=st)
 
     values = [value_at(float(s)) for s in grid]
     phi0, phi1 = value_at(0.0), value_at(1.0)
     if not (math.isfinite(phi0) and math.isfinite(phi1)):
         raise AccuracyError(f"exponential flow endpoints are not finite: phi(0) = {phi0}, phi(1) = {phi1}")
-    if phi0 > phi1 + endpoint_tol * max(abs(phi1), 1.0):
+    if phi0 > phi1 + _ENDPOINT_TOL * max(abs(phi1), 1.0):
         raise InequalityViolationError(
             "endpoint comparison failed for exponential family",
             lhs=phi0,

@@ -1,4 +1,4 @@
-"""Probabilists' Hermite polynomials, series algebra, Mehler and heat semigroups.
+"""Probabilists' Hermite polynomials, series algebra, scaled-Hermite sums, heat flow.
 
 The Hermite normalization used everywhere is the probabilists' one,
 
@@ -25,9 +25,6 @@ from typing import Union
 import numpy as np
 from numpy.polynomial import hermite_e as _herme
 from numpy.polynomial import polynomial as _poly
-
-
-_MEHLER_RADIUS_SLACK = 1e-12
 
 
 def hermite_eval(ell: int, x: complex | np.ndarray) -> complex | np.ndarray:
@@ -150,27 +147,16 @@ def _apply_conversion(coeffs: np.ndarray, to_hermite: bool) -> np.ndarray:
     return out
 
 
-def basis_convert(series: Series, direction: str | None = None) -> Series:
-    """Exact change of basis between monomial and Hermite coefficients.
+def basis_convert(series: Series) -> Series:
+    """Exact change of basis: a PolySeries to Hermite coefficients, a
+    HermiteSeries to monomial coefficients.
 
-    direction is 'monomial_to_hermite' or 'hermite_to_monomial'; when omitted
-    it is inferred from the input type.  Each output coefficient is the
-    exact image of the inputs, rounded once to float64, on every platform
-    (no extended precision is assumed).
+    Each output coefficient is the exact image of the inputs, rounded once
+    to float64, on every platform (no extended precision is assumed).
     """
-    if direction is None:
-        direction = (
-            "monomial_to_hermite" if isinstance(series, PolySeries) else "hermite_to_monomial"
-        )
-    if direction == "monomial_to_hermite":
-        if not isinstance(series, PolySeries):
-            raise ValueError("monomial_to_hermite expects a PolySeries")
+    if isinstance(series, PolySeries):
         return HermiteSeries(_apply_conversion(series.coeffs, True))
-    if direction == "hermite_to_monomial":
-        if not isinstance(series, HermiteSeries):
-            raise ValueError("hermite_to_monomial expects a HermiteSeries")
-        return PolySeries(_apply_conversion(series.coeffs, False))
-    raise ValueError(f"unknown conversion direction: {direction!r}")
+    return PolySeries(_apply_conversion(series.coeffs, False))
 
 
 def gaussian_smooth(g: PolySeries) -> HermiteSeries:
@@ -180,15 +166,6 @@ def gaussian_smooth(g: PolySeries) -> HermiteSeries:
     reused unchanged.
     """
     return HermiteSeries(g.coeffs.copy())
-
-
-def mehler_apply_series(w: complex, gt: HermiteSeries) -> HermiteSeries:
-    """Mehler semigroup on coefficients: a_ell -> w^ell a_ell, for |w| <= 1."""
-    w = complex(w)
-    if abs(w) > 1.0 + _MEHLER_RADIUS_SLACK:
-        raise ValueError(f"Mehler parameter must satisfy |w| <= 1, got |w| = {abs(w)}")
-    powers = w ** np.arange(gt.coeffs.size)
-    return HermiteSeries(gt.coeffs * powers)
 
 
 def heat_poly_series(s: complex, h: PolySeries) -> PolySeries:
@@ -222,7 +199,3 @@ def _double_factorial_odd(j: int) -> int:
         val *= 2 * i - 1
     return val
 
-
-def heat_poly(s: complex, h: PolySeries, x: complex | np.ndarray):
-    """P_s h (x) for complex time s and complex point x."""
-    return heat_poly_series(s, h)(x)

@@ -167,13 +167,9 @@ def _gh_rule_cached(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def resolve_rule(rule: QuadratureRule | int | None, default_n: int = 64) -> QuadratureRule:
-    """Accept a rule, a node count, or None (-> default size)."""
-    if rule is None:
-        return gh_rule(default_n)
-    if isinstance(rule, int):
-        return gh_rule(rule)
-    return rule
+def resolve_rule(rule: QuadratureRule | int) -> QuadratureRule:
+    """Accept a rule or a node count."""
+    return gh_rule(rule) if isinstance(rule, int) else rule
 
 
 @dataclass(frozen=True)

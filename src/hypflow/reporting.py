@@ -16,8 +16,9 @@ from typing import Sequence
 from .errors import AccuracyError
 
 # Monotonicity is flagged only beyond quadrature noise.
-DEFAULT_TOL_ABS = 1e-10
-DEFAULT_TOL_REL = 1e-10
+DEFAULT_TOL = 1e-10
+# ConvergenceTable.slope skips errors at or below this.
+_NOISE_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,7 @@ class FlowReport:
 
     parameter_name: str
     samples: tuple[tuple[float, float], ...]
-    tol_abs: float = DEFAULT_TOL_ABS
-    tol_rel: float = DEFAULT_TOL_REL
+    tol: float = DEFAULT_TOL
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -64,7 +64,7 @@ class FlowReport:
         return [p for p, _ in self.samples]
 
     def verdict(self) -> MonotoneVerdict:
-        """A decrease counts only if it exceeds tol_abs + tol_rel * |previous value|.
+        """A decrease counts only if it exceeds tol + tol * |previous value|.
 
         Raises AccuracyError if a sample is not finite: no comparison with
         it means anything.
@@ -77,7 +77,7 @@ class FlowReport:
                     f"flow sample at {self.parameter_name} = {param:g} is {value}"
                 )
         for i in range(len(vals) - 1):
-            allowed = self.tol_abs + self.tol_rel * abs(vals[i])
+            allowed = self.tol + self.tol * abs(vals[i])
             deficit = vals[i] - vals[i + 1]
             if deficit > allowed and deficit > worst_d:
                 worst_i, worst_d = i, deficit
@@ -113,13 +113,12 @@ class ConvergenceTable:
     """
 
     rows: tuple[ConvergenceRow, ...]
-    noise_floor: float = 1e-13
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def slope(self) -> float | None:
         """Fitted on (log n, log error), skipping rows at the noise floor."""
-        pts = [(r.n, r.abs_error) for r in self.rows if r.abs_error > self.noise_floor]
+        pts = [(r.n, r.abs_error) for r in self.rows if r.abs_error > _NOISE_FLOOR]
         if len(pts) < 2:
             return None
         import numpy as np

@@ -179,7 +179,7 @@ def _two_point(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
             if extremal_ratio(t, SearchBudget.reduced()).sup_ratio <= 1.0 + 1e-9:
                 margin = infinitesimal_margin_min(t)
                 rec.check(f"infinitesimal margin p={p} q={q} z={z:.3g}", -margin, 1e-7)
-    threshold = real_failure_threshold(2.0, 4.0, z_tol=2e-3)
+    threshold = real_failure_threshold(2.0, 4.0)
     rec.require(f"real threshold {threshold} in [0.567, 0.587]", 0.567 <= threshold <= 0.587)
 
 

@@ -37,6 +37,9 @@ from typing import Sequence
 import numpy as np
 
 _Z_RADIUS_SLACK = 1e-12
+_ANGLES = 256  # unit directions of the quadratic-form scan
+_RATIO_TOL = 1e-9  # a sup ratio up to 1 + this holds
+_MARGIN_TOL = 1e-7  # a quadratic-form margin down to -this holds
 
 
 @dataclass(frozen=True)
@@ -67,44 +70,10 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
-class MarginRecord:
-    """One margin evaluation: rhs - lhs, with the evaluation point attached."""
-
-    point: tuple
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-
-def two_point_margin(a: complex, b: complex, t: ExponentTriple) -> MarginRecord:
-    """Global two-point margin at (a, b)."""
-    a = complex(a)
-    b = complex(b)
-    lhs = (0.5 * (abs(a + t.z * b) ** t.q + abs(a - t.z * b) ** t.q)) ** (1.0 / t.q)
-    rhs = (0.5 * (abs(a + b) ** t.p + abs(a - b) ** t.p)) ** (1.0 / t.p)
-    return MarginRecord(point=(a, b), lhs=lhs, rhs=rhs)
-
-
-def infinitesimal_margin(w: complex, t: ExponentTriple) -> MarginRecord:
-    """Quadratic-form margin at direction w.
-
-    Homogeneous of degree 2 in |w|, so scans only need w on the unit circle.
-    """
-    w = complex(w)
-    wz = w * t.z
-    lhs = (t.q - 2.0) * (wz.real) ** 2 + abs(wz) ** 2
-    rhs = (t.p - 2.0) * (w.real) ** 2 + abs(w) ** 2
-    return MarginRecord(point=(w,), lhs=lhs, rhs=rhs)
-
-
-@lru_cache(maxsize=8)
-def _unit_directions(angles: int) -> np.ndarray:
-    """Uniform unit directions on the upper half circle (read-only)."""
-    theta = np.linspace(0.0, np.pi, angles, endpoint=False)  # w and -w agree
+@lru_cache(maxsize=1)
+def _unit_directions() -> np.ndarray:
+    """_ANGLES uniform unit directions on the upper half circle (read-only)."""
+    theta = np.linspace(0.0, np.pi, _ANGLES, endpoint=False)  # w and -w agree
     w = np.exp(1j * theta)
     w.flags.writeable = False
     return w
@@ -118,13 +87,15 @@ def _disk_points(zs) -> np.ndarray:
     return zs
 
 
-def infinitesimal_margin_min(t: ExponentTriple, angles: int = 256, zs=None):
-    """Worst quadratic-form margin over a uniform scan of unit directions.
+def infinitesimal_margin_min(t: ExponentTriple, zs=None):
+    """Worst quadratic-form margin over a uniform scan of _ANGLES unit directions.
 
-    With an array `zs`, the margin at t.p, t.q for every z of zs (t.z is not
+    The margin at direction w is rhs - lhs of the quadratic-form comparison;
+    it is homogeneous of degree 2 in |w|, so unit directions suffice.  With
+    an array `zs`, the margin at t.p, t.q for every z of zs (t.z is not
     used), as an array; every entry is bit for bit the single-z value.
     """
-    w = _unit_directions(angles)
+    w = _unit_directions()
     wz = w * (t.z if zs is None else _disk_points(zs)[:, None])
     lhs = (t.q - 2.0) * wz.real**2 + np.abs(wz) ** 2
     rhs = (t.p - 2.0) * w.real**2 + np.abs(w) ** 2
@@ -318,19 +289,14 @@ def extremal_ratio(t: ExponentTriple, budget: SearchBudget | None = None, zs=Non
     return ExtremalSearchResult(float(sup[0]), a, complex(b_best[0]), int(evals[0]), complete)
 
 
-def real_failure_threshold(
-    p: float,
-    q: float,
-    z_tol: float = 1e-3,
-    ratio_tol: float = 1e-9,
-    budget: SearchBudget | None = None,
-) -> float:
-    """Largest real z in [0, 1] where the global inequality still holds, by bisection."""
+def real_failure_threshold(p: float, q: float) -> float:
+    """Largest real z in [0, 1] where the global inequality still holds, by
+    bisection to width 2e-3 under the full search budget."""
     lo, hi = 0.0, 1.0
-    while hi - lo > z_tol:
+    while hi - lo > 2e-3:
         mid = 0.5 * (lo + hi)
-        res = extremal_ratio(ExponentTriple(p, q, mid), budget)
-        if res.sup_ratio <= 1.0 + ratio_tol:
+        res = extremal_ratio(ExponentTriple(p, q, mid))
+        if res.sup_ratio <= 1.0 + _RATIO_TOL:
             lo = mid
         else:
             hi = mid
@@ -362,14 +328,11 @@ def region_scan(
     p: float,
     q: float,
     z_grid: Sequence[complex] | np.ndarray,
-    angles: int = 256,
     budget: SearchBudget | None = None,
-    ratio_tol: float = 1e-9,
-    margin_tol: float = 1e-7,
 ) -> list[RegionScanRow]:
     """Evaluate both forms of the inequality on a grid of damping parameters.
 
-    Each z gets a quadratic-form scan over `angles` directions and an
+    Each z gets a quadratic-form scan over _ANGLES directions and an
     extremal-ratio search (reduced budget by default); both run once for the
     whole grid, as batches over z.  Output vocabulary is holds-on-grid /
     fails-with-witness only.
@@ -378,7 +341,7 @@ def region_scan(
         budget = SearchBudget.reduced()
     zs = _disk_points(z_grid)
     t = ExponentTriple(p, q, 0.0)
-    margins = infinitesimal_margin_min(t, angles, zs=zs).tolist()
+    margins = infinitesimal_margin_min(t, zs=zs).tolist()
     res = extremal_ratio(t, budget, zs=zs)
     return [
         RegionScanRow(
@@ -388,8 +351,8 @@ def region_scan(
             infinitesimal_margin_min=margin,
             sup_ratio=sup,
             witness_b=b,
-            global_holds=sup <= 1.0 + ratio_tol,
-            infinitesimal_holds=margin >= -margin_tol,
+            global_holds=sup <= 1.0 + _RATIO_TOL,
+            infinitesimal_holds=margin >= -_MARGIN_TOL,
         )
         for z, margin, sup, b in zip(zs.tolist(), margins, res.sup_ratio.tolist(), res.witness_b.tolist())
     ]

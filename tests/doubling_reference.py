@@ -263,7 +263,7 @@ def hy_endpoints(inp: HYInput) -> tuple[float, float]:
         norm_f = atom_lp_norm([inp.f_atom], p)
         norm_fhat = atom_lp_norm([fourier_transform_atom(inp.f_atom)], q)
     else:
-        poly = basis_convert(inp.g_tilde, "hermite_to_monomial")
+        poly = basis_convert(inp.g_tilde)
         a = 1.0 / (2.0 * p)
         log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
         norm_f = _poly_gaussian_lq_norm(poly, a, 0.0, log_amp, p)
@@ -477,6 +477,6 @@ def janson_heat(
         return janson_mehler(PolySeries(gt.coeffs), t, s, rule, stats)
     if not 0.0 < s < 1.0:
         raise ValueError("flow parameter s must lie in [0, 1]")
-    poly = basis_convert(gt, "hermite_to_monomial")
+    poly = basis_convert(gt)
     evolved = heat_poly_series((1.0 - s) * (1.0 - t.z * t.z), poly)
     return _janson_outer(evolved, _monomial_majorant(evolved.coeffs), s, t, rule, stats)

@@ -1,27 +1,119 @@
-"""Identity checks that only the tests use.
+"""Identity checks and reference evaluations that only the tests use.
 
-Each helper evaluates both sides of one documented identity (Mehler kernel
+Each check evaluates both sides of one documented identity (Mehler kernel
 and Fourier forms, heat flow by quadrature, Gaussian rotation, the block
 convolution of phi_L, the mixed-moment identity, the exponential-flow
-endpoints) and returns them for the caller to compare.
+endpoints) and returns them for the caller to compare.  The reference
+evaluations compute, by a route of their own, what code in the package
+computes another way: the Mehler image of a Hermite series or of one
+Gaussian atom, phi_L at a block point of the cube, and the defining double
+Gaussian average of an exponential family.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from hypflow.cube import BlockCounts, log_binomial_weights, phi_block_eval, phi_symmetric
-from hypflow.gaussian_atoms import GaussianAtom, _require_damping, atom_lp_norm, fourier_transform_atom
+from hypflow.cube import _truncated_binomial, _truncated_product, log_binomial_weights, phi_symmetric
+from hypflow.gaussian_atoms import (
+    GaussianAtom,
+    _mehler_atom_parts,
+    _require_damping,
+    atom_lp_norm,
+    fourier_transform_atom,
+)
 from hypflow.hausdorff_young import (
     ExpFamily,
     conjugate_exponent,
     exp_family_final_atoms,
     exp_flow_phi,
 )
-from hypflow.hermite import HermiteSeries, PolySeries, heat_poly, mehler_apply_series
+from hypflow.hermite import HermiteSeries, PolySeries, heat_poly_series
 from hypflow.quadrature import QuadratureRule, integrate_entire
+
+
+def mehler_apply_series(w: complex, gt: HermiteSeries) -> HermiteSeries:
+    """Mehler semigroup on coefficients: a_ell -> w^ell a_ell, for |w| <= 1."""
+    w = complex(w)
+    if abs(w) > 1.0 + 1e-12:
+        raise ValueError(f"Mehler parameter must satisfy |w| <= 1, got |w| = {abs(w)}")
+    return HermiteSeries(gt.coeffs * w ** np.arange(gt.coeffs.size))
+
+
+def mehler_atom_scaled(sigma: complex, atom: GaussianAtom, arg: complex) -> complex:
+    """The composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)), branch-free, from
+    gaussian_atoms._mehler_atom_parts; sigma = 1 is the identity."""
+    sigma = complex(sigma)
+    arg = complex(arg)
+    if sigma == 1.0:
+        return complex(atom(arg))
+    ratio, expo = _mehler_atom_parts(sigma, atom, arg)
+    return complex(atom.amplitude * np.sqrt(ratio) * np.exp(expo))
+
+
+def mehler_apply_atom(w: complex, atom: GaussianAtom, x: complex) -> complex:
+    """Mehler image M_w atom evaluated at x, in closed form.
+
+    Defined through the Gaussian kernel
+        M_w f(x) = int f(y) exp(-(x*w - y)^2 / (2(1-w^2))) dy / sqrt(2 pi (1-w^2));
+    completing the square gives mehler_atom_scaled(w^2, atom, x w).  Requires
+    Re(quad + 1/(2(1-w^2))) > 0, the convergence condition of the integral.
+    """
+    w = complex(w)
+    if w * w == 1.0:
+        raise ValueError("Mehler kernel is singular at w^2 = 1")
+    return mehler_atom_scaled(w * w, atom, complex(x) * w)
+
+
+@dataclass(frozen=True)
+class BlockCounts:
+    """Counts of +1 coordinates in the two blocks split at index k."""
+
+    k: int
+    a: int
+    b: int
+
+    def validate(self, n: int) -> None:
+        if not (0 <= self.k <= n and 0 <= self.a <= self.k and 0 <= self.b <= n - self.k):
+            raise ValueError(f"invalid block counts {self} for n = {n}")
+
+
+def phi_block_eval(ell: int, n: int, counts: BlockCounts, z: complex) -> complex:
+    """phi_ell at the block point (x'/sqrt(n), z x''/sqrt(n)) with given counts.
+
+    Any representative with `a` of +1 among the first k coordinates and `b`
+    of +1 among the rest gives the same value; the generating polynomial
+    (1+t/sn)^a (1-t/sn)^{k-a} (1+zt/sn)^b (1-zt/sn)^{n-k-b} with
+    sn = sqrt(n) is truncated at degree ell and the coefficient of t^ell is
+    scaled by ell!.
+    """
+    counts.validate(n)
+    c = 1.0 / math.sqrt(n)
+    zc = complex(z) * c
+    prod = _truncated_product(
+        (
+            _truncated_binomial(counts.a, c, ell),
+            _truncated_binomial(counts.k - counts.a, -c, ell),
+            _truncated_binomial(counts.b, zc, ell),
+            _truncated_binomial(n - counts.k - counts.b, -zc, ell),
+        ),
+        ell,
+    )
+    return complex(math.factorial(ell) * prod[ell])
+
+
+def exp_family_double_average(
+    fam: ExpFamily, s: float, z: complex, x: complex, u: complex, rule: QuadratureRule
+) -> complex:
+    """Phi_s(x, u) as the defining double Gaussian average of the family g."""
+    rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
+    y = rule.nodes[:, None]
+    v = rule.nodes[None, :]
+    vals = fam((x + 1j * y) * rs + z * (u + 1j * v) * rc)
+    return complex(rule.weights @ vals @ rule.weights)
 
 
 def lebesgue_integral(atom: GaussianAtom) -> complex:
@@ -82,7 +174,7 @@ def heat_quadrature(s: float, f, x: float, rule: QuadratureRule) -> complex:
     """P_s f (x) for real s > 0 by the substitution t = x + sqrt(s) u.
 
     Only the real-time numeric path lives here; complex times go through
-    heat_poly.
+    hermite.heat_poly_series.
     """
     if not (np.isreal(s) and float(np.real(s)) > 0.0):
         raise ValueError(f"heat_quadrature requires real s > 0, got {s}")
@@ -106,7 +198,7 @@ def gaussian_rotation_check(
     v = rule.nodes[None, :]
     grid = p(z1 * u + z2 * v)
     lhs = complex(rule.weights @ grid @ rule.weights)
-    rhs = complex(heat_poly(z1 * z1 + z2 * z2, p, 0.0))
+    rhs = complex(heat_poly_series(z1 * z1 + z2 * z2, p)(0.0))
     return lhs, rhs
 
 

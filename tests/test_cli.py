@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -160,28 +161,45 @@ _GOOD_CONFIG = {"command": "discrete-flow", "params": {"n": 5, "p": 2.0, "q": 4.
 _BAD_CONFIGS = {
     "list": [_GOOD_CONFIG],
     "unknown key": {**_GOOD_CONFIG, "nodez": 64},
+    "removed key nodes": {"command": "janson-flow", "params": {"p": 1.5, "coeffs": "1,1j"}, "nodes": "many"},
     "params not an object": {**_GOOD_CONFIG, "params": [1, 2]},
+    "command not a string": {**_GOOD_CONFIG, "command": 5},
+    "out not a string": {**_GOOD_CONFIG, "out": 5},
+    "seed not an integer": {**_GOOD_CONFIG, "seed": "x"},
+    "seed a bool": {**_GOOD_CONFIG, "seed": True},
+    "tol not a number": {**_GOOD_CONFIG, "tol": "x"},
+    "tol negative": {**_GOOD_CONFIG, "tol": -1.0},
 }
-_BAD_S_POINTS = {
-    "janson-flow": ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--s-points", "0"],
-    "hy-flow": ["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "0"],
-    "hy-exp": ["hy-exp", "--p", "1.5", "--atoms", "1:0.5", "--s-points", "0"],
+# each flow command with an s grid too short to hold both ends, and a NaN
+# tol, under which a decreasing flow would pass
+_BAD_ARGVS = {
+    f"{argv[0]} --s-points {count}": [*argv, "--s-points", str(count)]
+    for argv in (
+        ["janson-flow", "--p", "1.5", "--coeffs", "1,1j"],
+        ["hy-flow", "--p", "1.5", "--gaussian"],
+        ["hy-exp", "--p", "1.5", "--atoms", "1:0.5"],
+    )
+    for count in (0, 1)
 }
+_BAD_ARGVS["discrete-flow --tol nan"] = [
+    "discrete-flow", "--n", "6", "--p", "2", "--q", "4", "--z-re", "0.95", "--coeffs", "0,1", "--tol", "nan"
+]
 
 
-def _config_argv(config, path: Path) -> list:
+def _config_argv(config, path: Path, out: Path) -> list:
+    """--config with `config` written to path, then --out unless the config sets out."""
     path.write_text(json.dumps(config))
-    return ["--config", str(path)]
+    return ["--config", str(path), *([] if "out" in config else ["--out", str(out)])]
 
 
 def test_front_end_loads_no_numeric_module(tmp_path):
     argvs = [["--help"], ["discrete-flow", "--help"], ["discrete-flow", "--n", "4"]]
     argvs += [
-        [*_config_argv(config, tmp_path / f"{i}.json"), "--out", str(tmp_path / "never")]
+        _config_argv(config, tmp_path / f"{i}.json", tmp_path / "never")
         for i, config in enumerate(_BAD_CONFIGS.values())
     ]
     seen = _loads(argvs)
-    assert [code for _, code, _ in seen] == [None, EXIT_OK, EXIT_OK] + [EXIT_USAGE] * 4
+    assert [code for _, code, _ in seen] == [None, EXIT_OK, EXIT_OK] + [EXIT_USAGE] * (1 + len(_BAD_CONFIGS))
     for argv, _, loaded in seen:
         assert set(loaded).isdisjoint(_NUMERIC), (argv, sorted(set(loaded).intersection(_NUMERIC)))
     assert not (tmp_path / "never").exists()
@@ -194,29 +212,64 @@ def test_janson_flow_loads_no_hausdorff_young_layer(tmp_path):
     assert "hypflow.hausdorff_young" not in loaded and "hypflow.gaussian_atoms" not in loaded
 
 
+def _run_cold(argv, cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "hypflow.cli", *argv], cwd=cwd, env=_fresh_env(), capture_output=True, text=True
+    )
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
-        *((argv, None) for argv in _BAD_S_POINTS.values()),
-        ([], {"command": "hy-flow", "params": {"p": 1.5, "gaussian": True, "s_points": 0}}),
+        *((argv, None) for argv in _BAD_ARGVS.values()),
+        *(([], {"command": "hy-flow", "params": {"p": 1.5, "gaussian": True, "s_points": n}}) for n in (0, 1)),
         *(([], config) for config in _BAD_CONFIGS.values()),
     ],
-    ids=[*(f"{name} --s-points 0" for name in _BAD_S_POINTS), "config s_points 0",
-         *(f"config {name}" for name in _BAD_CONFIGS)],
+    ids=[*_BAD_ARGVS, "config s_points 0", "config s_points 1", *(f"config {name}" for name in _BAD_CONFIGS)],
 )
 def test_bad_input_exits_1_without_traceback(argv, config, tmp_path):
-    if config is not None:
-        argv = _config_argv(config, tmp_path / "run.json")
-    done = subprocess.run(
-        [sys.executable, "-m", "hypflow.cli", *argv, "--out", str(tmp_path / "out")],
-        env=_fresh_env(),
-        capture_output=True,
-        text=True,
-    )
+    if config is None:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    else:
+        argv = _config_argv(config, tmp_path / "run.json", tmp_path / "out")
+    done = _run_cold(argv, tmp_path)
     assert done.returncode == EXIT_USAGE
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out" / "manifest.json").exists()
+    assert {path.name for path in tmp_path.iterdir()} <= {"out", "run.json"}  # nothing in the working directory
+    if config in _BAD_CONFIGS.values():  # rejected before the run starts
+        assert not (tmp_path / "out").exists()
+
+
+def test_removed_nodes_flag_exits_1_without_traceback(tmp_path):
+    argv = ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--nodes", "64", "--out", str(tmp_path / "out")]
+    done = _run_cold(argv, tmp_path)
+    assert done.returncode == EXIT_USAGE
+    assert "unrecognized arguments: --nodes 64" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _readme_examples() -> list:
+    """Each `hypflow ...` line of the README's CLI block, as argv without `hypflow`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hypflow ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path):
+    # one fresh interpreter runs every example, so a removed flag cannot linger in the docs
+    argvs = []
+    for i, argv in enumerate(_readme_examples()):
+        if "--out" in argv:
+            del argv[argv.index("--out") : argv.index("--out") + 2]
+        if argv[0] == "selftest":
+            argv.append("--quick")
+        argvs.append([*argv, "--out", str(tmp_path / str(i))])
+    assert {argv[0] for argv in argvs} == set(hypflow.cli._HANDLERS)
+    seen = _loads(argvs)
+    assert [(argv, code) for argv, code, _ in seen[1:]] == [(argv, EXIT_OK) for argv in argvs]
 
 
 def test_package_reexports_resolve_on_first_use():

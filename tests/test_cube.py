@@ -5,10 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from identity_checks import binomial_split_check
+from identity_checks import BlockCounts, binomial_split_check, phi_block_eval
 import hypflow.cube as cube
 from hypflow.cube import (
-    BlockCounts,
     CubeFunction,
     SymmetricSpec,
     apply_Tzk,
@@ -19,11 +18,9 @@ from hypflow.cube import (
     log_binomial_weights,
     mixed_norm,
     mixed_norm_collapsed,
-    phi_block_eval,
     phi_symmetric,
     symmetric_tzk_table,
     walsh_analyze,
-    walsh_synthesize,
 )
 from hypflow.quadrature import gh_rule
 
@@ -69,31 +66,6 @@ def test_hadamard_transform_bitwise(n):
     assert np.array_equal(
         hadamard_transform(floats).view(np.float64), _reference_butterfly(floats).view(np.float64)
     )
-
-
-def test_walsh_synthesize_examples():
-    # constant coefficient only
-    f = CubeFunction(2, np.array([2.5j, 0, 0, 0]))
-    assert walsh_synthesize(f, (1, -1)) == 2.5j
-    # single character on coordinate 1
-    f = CubeFunction(2, np.array([0, 1.0, 0, 0]))
-    assert walsh_synthesize(f, (-1, 1)) == -1.0
-    # random coefficients against the direct 8-term sum
-    rng = np.random.default_rng(1)
-    f = CubeFunction(3, rng.normal(size=8) + 1j * rng.normal(size=8))
-    x = (1, -1, 1)
-    direct = sum(
-        f.coeffs[s] * np.prod([x[j] for j in range(3) if s >> j & 1]) for s in range(8)
-    )
-    assert abs(walsh_synthesize(f, x) - direct) <= 1e-14
-
-
-def test_walsh_synthesize_validates_point():
-    f = CubeFunction(2, np.zeros(4))
-    with pytest.raises(ValueError):
-        walsh_synthesize(f, (1, 0))
-    with pytest.raises(ValueError):
-        walsh_synthesize(f, (1, 1, 1))
 
 
 def test_walsh_analyze_examples():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import doubling_reference as ref
+from identity_checks import mehler_atom_scaled
 from hypflow import flows, hausdorff_young as hy
 from hypflow.errors import AccuracyError, DomainError
 from hypflow.flows import OuterStats, janson_heat, janson_mehler, janson_quadrature
@@ -23,7 +24,6 @@ from hypflow.gaussian_atoms import (
     atom_lp_norm,
     fourier_transform_atom,
     mehler_atom_log_abs,
-    mehler_atom_scaled,
 )
 from hypflow.hausdorff_young import (
     ExpFamily,

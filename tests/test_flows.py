@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermevander
 
-from identity_checks import mixed_moment_check
+from identity_checks import BlockCounts, mehler_apply_series, mixed_moment_check
 import hypflow.cube as cube
 import hypflow.flows as flows
-from hypflow.cube import TAIL_RTOL, BlockCounts, SymmetricSpec, TailCut, apply_Tzk
+from hypflow.cube import TAIL_RTOL, SymmetricSpec, TailCut, apply_Tzk
 from hypflow.errors import EvaluatorMismatchError
 from hypflow.flows import (
     OuterStats,
@@ -130,8 +130,6 @@ def test_janson_endpoints_reduce_to_gaussian_norms():
     want1 = rule.integrate(lambda u: np.abs(gt(u)) ** p).real
     assert abs(janson_mehler(g, t, 1.0) - want1) <= 1e-8 * want1
     # s = 0: (E |M_z g~|^q)^{p/q}
-    from hypflow.hermite import mehler_apply_series
-
     damped = mehler_apply_series(t.z, gt)
     want0 = rule.integrate(lambda x: np.abs(damped(x)) ** t.q).real ** (p / t.q)
     assert abs(janson_mehler(g, t, 0.0) - want0) <= 1e-8 * want0
@@ -204,6 +202,13 @@ def test_janson_flow_report_and_mismatch_error(monkeypatch):
 
 # ------------------------------------------------ outer-grid tail cut
 
+_EVALUATORS = {
+    "quadrature": janson_quadrature,
+    "mehler": janson_mehler,
+    "heat": lambda g, t, s, rule, stats: janson_heat(gaussian_smooth(g), t, s, rule, stats),
+}
+
+
 def _random_poly(rng, max_degree=8):
     deg = int(rng.integers(0, max_degree + 1))
     return PolySeries(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
@@ -252,7 +257,7 @@ def test_outer_majorants_bound_the_full_grid(monkeypatch):
         for _ in range(4):
             g = _random_poly(rng)
             for s in (0.0, 0.3, 1.0):
-                for evaluate in flows._EVALUATORS.values():
+                for evaluate in _EVALUATORS.values():
                     evaluate(g, t, s, rule, None)
     assert len(checked) == 3 * 4 * 3 * 3 and set(checked) == {(96, 96)}
 
@@ -264,7 +269,7 @@ def test_outer_cut_within_its_certified_bound(monkeypatch, nodes):
     cut_count = 0
     for t in _triples(rng, 2):
         g = _random_poly(rng)
-        for name, evaluate in flows._EVALUATORS.items():
+        for name, evaluate in _EVALUATORS.items():
             for s in (0.0, 0.3, 0.8, 1.0):
                 (value, cut), (full, full_cut) = _cut_and_full(
                     monkeypatch, lambda stats: evaluate(g, t, s, rule, stats)
@@ -361,8 +366,10 @@ def test_janson_flow_evaluates_no_grid_cell_by_cell(monkeypatch):
     p = 4 / 3
     t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))
     g = PolySeries([1.0, 2.0, 0.0, 1.0])
-    for evaluator in sorted(flows._EVALUATORS):
-        janson_flow(g, t, s_grid=[0.0, 0.4, 0.8, 1.0], evaluator=evaluator)
+    janson_flow(g, t, s_grid=[0.0, 0.4, 0.8, 1.0])
+    for evaluate in _EVALUATORS.values():
+        for s in (0.0, 0.4, 0.8, 1.0):
+            evaluate(g, t, s, None, None)
     assert dims["hermite_scaled_sum"] and max(dims["hermite_scaled_sum"]) == 1
     assert max(dims["PolySeries"], default=1) == 1
 
@@ -414,8 +421,10 @@ def test_janson_flow_diagnostics():
     assert 0.0 < diag["cells_kept_share"] < 1.0
     assert 1.0 in diag["cap_hits"] and 0.0 not in diag["cap_hits"]
     # a fixed rule does no doubling, so nothing can hit the cap
-    fixed = janson_flow(PolySeries([0.0, 1.0, 0.0, 1.0]), t, s_grid=[0.0, 0.5, 1.0], rule=64)
-    assert fixed.diagnostics["cap_hits"] == []
+    for s in (0.0, 0.5, 1.0):
+        fixed = OuterStats()
+        janson_mehler(PolySeries([0.0, 1.0, 0.0, 1.0]), t, s, 64, fixed)
+        assert not fixed.capped and len(fixed.cuts) == 1
     flat = janson_flow(PolySeries([2.0]), t, s_grid=[0.0, 1.0])
     assert flat.diagnostics["cap_hits"] == []
 

@@ -2,23 +2,14 @@
 import numpy as np
 import pytest
 
-from identity_checks import lebesgue_integral
+from identity_checks import lebesgue_integral, mehler_apply_atom, mehler_atom_scaled
 from hypflow.errors import DomainError
-from hypflow.gaussian_atoms import (
-    GaussianAtom,
-    atom_lp_norm,
-    exp_tilt,
-    fourier_transform_atom,
-    gamma_integral,
-    mehler_apply_atom,
-    mehler_atom_scaled,
-    smooth_imaginary,
-)
+from hypflow.gaussian_atoms import GaussianAtom, atom_lp_norm, fourier_transform_atom
 from hypflow.quadrature import gh_rule, integrate_entire
 
 
 def test_unit_atom_is_fixed_by_mehler():
-    one = exp_tilt(0.0)
+    one = GaussianAtom(1.0, 0.0, 0.0)
     for w in [0.0, 0.5, 0.3 - 0.4j, 0.9j]:
         assert abs(mehler_apply_atom(w, one, 1.234) - 1.0) <= 1e-12
 
@@ -72,22 +63,6 @@ def test_mehler_atom_identity_at_sigma_one():
     assert abs(mehler_atom_scaled(1.0, atom, 0.9) - atom(0.9)) == 0.0
 
 
-def test_gamma_integral_vs_quadrature():
-    rng = np.random.default_rng(31)
-    rule = gh_rule(96)
-    for _ in range(20):
-        atom = GaussianAtom(
-            complex(rng.normal(), rng.normal()),
-            complex(rng.uniform(-0.3, 1.0), rng.uniform(-0.5, 0.5)),
-            complex(rng.normal(), rng.normal()),
-        )
-        if (atom.quad + 0.5).real <= 0.05:
-            continue
-        got = gamma_integral(atom)
-        oracle = rule.integrate(atom)
-        assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
-
-
 def test_lebesgue_integral_vs_quadrature():
     atom = GaussianAtom(2.0 - 1.0j, 0.8 + 0.2j, 0.5 - 0.3j)
     got = lebesgue_integral(atom)
@@ -100,20 +75,8 @@ def test_lebesgue_integral_vs_quadrature():
     assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
-def test_smooth_imaginary_vs_quadrature():
-    rule = gh_rule(96)
-    atom = GaussianAtom(1.0, 0.3 + 0.1j, -0.4)
-    t_sq = 0.49
-    smoothed = smooth_imaginary(atom, t_sq)
-    for a_point in [0.0, 0.8, -1.3 + 0.5j]:
-        oracle = rule.integrate(lambda v: atom(a_point + 1j * np.sqrt(t_sq) * v))
-        assert abs(smoothed(a_point) - oracle) <= 1e-10 * max(1.0, abs(oracle))
-
-
 def test_domain_errors():
     heavy = GaussianAtom(1.0, 5.0, 0.0)  # grows too fast for w close to 1j-ish values
-    with pytest.raises(DomainError):
-        gamma_integral(GaussianAtom(1.0, -0.5, 0.0))
     with pytest.raises(DomainError):
         lebesgue_integral(GaussianAtom(1.0, 0.0, 1.0))
     with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import doubling_reference
-from identity_checks import exp_phi_endpoint_identities
+from identity_checks import exp_family_double_average, exp_phi_endpoint_identities
 import hypflow.hausdorff_young
 from hypflow import cube
 from hypflow.cube import factored_mixed_norm
@@ -55,12 +55,6 @@ def test_hy_input_validation_and_round_trip():
     y = np.linspace(-2, 2, 9)
     back = gt(y) * np.exp(-(y**2) / (2 * inp.p)) * (2 * np.pi) ** (-1 / (2 * inp.p))
     assert np.max(np.abs(back - inp.f_atom(y))) <= 1e-10
-    assert np.max(np.abs(inp.f_callable()(y) - inp.f_atom(y))) == 0.0
-    # Hermite-series inputs expose f through the same substitution
-    series_inp = HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 0.5j]))
-    f_vals = series_inp.f_callable()(y)
-    direct = series_inp.g_tilde(y) * np.exp(-(y**2) / 3.0) * (2 * np.pi) ** (-1 / 3.0)
-    assert np.max(np.abs(f_vals - direct)) <= 1e-12
 
 
 def test_hy_endpoints_zero_function():
@@ -186,12 +180,10 @@ def test_lemma_F_random_draws():
 def test_exp_family_factorization_matches_double_integral():
     fam = ExpFamily(atoms=((1.0, 0.8), (0.5j, -0.6)))
     z = 1j * math.sqrt((4 / 3) / 4.0)
-    from hypflow.quadrature import gh_rule
-
     rule = gh_rule(64)
     for s in [0.0, 0.3, 1.0]:
         closed = complex(fam.phi_s_closed(s, z, 0.7, -0.2))
-        direct = fam.phi_s_quadrature(s, z, 0.7, -0.2, rule)
+        direct = exp_family_double_average(fam, s, z, 0.7, -0.2, rule)
         assert abs(closed - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -366,8 +358,11 @@ def test_exp_flow_diagnostics_list_every_capped_sample():
     assert 0.0 < report.diagnostics["cells_kept_share"] < 0.5
     smooth = exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), 2.0, s_grid=[0.0, 0.5, 1.0])
     assert smooth.diagnostics["cap_hits"] == []
-    pinned = exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), 2.0, s_grid=[0.5], rule=64)
-    assert 0.0 < pinned.diagnostics["cells_kept_share"] < 1.0 and pinned.diagnostics["cap_hits"] == []
+    # one pinned 64-node grid of the smooth family is cut too
+    rule = gh_rule(64)
+    left, right = hypflow.hausdorff_young._exp_flow_factors(ExpFamily(atoms=((1.0, 0.5),)), 0.5, 1j, rule.nodes)
+    _, cut = factored_mixed_norm(left, right, rule.weights, rule.weights, 2.0, 2.0, share=_GRID_SHARE)
+    assert 0 < cut.cells_kept < cut.cells and 0.0 <= cut.bound <= cube.TAIL_RTOL
 
 
 def test_exp_flow_endpoint_change_of_variables():

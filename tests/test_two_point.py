@@ -15,11 +15,9 @@ from hypflow.two_point import (
     SearchBudget,
     disk_grid,
     extremal_ratio,
-    infinitesimal_margin,
     infinitesimal_margin_min,
     real_failure_threshold,
     region_scan,
-    two_point_margin,
 )
 
 
@@ -36,25 +34,29 @@ def test_exponent_triple_validation():
 
 
 def test_two_point_margin_examples():
-    r = two_point_margin(3.0 - 1.0j, 0.0, ExponentTriple(1.5, 2.5, 0.3 + 0.2j))
+    r = ref.two_point_margin(3.0 - 1.0j, 0.0, ExponentTriple(1.5, 2.5, 0.3 + 0.2j))
     assert abs(r.lhs - abs(3.0 - 1.0j)) <= 1e-14
     assert abs(r.margin) <= 1e-14
-    r = two_point_margin(1.0, 1.0, ExponentTriple(2.0, 2.0, 1j))
+    r = ref.two_point_margin(1.0, 1.0, ExponentTriple(2.0, 2.0, 1j))
     assert abs(r.lhs - math.sqrt(2)) <= 1e-14
     assert abs(r.rhs - math.sqrt(2)) <= 1e-14
-    r = two_point_margin(1.0, 1.0, ExponentTriple(2.0, 4.0, 0.5))
+    r = ref.two_point_margin(1.0, 1.0, ExponentTriple(2.0, 4.0, 0.5))
     assert abs(r.lhs - 2.5625**0.25) <= 1e-14
     assert abs(r.rhs - math.sqrt(2)) <= 1e-14
     assert r.margin > 0
 
 
 def test_infinitesimal_margin_examples():
-    assert infinitesimal_margin(0.0, ExponentTriple(1.5, 3.0, 0.4)).margin == 0.0
+    assert ref.infinitesimal_margin(0.0, ExponentTriple(1.5, 3.0, 0.4)).margin == 0.0
     for w in [1.0, 0.3 - 0.8j, 1j]:
-        r = infinitesimal_margin(w, ExponentTriple(2.5, 2.5, 1.0))
+        r = ref.infinitesimal_margin(w, ExponentTriple(2.5, 2.5, 1.0))
         assert abs(r.margin) <= 1e-14
-    r = infinitesimal_margin(1.0, ExponentTriple(3.0, 2.0, 1j))
+    r = ref.infinitesimal_margin(1.0, ExponentTriple(3.0, 2.0, 1j))
     assert r.rhs == 2.0 and r.lhs == 1.0 and r.margin == 1.0
+    # the scan region_scan reports is the least of these over its unit directions
+    t = ExponentTriple(3.0, 2.0, 0.4 + 0.3j)
+    least = min(ref.infinitesimal_margin(w, t).margin for w in two_point._unit_directions())
+    assert abs(infinitesimal_margin_min(t) - least) <= 1e-15
 
 
 def test_margin_scale_and_phase_invariance():
@@ -66,8 +68,8 @@ def test_margin_scale_and_phase_invariance():
         lam = complex(rng.normal(), rng.normal())
         if abs(lam) < 1e-3:
             continue
-        base = two_point_margin(a, b, t)
-        scaled = two_point_margin(lam * a, lam * b, t)
+        base = ref.two_point_margin(a, b, t)
+        scaled = ref.two_point_margin(lam * a, lam * b, t)
         assert abs(scaled.lhs - abs(lam) * base.lhs) <= 1e-12 * max(1.0, abs(lam) * base.lhs)
         assert abs(scaled.rhs - abs(lam) * base.rhs) <= 1e-12 * max(1.0, abs(lam) * base.rhs)
 
@@ -79,10 +81,10 @@ def test_margin_symmetries():
         z = complex(rng.normal(), rng.normal()) * 0.4
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        base = two_point_margin(a, b, ExponentTriple(p, q, z))
-        flip_z = two_point_margin(a, b, ExponentTriple(p, q, -z))
-        flip_b = two_point_margin(a, -b, ExponentTriple(p, q, z))
-        conj = two_point_margin(
+        base = ref.two_point_margin(a, b, ExponentTriple(p, q, z))
+        flip_z = ref.two_point_margin(a, b, ExponentTriple(p, q, -z))
+        flip_b = ref.two_point_margin(a, -b, ExponentTriple(p, q, z))
+        conj = ref.two_point_margin(
             np.conj(a), np.conj(b), ExponentTriple(p, q, np.conj(z))
         )
         for other in (flip_z, flip_b, conj):
@@ -105,9 +107,7 @@ def test_extremal_ratio_finds_classical_failure():
     res = extremal_ratio(ExponentTriple(2.0, 4.0, 0.62))
     assert res.sup_ratio > 1.0 + 1e-4
     # and the witness really achieves that ratio
-    from hypflow.two_point import two_point_margin as tp
-
-    rec = tp(1.0, res.witness_b, ExponentTriple(2.0, 4.0, 0.62))
+    rec = ref.two_point_margin(1.0, res.witness_b, ExponentTriple(2.0, 4.0, 0.62))
     assert rec.lhs / rec.rhs > 1.0 + 1e-4
 
 
@@ -304,14 +304,14 @@ def test_compass_calls_are_the_slowest_single_z(monkeypatch, p, q):
 
 def test_search_caches_are_read_only():
     grid = two_point._search_grid(SearchBudget.reduced(), 2.0)
-    for a in (grid.points, grid.rhs, grid.steps, two_point._unit_directions(256)):
+    for a in (grid.points, grid.rhs, grid.steps, two_point._unit_directions()):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
 
 
 def test_real_failure_threshold_classical_value():
-    th = real_failure_threshold(2.0, 4.0, z_tol=2e-3)
+    th = real_failure_threshold(2.0, 4.0)
     assert 0.567 <= th <= 0.587  # 1/sqrt(3) = 0.5774 classically
 
 

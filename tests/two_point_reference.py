@@ -3,15 +3,52 @@ lattice, the cached denominator and the one-call halving ladder.
 
 `extremal_ratio`, `_ratio_grid` and `infinitesimal_margin_min` are kept
 verbatim, for tests that require the fast search to return bit-identical
-results.  Not collected by pytest (no test_ prefix).
+results.  `two_point_margin` and `infinitesimal_margin` evaluate the two
+forms of the inequality at one point, for tests that check witnesses and
+the symmetries of the margins.  Not collected by pytest (no test_ prefix).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from hypflow.two_point import ExponentTriple, ExtremalSearchResult, SearchBudget
+
+
+@dataclass(frozen=True)
+class MarginRecord:
+    """One margin evaluation: rhs - lhs, with the evaluation point attached."""
+
+    point: tuple
+    lhs: float
+    rhs: float
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+
+def two_point_margin(a: complex, b: complex, t: ExponentTriple) -> MarginRecord:
+    """Global two-point margin at (a, b)."""
+    a = complex(a)
+    b = complex(b)
+    lhs = (0.5 * (abs(a + t.z * b) ** t.q + abs(a - t.z * b) ** t.q)) ** (1.0 / t.q)
+    rhs = (0.5 * (abs(a + b) ** t.p + abs(a - b) ** t.p)) ** (1.0 / t.p)
+    return MarginRecord(point=(a, b), lhs=lhs, rhs=rhs)
+
+
+def infinitesimal_margin(w: complex, t: ExponentTriple) -> MarginRecord:
+    """Quadratic-form margin at direction w.
+
+    Homogeneous of degree 2 in |w|, so scans only need w on the unit circle.
+    """
+    w = complex(w)
+    wz = w * t.z
+    lhs = (t.q - 2.0) * (wz.real) ** 2 + abs(wz) ** 2
+    rhs = (t.p - 2.0) * (w.real) ** 2 + abs(w) ** 2
+    return MarginRecord(point=(w,), lhs=lhs, rhs=rhs)
 
 
 def infinitesimal_margin_min(t: ExponentTriple, angles: int = 256) -> float:
