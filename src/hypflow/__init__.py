@@ -30,7 +30,6 @@ _EXPORTS = {
     "DomainError": "errors",
     "EvaluatorMismatchError": "errors",
     "HypflowError": "errors",
-    "InequalityViolationError": "errors",
     "convergence_experiment": "flows",
     "discrete_flow": "flows",
     "janson_flow": "flows",

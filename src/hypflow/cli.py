@@ -6,7 +6,9 @@ output directory; identical configurations produce byte-identical CSV files.
 
 Exit codes: 0 when every asserted inequality and identity held within the
 configured tolerances, 2 when a violation was detected (the witness lands in
-the manifest), 1 for usage or configuration errors.
+the manifest), 1 for usage or configuration errors.  The endpoint
+inequalities of hy-flow and hy-exp are decided here, in one place (_judge),
+not in the library, which returns their two sides only.
 
 Only selftest draws random numbers.  It runs the acceptance criteria of
 hypflow.selftest, the registry the test suite runs too, and gives each
@@ -35,7 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .errors import HypflowError, InequalityViolationError
+from .errors import HypflowError
 from .reporting import (
     FlowReport,
     write_convergence_csv,
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 DEFAULT_SEED = 0xC0FFEE  # selftest's --seed
+_ENDPOINT_TOL = 1e-8  # hy-flow's and hy-exp's endpoint checks without --tol
 
 
 # the type each RunConfig field must have, as named in the error message
@@ -140,6 +143,22 @@ def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
         "nondecreasing": verdict.nondecreasing,
         "min_delta": report.min_delta(),
     }
+
+
+def _judge(manifest: dict, checks: list[tuple[str, float, float]], config: RunConfig) -> bool:
+    """Whether every named (check, lhs, rhs) pair holds as lhs <= rhs + tol.
+
+    tol is --tol when given, otherwise _ENDPOINT_TOL; a NaN side fails.  The
+    first failure sets the manifest's verdict to fails-with-witness and its
+    witness to {check, lhs, rhs, tol}.
+    """
+    tol = _ENDPOINT_TOL if config.tol is None else config.tol
+    for check, lhs, rhs in checks:
+        if not lhs <= rhs + tol:
+            manifest["verdict"] = "fails-with-witness"
+            manifest["witness"] = {"check": check, "lhs": lhs, "rhs": rhs, "tol": tol}
+            return False
+    return True
 
 
 def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
@@ -251,7 +270,7 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
         **verdicts,
         **report.diagnostics,
     }
-    ok = verdicts["nondecreasing"] and norm_fhat <= scaled_norm + (config.tol or 1e-8)
+    ok = _judge(manifest, [("sharp_bound", norm_fhat, scaled_norm)], config) and verdicts["nondecreasing"]
     return (EXIT_OK if ok else EXIT_VIOLATION), manifest
 
 
@@ -275,13 +294,14 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
         **verdicts,
         **report.diagnostics,
     }
-    real_frequencies = all(abs(t.imag) <= 1e-12 for _, t in fam.atoms)
-    ok = report.values[0] <= report.values[-1] + (config.tol or 1e-8)
-    if real_frequencies and fam.atoms:
+    if verdicts["nondecreasing"]:
+        manifest["verdict"] = "holds"  # otherwise the flow's violated-at(...) stays
+    checks = [("endpoints", report.values[0], report.values[-1])]
+    if fam.atoms and all(abs(t.imag) <= 1e-12 for _, t in fam.atoms):
         lhs, rhs = hy_verify(fam, p)
         manifest["final_form"] = {"lhs_norm_fhat_q": lhs, "rhs_scaled_norm_f_p": rhs}
-        ok = ok and lhs <= rhs + (config.tol or 1e-8)
-    manifest["verdict"] = "holds" if ok else "fails-with-witness"
+        checks.append(("final_form", lhs, rhs))
+    ok = _judge(manifest, checks, config) and verdicts["nondecreasing"]
     return (EXIT_OK if ok else EXIT_VIOLATION), manifest
 
 
@@ -324,15 +344,9 @@ def run_command(config: RunConfig) -> int:
     started = time.monotonic()
     try:
         code, extra = _HANDLERS[config.command](config, out)
-        witness = None
-    except InequalityViolationError as exc:
-        code = EXIT_VIOLATION
-        extra = {"verdict": "fails-with-witness", "violation": str(exc)}
-        witness = {"lhs": exc.lhs, "rhs": exc.rhs}
     except HypflowError as exc:
         code = EXIT_VIOLATION
         extra = {"verdict": "fails-with-witness", "violation": str(exc)}
-        witness = None
     except (KeyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -343,8 +357,6 @@ def run_command(config: RunConfig) -> int:
         "wall_time_s": time.monotonic() - started,
         **extra,
     }
-    if witness is not None:
-        manifest["witness"] = witness
     try:
         write_manifest(manifest, out / "manifest.json")
     except OSError as exc:
@@ -367,7 +379,11 @@ def _common_flags(target: argparse.ArgumentParser, suppress: bool) -> None:
         **kw,
     )
     target.add_argument(
-        "--tol", type=float, help="override the command's violation tolerance", **kw
+        "--tol",
+        type=float,
+        help="override the flow commands' tolerances: a dip counts past tol + tol*|value| "
+        "(default 1e-10); hy-flow and hy-exp endpoint checks need lhs <= rhs + tol (default 1e-8)",
+        **kw,
     )
 
 

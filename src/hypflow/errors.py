@@ -19,13 +19,3 @@ class AccuracyError(HypflowError):
 
 class EvaluatorMismatchError(HypflowError):
     """Two independent evaluators of the same quantity disagree beyond tolerance."""
-
-
-class InequalityViolationError(HypflowError):
-    """An asserted inequality failed; carries the witness for reporting."""
-
-    def __init__(self, message, lhs=None, rhs=None, witness=None):
-        super().__init__(message)
-        self.lhs = lhs
-        self.rhs = rhs
-        self.witness = witness

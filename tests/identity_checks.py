@@ -105,6 +105,15 @@ def phi_block_eval(ell: int, n: int, counts: BlockCounts, z: complex) -> complex
     return complex(math.factorial(ell) * prod[ell])
 
 
+def _exp_family_value(fam: ExpFamily, w) -> np.ndarray:
+    """g(w) = sum_l c_l exp(t_l w), elementwise."""
+    w = np.asarray(w, dtype=complex)
+    total = np.zeros_like(w)
+    for c, t in fam.atoms:
+        total = total + c * np.exp(t * w)
+    return total
+
+
 def exp_family_double_average(
     fam: ExpFamily, s: float, z: complex, x: complex, u: complex, rule: QuadratureRule
 ) -> complex:
@@ -112,7 +121,7 @@ def exp_family_double_average(
     rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
     y = rule.nodes[:, None]
     v = rule.nodes[None, :]
-    vals = fam((x + 1j * y) * rs + z * (u + 1j * v) * rc)
+    vals = _exp_family_value(fam, (x + 1j * y) * rs + z * (u + 1j * v) * rc)
     return complex(rule.weights @ vals @ rule.weights)
 
 

@@ -1,4 +1,5 @@
 """CLI harness: exit codes, CSV schemas, determinism, config handling."""
+import dataclasses
 import importlib
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 import hypflow.cli
 from hypflow import hausdorff_young, selftest
 from hypflow.errors import AccuracyError
+from hypflow.hermite import HermiteSeries
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
 from hypflow.reporting import FlowReport, write_flow_csv
 
@@ -442,6 +444,96 @@ def test_hy_exp_runs_final_form(tmp_path):
     ff = manifest["final_form"]
     assert ff["lhs_norm_fhat_q"] <= ff["rhs_scaled_norm_f_p"] + 1e-8
     assert manifest["nesting"] == "outer-x-inner-u"
+
+
+def _scale_sharp_constant(monkeypatch, factor):
+    # hy_endpoints and hy_verify look the constant up in their module when they run
+    real = hausdorff_young.sharp_constant
+    monkeypatch.setattr(hausdorff_young, "sharp_constant", lambda p: factor * real(p))
+
+
+def _witness(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    return manifest["verdict"], manifest.get("witness")
+
+
+def test_hy_flow_sharp_bound_fails_past_the_default_tol(tmp_path, monkeypatch):
+    # at the Gaussian the two sides are equal; the scaled constant puts lhs 5e-8 above rhs
+    _scale_sharp_constant(monkeypatch, 1.0 - 6e-8)
+    args = ["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "5"]
+    code, out = run(args, tmp_path)
+    assert code == EXIT_VIOLATION
+    verdict, witness = _witness(out)
+    assert verdict == "fails-with-witness" and witness["check"] == "sharp_bound"
+    assert 4e-8 < witness["lhs"] - witness["rhs"] < 6e-8 and witness["tol"] == 1e-8
+    assert (out / "flow.csv").exists()
+    # --tol loosens the same check
+    code, out = run([*args, "--tol", "1e-7"], tmp_path, "loose")
+    assert code == EXIT_OK
+    assert _witness(out) == ("nondecreasing", None)
+
+
+def test_hy_flow_tol_0_flags_an_endpoint_excess_of_1e_12(tmp_path, monkeypatch):
+    inp = hausdorff_young.HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 2.0, 0.0, 1.0]))
+    lhs, rhs = hausdorff_young.hy_endpoints(inp)
+    _scale_sharp_constant(monkeypatch, (lhs - 1e-12) / rhs)
+    args = ["hy-flow", "--p", "1.5", "--hermite-coeffs", "1,2,0,1", "--s-points", "5"]
+    code, out = run([*args, "--tol", "0"], tmp_path)
+    assert code == EXIT_VIOLATION
+    verdict, witness = _witness(out)
+    assert verdict == "fails-with-witness" and witness["check"] == "sharp_bound"
+    assert 0.0 < witness["lhs"] - witness["rhs"] < 2e-12 and witness["tol"] == 0.0
+    # the flow itself shows no dip at tol 0, and the default tol passes the excess
+    code, out = run(args, tmp_path, "default")
+    assert code == EXIT_OK
+
+
+def test_hy_flow_nan_endpoint_fails(tmp_path, monkeypatch):
+    real = hausdorff_young.fourier_transform_atom
+    monkeypatch.setattr(
+        hausdorff_young,
+        "fourier_transform_atom",
+        lambda atom: dataclasses.replace(real(atom), amplitude=math.nan),
+    )
+    code, out = run(["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "5"], tmp_path)
+    assert code == EXIT_VIOLATION
+    verdict, witness = _witness(out)
+    assert verdict == "fails-with-witness" and witness["check"] == "sharp_bound"
+    assert math.isnan(witness["lhs"])
+
+
+def test_hy_exp_final_form_failure_is_named(tmp_path, monkeypatch):
+    # one real atom is a translated Gaussian: the final form holds with equality
+    _scale_sharp_constant(monkeypatch, 1.0 - 1e-6)
+    code, out = run(["hy-exp", "--p", "1.5", "--atoms", "1:0.5", "--s-points", "5"], tmp_path)
+    assert code == EXIT_VIOLATION
+    verdict, witness = _witness(out)
+    assert verdict == "fails-with-witness" and witness["check"] == "final_form"
+    assert witness["lhs"] > witness["rhs"] + 1e-8
+    assert (out / "flow.csv").exists()
+
+
+def test_hy_exp_exits_2_when_its_flow_dips(tmp_path, monkeypatch):
+    # the ends hold (phi(0) <= phi(1)) but the flow dips 1e-6 between them
+    rep = FlowReport(parameter_name="s", samples=((0.0, 1.0), (0.5, 1.0 - 1e-6), (1.0, 1.0)))
+    monkeypatch.setattr(hausdorff_young, "exp_flow_phi", lambda *args, **kwargs: rep)
+    code, out = run(["hy-exp", "--p", "1.5", "--atoms", "1:0.5"], tmp_path)
+    assert code == EXIT_VIOLATION
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdict"].startswith("violated-at") and not manifest["nondecreasing"]
+    assert "witness" not in manifest and "final_form" in manifest
+
+
+def test_selftest_records_a_sharp_bound_violation(tmp_path, monkeypatch):
+    # hy_verify returns lhs > rhs; criterion 9 must list it, not raise
+    _scale_sharp_constant(monkeypatch, 1.0 - 1e-3)
+    monkeypatch.setattr(selftest, "CRITERIA", selftest.CRITERIA[8:9])
+    code, out = run(["selftest", "--quick"], tmp_path)
+    assert code == EXIT_VIOLATION
+    (entry,) = json.loads((out / "manifest.json").read_text())["suites"]
+    assert entry["name"] == "9 exponential-family pipeline" and not entry["passed"]
+    equalities = [f for f in entry["failures"] if f.startswith("single-atom equality")]
+    assert len(equalities) == 3
 
 
 def test_selftest_quick_and_seed_robust(tmp_path):
