@@ -144,7 +144,8 @@ class OuterStats:
 
     cuts holds one TailCut per grid formed (bound 0 for a full grid);
     capped says that the node doubling stopped at its cap (_AUTO_CAP for
-    the outer grids) without meeting its tolerance.
+    the outer grids) without meeting its tolerance, or, at the 1-D ends of
+    exp_flow_phi, that the graded estimate exceeded its tolerance.
     """
 
     cuts: list[TailCut] = field(default_factory=list)
@@ -152,8 +153,8 @@ class OuterStats:
 
 
 def outer_diagnostics(samples: Sequence[tuple[float, OuterStats]], *extra: OuterStats) -> dict:
-    """The parameters of the samples whose doubling stopped at the cap
-    (cap_hits) and, if any grid was cut, cut_summary over the grids of the
+    """The parameters of the samples left unresolved, OuterStats.capped
+    (cap_hits), and, if any grid was cut, cut_summary over the grids of the
     samples and of `extra` (tail_bound, cells_kept_share)."""
     cuts = [cut for st in (*(st for _, st in samples), *extra) for cut in st.cuts]
     hits = {"cap_hits": [float(s) for s, st in samples if st.capped]}

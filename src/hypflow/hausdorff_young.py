@@ -34,12 +34,13 @@ from .errors import AccuracyError
 from .gaussian_atoms import (
     GaussianAtom,
     atom_lp_norm,
+    atom_lr_estimate,
     fourier_transform_atom,
     mehler_atom_log_abs,
-    recentred_lr_norm,
+    poly_gaussian_lr_norm,
 )
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
-from .quadrature import Estimate, QuadratureRule, doubled, gh_rule, integrate_entire
+from .quadrature import QuadratureRule, gh_rule, integrate_entire
 from .reporting import FlowReport
 from .two_point import ExponentTriple, conjugate_exponent
 from .cube import factored_mixed_norm
@@ -139,16 +140,6 @@ def phi_flow(inp: HYInput, s_grid: Sequence[float] | None = None) -> FlowReport:
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 
-def _poly_gaussian_lr_norm(poly: PolySeries, quad: float, log_amp: float, r: float) -> float:
-    """L^r norm of y -> poly(y) * exp(log_amp - quad y^2), quad > 0, by recentred_lr_norm."""
-
-    def log_abs(y: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(poly(y))) + (log_amp - quad * y * y)
-
-    return recentred_lr_norm(log_abs, 0.0, quad, r)
-
-
 def hy_endpoints(inp: HYInput) -> tuple[float, float]:
     """(||fhat||_q,  (p^{1/p}/q^{1/q})^{1/2} ||f||_p), both by direct quadrature.
 
@@ -163,7 +154,7 @@ def hy_endpoints(inp: HYInput) -> tuple[float, float]:
         poly = basis_convert(inp.g_tilde)
         a = 1.0 / (2.0 * p)
         log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
-        norm_f = _poly_gaussian_lr_norm(poly, a, log_amp, p)
+        norm_f = poly_gaussian_lr_norm(poly, a, log_amp, p)
         # fhat(x) = amp * sqrt(pi/a) * exp(c^2/4a) * (P_{1/2a} poly)(c/2a), c = -2 pi i x.
         evolved = heat_poly_series(1.0 / (2.0 * a), poly)
         hat_poly = PolySeries(
@@ -171,7 +162,7 @@ def hy_endpoints(inp: HYInput) -> tuple[float, float]:
         )
         # |exp(c^2/4a)| = exp(-pi^2 x^2 / a): a Gaussian envelope in x.
         hat_log_amp = log_amp + 0.5 * math.log(np.pi / a)
-        norm_fhat = _poly_gaussian_lr_norm(hat_poly, np.pi**2 / a, hat_log_amp, q)
+        norm_fhat = poly_gaussian_lr_norm(hat_poly, np.pi**2 / a, hat_log_amp, q)
     return norm_fhat, sharp_constant(p) * norm_f
 
 
@@ -216,27 +207,6 @@ class ExpFamily:
             self, "atoms", tuple((complex(c), complex(t)) for c, t in self.atoms)
         )
 
-    def phi_s_closed(self, s: float, z: complex, x, u):
-        """Phi_s(x, u) = sum_l c_l A_{t_l sqrt(s)}(x) A_{t_l z sqrt(1-s)}(u)."""
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
-        total = np.zeros(np.broadcast(x, u).shape, dtype=complex)
-        for c, t in self.atoms:
-            zx = t * rs
-            zu = t * z * rc
-            total = total + c * np.exp(zx * x - zx * zx / 2.0 + zu * u - zu * zu / 2.0)
-        return total
-
-
-def _abs_power_average(fn, r: float) -> Estimate:
-    """E |fn(G)|^r for standard Gaussian G, doubled from 64 up to 4096 nodes."""
-
-    def average(rule: QuadratureRule) -> float:
-        return float(rule.integrate(lambda x: np.abs(fn(x)) ** r).real)
-
-    return doubled(average, 64, 4096, 1e-10)
-
 
 def _exp_flow_factors(
     fam: ExpFamily, s: float, z: complex, nodes: np.ndarray
@@ -247,7 +217,7 @@ def _exp_flow_factors(
     exp(zu_l u_j - zu_l^2 / 2 + k_l), zx_l = t_l sqrt(s), zu_l = t_l z sqrt(1-s).
     The real shift k_l splits the largest real exponent of each atom evenly
     between its two factors, so neither overflows where their product
-    (the cell phi_s_closed forms with one exp) stays in range.
+    (Phi_s(x_i, u_j) formed with one exp per atom) stays in range.
     """
     amps = np.array([c for c, _ in fam.atoms])
     freqs = np.array([t for _, t in fam.atoms])
@@ -264,13 +234,16 @@ def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None
     Damping is z = i sqrt(p/q); the inner average runs over the z-coupled
     variable and the outer over the sqrt(s)-coupled one, matching the flow's
     displayed nesting.  At interior s each grid is the rank-L table of
-    _exp_flow_factors, cut by cube.factored_mixed_norm.  The endpoint
+    _exp_flow_factors, cut by cube.factored_mixed_norm.  At s = 0, 1 the
+    flow is a one-variable average, an atom norm (atom_lr_estimate) on
+    panels graded toward the zeros, where |.|^r is kinked.  The endpoint
     comparison phi_exp(0) <= phi_exp(1) is left to the caller; a non-finite
     endpoint raises AccuracyError.  The report's diagnostics give, over
     every interior grid formed (none: no entry), the largest certified
     relative bound of the dropped cells (tail_bound) and the share of cells
-    kept (cells_kept_share), and every s, the ends included, whose doubling
-    stopped at its cap unconverged (cap_hits).
+    kept (cells_kept_share), and every interior s whose doubling stopped at
+    its cap unconverged and every end whose error estimate exceeds
+    gaussian_atoms.LR_RTOL (cap_hits).
     """
     q = conjugate_exponent(p)
     z = 1j * math.sqrt(p / q)
@@ -282,16 +255,18 @@ def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None
         st = stats[s] = OuterStats()
         if not fam.atoms:
             return 0.0
-        # the endpoints degenerate to one-variable integrals (Phi_1 does not
-        # depend on u, Phi_0 not on x); a 1-D ladder with a high node cap
-        # resolves the |.|^r kinks of sign-changing real families there
+        # the ends degenerate to one-variable averages E|h(G)|^r of
+        # h = sum_l c_l exp(w_l y - w_l^2 / 2), with w_l = t_l at s = 1 (r = p)
+        # and t_l z at s = 0 (r = q); E|h(G)|^r = (2 pi)^(-1/2) ||h exp(-y^2/2r)||_r^r,
+        # an atom norm, and phi = (E|h(G)|^r)^(p/r)
         if s in (0.0, 1.0):
-            if s == 1.0:
-                est = _abs_power_average(lambda x: fam.phi_s_closed(1.0, z, x, 0.0), p)
-            else:
-                est = _abs_power_average(lambda u: fam.phi_s_closed(0.0, z, 0.0, u), q)
+            r, scale = (p, 1.0) if s == 1.0 else (q, z)
+            freqs = [(c, t * scale) for c, t in fam.atoms]
+            atoms = [GaussianAtom(c * np.exp(-w * w / 2.0), 1.0 / (2.0 * r), w) for c, w in freqs]
+            est = atom_lr_estimate(atoms, r)
             st.capped = not est.converged
-            return est.value if s == 1.0 else est.value ** (p / q)
+            with np.errstate(over="ignore"):
+                return float(np.float64(est.value) ** p * (2.0 * math.pi) ** (-p / (2.0 * r)))
 
         def evaluate(r: QuadratureRule) -> float:
             left, right = _exp_flow_factors(fam, s, z, r.nodes)

@@ -174,19 +174,22 @@ def resolve_rule(rule: QuadratureRule | int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A value from doubled Gauss rules, and how far its doubling got.
+    """A quadrature value, the nodes it took and its error estimate.
 
-    value is the last evaluation, on a rule of `nodes` nodes; step is its
-    distance from the evaluation before it (inf after a single evaluation);
-    converged says whether step met the relative tolerance.  No caller reads
-    nodes yet; error bars on reported values will need it beside step.
+    From doubled Gauss rules (doubled): value is the last evaluation, on a
+    rule of `nodes` nodes; step is its distance from the evaluation before
+    it (inf after a single evaluation); converged says whether step met the
+    relative tolerance.  flows._auto_outer flags an unconverged value in
+    OuterStats.capped (the cap_hits of janson_flow, phi_flow and
+    exp_flow_phi), or raises AccuracyError when asked to and the last step
+    exceeds 1e-4 relative or is NaN (exp_flow_phi at interior s).
 
-    A value that stopped at the cap unconverged is never raised here.
-    flows._auto_outer flags it in OuterStats.capped (the cap_hits of
-    janson_flow and exp_flow_phi), or raises AccuracyError when asked to
-    and the last step exceeds 1e-4 relative or is NaN (exp_flow_phi at
-    interior s); exp_flow_phi flags its s = 0, 1 ends in cap_hits too.
-    Every other caller passes it on unflagged.
+    From the graded 1-D engine (gaussian_atoms.recentred_lr_norm): value is
+    an L^r norm, nodes the panel nodes evaluated, step the norm's error
+    estimate, and converged says whether the relative estimate of the
+    integral of |h|^r is at most gaussian_atoms.LR_RTOL.  exp_flow_phi
+    lists an unconverged s = 0, 1 end in cap_hits; the norms raise
+    AccuracyError (gaussian_atoms._resolved).  No caller reads nodes yet.
     """
 
     value: float

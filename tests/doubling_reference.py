@@ -1,13 +1,11 @@
-"""Frozen reference: the five node-doubling loops as they were before
+"""Frozen reference: the 2-D node-doubling loops as they were before
 quadrature.doubled, with the code they fed.
 
-`converged_value`, `_auto_outer`, `atom_lp_norm` (and its
-`_atom_sum_abs_pow_times_exp`), `_poly_gaussian_lq_norm` and
-`_abs_power_average` are kept verbatim, with `mehler_atom_scaled`,
-`_mehler_atom_log_abs` and `hy_endpoints` (values kept; its inequality
-raise, which no test input reached, is gone), for tests that require the
-shared doubling, the shared recentred norm and the shared Mehler-atom
-formula to return the same values.  `exp_grid_value` and `exp_flow_interior` are the
+`converged_value` and `_auto_outer` are kept verbatim, with
+`mehler_atom_scaled` and `_mehler_atom_log_abs`, for tests that require the
+shared doubling and the shared Mehler-atom formula to return the same
+values.  (The 1-D ladders of the L^r norms and of the exp_flow_phi ends are
+gone from the package; tests hold their successor to scipy's quad.)  `exp_grid_value` and `exp_flow_interior` are the
 interior samples of `exp_flow_phi` as they were before the factored grids:
 `phi_s_closed` on every cell of every grid.  `janson_quadrature`,
 `janson_mehler` and `janson_heat` (with `_janson_outer`, `_outer_average`
@@ -19,16 +17,17 @@ M_u(|u|) + M_x(|x|).  Not collected by pytest (no test_ prefix).
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
 
+from identity_checks import phi_s_closed
 from hypflow.cube import TailCut, cut_mixed_norm
 from hypflow.errors import AccuracyError, DomainError
 from hypflow.flows import OuterStats
-from hypflow.gaussian_atoms import DOMAIN_EPS, GaussianAtom, _require_damping, fourier_transform_atom
-from hypflow.hausdorff_young import ExpFamily, HYInput, conjugate_exponent, sharp_constant
+from hypflow.gaussian_atoms import DOMAIN_EPS, GaussianAtom, _require_damping
+from hypflow.hausdorff_young import ExpFamily, conjugate_exponent
 from hypflow.hermite import (
     HermiteSeries,
     PolySeries,
@@ -127,70 +126,6 @@ def mehler_atom_scaled(sigma: complex, atom: GaussianAtom, arg: complex) -> comp
     return complex(val)
 
 
-def _atom_sum_abs_pow_times_exp(
-    atoms: Sequence[GaussianAtom], y: np.ndarray, r: float, extra_exponent: np.ndarray
-) -> np.ndarray:
-    """|sum_l atom_l(y)|^r * exp(extra_exponent), overflow-safe.
-
-    The largest per-atom real exponent is factored out before
-    exponentiation, so huge amplitudes (e.g. Fourier images) and the
-    envelope-compensating exp(u^2/2) factor never overflow individually.
-    """
-    y = np.asarray(y, dtype=float)
-    expos = np.stack([(-atom.quad * y * y + atom.lin * y) for atom in atoms])
-    peak = np.max(expos.real, axis=0)
-    reduced = np.zeros(y.shape, dtype=complex)
-    for atom, expo in zip(atoms, expos):
-        reduced += atom.amplitude * np.exp(expo - peak)
-    mag = np.abs(reduced)
-    out = np.zeros_like(mag)
-    pos = mag > 0.0
-    out[pos] = np.exp(r * (np.log(mag[pos]) + peak[pos]) + extra_exponent[pos])
-    return out
-
-
-def atom_lp_norm(
-    atoms: Sequence[GaussianAtom],
-    r: float,
-    start: int = 64,
-    cap: int = 512,
-    rtol: float = 1e-11,
-) -> float:
-    """L^r(R) norm of a finite sum of Gaussian atoms, by recentred quadrature.
-
-    The envelope is the slowest-decaying atom, widened by half so that the
-    combined integrand keeps strict Gaussian decay relative to the rule's
-    weight; the rule is doubled until the value stabilizes.
-    """
-    if r < 1.0:
-        raise ValueError("norm exponent must be >= 1")
-    if not atoms:
-        return 0.0
-    min_decay = min(atom.quad.real for atom in atoms)
-    if min_decay <= DOMAIN_EPS:
-        raise DomainError("atom sum is not integrable: an atom has Re(quad) <= 0")
-    peaks = [atom.lin.real / (2.0 * atom.quad.real) for atom in atoms]
-    center = 0.5 * (min(peaks) + max(peaks))
-    envelope = 0.5 * r * min_decay
-    scale = np.sqrt(2.0 * envelope)
-
-    def moment(rule: QuadratureRule) -> float:
-        y = center + rule.nodes / scale
-        vals = _atom_sum_abs_pow_times_exp(atoms, y, r, 0.5 * rule.nodes**2)
-        return float(np.sqrt(2.0 * np.pi) / scale * np.dot(rule.weights, vals))
-
-    n = start
-    prev = moment(gh_rule(n))
-    while n < cap:
-        n *= 2
-        cur = moment(gh_rule(n))
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            prev = cur
-            break
-        prev = cur
-    return prev ** (1.0 / r)
-
-
 def _mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
     """log |scaled Mehler image of one atom| over an argument array, in closed form.
 
@@ -213,87 +148,11 @@ def _mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) ->
     )
 
 
-def _poly_gaussian_lq_norm(
-    poly: PolySeries,
-    quad: complex,
-    lin: complex,
-    log_amp: complex,
-    r: float,
-    start: int = 64,
-    cap: int = 512,
-) -> float:
-    """L^r norm of y -> poly(y) * exp(log_amp - quad y^2 + lin y) on the line."""
-    ra = quad.real
-    if ra <= 0.0:
-        raise ValueError("norm requires Re(quad) > 0 for integrability")
-    center = lin.real / (2.0 * ra)
-    envelope = 0.5 * r * ra
-    scale = math.sqrt(2.0 * envelope)
-
-    def moment(rule: QuadratureRule) -> float:
-        y = center + rule.nodes / scale
-        expo = r * np.real(log_amp - quad * y * y + lin * y) + 0.5 * rule.nodes**2
-        mag = np.abs(poly(y))
-        vals = np.zeros_like(mag)
-        pos = mag > 0.0
-        vals[pos] = np.exp(r * np.log(mag[pos]) + expo[pos])
-        return float(np.sqrt(2.0 * np.pi) / scale * np.dot(rule.weights, vals))
-
-    n = start
-    prev = moment(gh_rule(n))
-    while n < cap:
-        n *= 2
-        cur = moment(gh_rule(n))
-        if abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300):
-            prev = cur
-            break
-        prev = cur
-    return prev ** (1.0 / r)
-
-
-def hy_endpoints(inp: HYInput) -> tuple[float, float]:
-    """(||fhat||_q,  (p^{1/p}/q^{1/q})^{1/2} ||f||_p), both by direct quadrature.
-
-    The transform uses the convention fhat(x) = int f(y) exp(-2 pi i x y) dy.
-    """
-    p, q = inp.p, inp.q
-    if inp.f_atom is not None:
-        norm_f = atom_lp_norm([inp.f_atom], p)
-        norm_fhat = atom_lp_norm([fourier_transform_atom(inp.f_atom)], q)
-    else:
-        poly = basis_convert(inp.g_tilde)
-        a = 1.0 / (2.0 * p)
-        log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
-        norm_f = _poly_gaussian_lq_norm(poly, a, 0.0, log_amp, p)
-        # fhat(x) = amp * sqrt(pi/a) * exp(c^2/4a) * (P_{1/2a} poly)(c/2a), c = -2 pi i x.
-        evolved = heat_poly_series(1.0 / (2.0 * a), poly)
-        hat_poly = PolySeries(
-            evolved.coeffs * (-2.0j * np.pi / (2.0 * a)) ** np.arange(evolved.coeffs.size)
-        )
-        # |exp(c^2/4a)| = exp(-pi^2 x^2 / a): a Gaussian envelope in x.
-        hat_log_amp = log_amp + 0.5 * math.log(np.pi / a)
-        norm_fhat = _poly_gaussian_lq_norm(hat_poly, np.pi**2 / a, 0.0, hat_log_amp, q)
-    return norm_fhat, sharp_constant(p) * norm_f
-
-
-def _abs_power_average(fn, r: float, start: int = 64, cap: int = 4096) -> float:
-    """E |fn(G)|^r for standard Gaussian G, with node doubling to stability."""
-    n = start
-    prev = float(gh_rule(n).integrate(lambda x: np.abs(fn(x)) ** r).real)
-    while n < cap:
-        n *= 2
-        cur = float(gh_rule(n).integrate(lambda x: np.abs(fn(x)) ** r).real)
-        if abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
-
-
 def exp_grid_value(fam: ExpFamily, p: float, s: float, rule: QuadratureRule) -> float:
     """E_x (E_u |Phi_s(x, u)|^q)^{p/q} on every cell of the rule's product grid."""
     q = conjugate_exponent(p)
     z = 1j * math.sqrt(p / q)
-    table = np.abs(fam.phi_s_closed(s, z, rule.nodes[:, None], rule.nodes[None, :])) ** q
+    table = np.abs(phi_s_closed(fam, s, z, rule.nodes[:, None], rule.nodes[None, :])) ** q
     return float(np.dot(rule.weights, (table @ rule.weights) ** (p / q)))
 
 

@@ -6,8 +6,9 @@ convolution of phi_L, the mixed-moment identity, the exponential-flow
 endpoints) and returns them for the caller to compare.  The reference
 evaluations compute, by a route of their own, what code in the package
 computes another way: the Mehler image of a Hermite series or of one
-Gaussian atom, phi_L at a block point of the cube, and the defining double
-Gaussian average of an exponential family.
+Gaussian atom, phi_L at a block point of the cube, the defining double
+Gaussian average of an exponential family, and its flow Phi_s in closed
+form with one exp per atom (phi_s_closed).
 """
 from __future__ import annotations
 
@@ -111,6 +112,19 @@ def _exp_family_value(fam: ExpFamily, w) -> np.ndarray:
     total = np.zeros_like(w)
     for c, t in fam.atoms:
         total = total + c * np.exp(t * w)
+    return total
+
+
+def phi_s_closed(fam: ExpFamily, s: float, z: complex, x, u) -> np.ndarray:
+    """Phi_s(x, u) = sum_l c_l A_{t_l sqrt(s)}(x) A_{t_l z sqrt(1-s)}(u), one exp per atom."""
+    x = np.asarray(x, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
+    total = np.zeros(np.broadcast(x, u).shape, dtype=complex)
+    for c, t in fam.atoms:
+        zx = t * rs
+        zu = t * z * rc
+        total = total + c * np.exp(zx * x - zx * zx / 2.0 + zu * u - zu * zu / 2.0)
     return total
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hypflow.cli
-from hypflow import hausdorff_young, selftest
+from hypflow import hausdorff_young, quadrature, selftest
 from hypflow.errors import AccuracyError
 from hypflow.hermite import HermiteSeries
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
@@ -301,7 +301,8 @@ def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):
 
 
 def test_hy_exp_manifest_reports_cut_and_cap_hits(tmp_path):
-    # the README family: the |.|^q kinks hold the doubling at its cap near s = 1
+    # the README family: the |.|^q kinks hold the doubling of the grids at
+    # its cap near s = 1; the ends, graded at the zero of Phi_1, are resolved
     args = ["hy-exp", "--p", "1.3333333333333333", "--atoms", "1:0.5,-0.3:-1.1", "--s-points", "5"]
     code, out = run(args, tmp_path)
     assert code == EXIT_OK
@@ -311,7 +312,26 @@ def test_hy_exp_manifest_reports_cut_and_cap_hits(tmp_path):
     assert manifest["verdict"] == "holds"
     assert 0.0 < manifest["tail_bound"] <= 1e-15
     assert 0.0 < manifest["cells_kept_share"] < 0.5
-    assert manifest["cap_hits"] == [0.75, 1.0]
+    assert manifest["cap_hits"] == [0.75]
+
+
+def test_hy_calls_request_no_rule_above_512_nodes(tmp_path, monkeypatch):
+    # the 1-D norms and the hy-exp ends run on graded Gauss-Legendre panels;
+    # only the 2-D grids double Gauss-Hermite rules, up to 512 nodes
+    sizes = []
+    build = quadrature._gh_rule_cached
+    monkeypatch.setattr(quadrature, "_gh_rule_cached", lambda n: sizes.append(n) or build(n))
+    calls = [
+        ["hy-exp", "--p", "1.5", "--atoms", "1:0.5,-0.3:-1.1"],
+        ["hy-exp", "--p", "1.3333333333333333", "--atoms", "1:0.5,-0.3:-1.1,0.2:1.4", "--s-points", "5"],
+        ["hy-exp", "--p", "1.3333333333333333", "--atoms", "1:5,-0.9:5.2", "--s-points", "3"],
+        ["hy-flow", "--p", "1.5", "--gaussian"],
+        ["hy-flow", "--p", "1.3333333333333333", "--hermite-coeffs", "0,1,0,1", "--s-points", "3"],
+    ]
+    for i, args in enumerate(calls):
+        code, _ = run(args, tmp_path, sub=f"run{i}")
+        assert code == EXIT_OK, args
+    assert sizes and max(sizes) == 512
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """Every former node-doubling loop against its frozen copy in doubling_reference.
 
-Each test runs the code as it is, then swaps the reference loop (and, for
-phi_flow, the reference Mehler-atom formula) back in with monkeypatch and
-runs it again: the values must be bit-identical, except the polynomial
-hy_endpoints route, whose norm exponent is rounded in another order.  The
+Each test of a 2-D grid runs the code as it is, then swaps the reference
+loop (and, for phi_flow, the reference Mehler-atom formula) back in with
+monkeypatch and runs it again: the values must be bit-identical.  The
 interior samples of exp_flow_phi, whose grids are now factored and cut,
 are also held to 1e-14 of the reference's full grids, and the Janson
 evaluators, whose grids are now factored tables, to 2e-15 of the
-reference's per-cell grids.
+reference's per-cell grids.  The 1-D L^r norms (atom_lp_norm, hy_verify,
+hy_endpoints and the s = 0, 1 ends of exp_flow_phi) no longer double a
+rule: they are held to 1e-12 of scipy's quad split at the zeros and
+minima of |h| (split_quad).
 """
 import math
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import doubling_reference as ref
+import split_quad
 from identity_checks import mehler_atom_scaled
 from hypflow import flows, hausdorff_young as hy
 from hypflow.errors import AccuracyError, DomainError
@@ -35,7 +38,7 @@ from hypflow.hausdorff_young import (
     phi_flow,
 )
 from hypflow.hermite import HermiteSeries, PolySeries, gaussian_smooth
-from hypflow.quadrature import Estimate, doubled
+from hypflow.quadrature import doubled
 from hypflow.two_point import ExponentTriple
 
 SEED = 20261018
@@ -158,6 +161,8 @@ def _exp_families():
 
 
 def test_exp_flow_phi_bit_identical(monkeypatch):
+    # the interior sample bit for bit under the reference doubling; the
+    # ends, which no longer double, against split quad
     grid = [0.0, 0.5, 1.0]
     cases = [(fam, p) for fam, p in zip(_exp_families(), (4 / 3, 1.5, 2.0, 4 / 3, 1.5, 2.0, 1.25))]
 
@@ -172,10 +177,10 @@ def test_exp_flow_phi_bit_identical(monkeypatch):
 
     new = run()
     monkeypatch.setattr(hy, "_auto_outer", ref._auto_outer)
-    monkeypatch.setattr(
-        hy, "_abs_power_average", lambda fn, r: Estimate(ref._abs_power_average(fn, r), 0, 0.0, True)
-    )
     assert new == run()
+    for (fam, p), samples in zip(cases, new):
+        for (_, got), want in zip(samples[::2], split_quad.exp_flow_ends(fam, p)):
+            assert abs(got - want) <= 1e-12 * want, (fam, p)
 
 
 def test_exp_flow_phi_interior_matches_the_full_grids():
@@ -203,27 +208,27 @@ def test_exp_flow_phi_accuracy_error_unchanged(monkeypatch):
         exp_flow_phi(fam, 1.5, s_grid=[0.999])
 
 
-def test_atom_lp_norm_bit_identical():
+def test_atom_lp_norm_matches_split_quad():
     rng = np.random.default_rng(SEED + 3)
     for count in (1, 2, 3, 3):
         atoms = _random_atoms(rng, count)
         for family in (atoms, [fourier_transform_atom(a) for a in atoms]):
-            for r in (1.0, 4 / 3, 1.5, 2.0, 3.0, 4.0):
-                assert atom_lp_norm(family, r) == ref.atom_lp_norm(family, r)
+            for r in (1.0, 4 / 3, 3.0):
+                want = split_quad.atom_norm(family, r)
+                assert abs(atom_lp_norm(family, r) - want) <= 1e-12 * want, (family, r)
     zero = [GaussianAtom(1.0, 1.0, 0.0), GaussianAtom(-1.0, 1.0, 0.0)]  # |h| = 0 everywhere
-    assert atom_lp_norm(zero, 2.0) == ref.atom_lp_norm(zero, 2.0) == 0.0
-    assert atom_lp_norm([], 2.0) == ref.atom_lp_norm([], 2.0) == 0.0
+    assert atom_lp_norm(zero, 2.0) == 0.0
+    assert atom_lp_norm([], 2.0) == 0.0
     bad_inputs = (
         ([GaussianAtom(1.0, 1.0, 0.0)], 0.5, ValueError),  # r < 1
         ([GaussianAtom(1.0, 0.0, 0.0)], 2.0, DomainError),  # no Gaussian decay
     )
     for atoms, r, exc in bad_inputs:
-        for norm in (atom_lp_norm, ref.atom_lp_norm):
-            with pytest.raises(exc):
-                norm(atoms, r)
+        with pytest.raises(exc):
+            atom_lp_norm(atoms, r)
 
 
-def test_hy_verify_bit_identical(monkeypatch):
+def test_hy_verify_matches_split_quad():
     rng = np.random.default_rng(SEED + 4)
     cases = [
         (ExpFamily(atoms=((1.0, 0.0),)), 4 / 3),
@@ -231,21 +236,27 @@ def test_hy_verify_bit_identical(monkeypatch):
     ]
     for k, p in ((1, 1.25), (2, 1.5), (3, 1.8), (3, 2.0)):
         cases.append((ExpFamily(atoms=tuple(zip(_complex_normal(rng, k), rng.normal(size=k)))), p))
-    new = [hy_verify(fam, p) for fam, p in cases]
-    monkeypatch.setattr(hy, "atom_lp_norm", ref.atom_lp_norm)
-    assert new == [hy_verify(fam, p) for fam, p in cases]
+    for fam, p in cases:
+        for got, want in zip(hy_verify(fam, p), split_quad.final_form(fam, p)):
+            assert abs(got - want) <= 1e-12 * want, (fam, p)
 
 
 def test_hy_endpoints_matches_reference():
     rng = np.random.default_rng(SEED + 5)
-    atom_inputs = [inp for inp in _phi_inputs() if inp.f_atom is not None]
-    for inp in atom_inputs:
-        assert hy_endpoints(inp) == ref.hy_endpoints(inp)
+    for inp in _phi_inputs():
+        if inp.f_atom is not None:
+            want = (
+                split_quad.atom_norm([fourier_transform_atom(inp.f_atom)], inp.q),
+                hy.sharp_constant(inp.p) * split_quad.atom_norm([inp.f_atom], inp.p),
+            )
+            for got, ref_value in zip(hy_endpoints(inp), want):
+                assert abs(got - ref_value) <= 1e-12 * ref_value
     for p in (1.2, 4 / 3, 1.5, 1.8, 2.0):
         for degree in (0, 1, 3, 5):
-            inp = HYInput(p=p, g_tilde=HermiteSeries(_complex_normal(rng, degree + 1)))
-            for got, want in zip(hy_endpoints(inp), ref.hy_endpoints(inp)):
-                assert abs(got - want) <= 1e-14 * want
+            coeffs = _complex_normal(rng, degree + 1)
+            inp = HYInput(p=p, g_tilde=HermiteSeries(coeffs))
+            for got, want in zip(hy_endpoints(inp), split_quad.hermite_endpoints(p, coeffs)):
+                assert abs(got - want) <= 1e-12 * want, (p, coeffs)
 
 
 def test_mehler_atom_formula_bit_identical():

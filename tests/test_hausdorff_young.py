@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import doubling_reference
-from identity_checks import exp_family_double_average, exp_phi_endpoint_identities
+import split_quad
+from identity_checks import exp_family_double_average, exp_phi_endpoint_identities, phi_s_closed
 import hypflow.hausdorff_young
-from hypflow import cube
+from hypflow import cube, gaussian_atoms
 from hypflow.cube import factored_mixed_norm
 from hypflow.errors import AccuracyError
 from hypflow.gaussian_atoms import GaussianAtom
@@ -182,7 +183,7 @@ def test_exp_family_factorization_matches_double_integral():
     z = 1j * math.sqrt((4 / 3) / 4.0)
     rule = gh_rule(64)
     for s in [0.0, 0.3, 1.0]:
-        closed = complex(fam.phi_s_closed(s, z, 0.7, -0.2))
+        closed = complex(phi_s_closed(fam, s, z, 0.7, -0.2))
         direct = exp_family_double_average(fam, s, z, 0.7, -0.2, rule)
         assert abs(closed - direct) <= 1e-10 * max(1.0, abs(direct))
 
@@ -210,15 +211,17 @@ def test_exp_flow_sign_crossing_family_full_grid():
 
 
 def test_exp_flow_endpoint_average_ignores_nodes_with_zero_weight():
-    # regression: on the 4096-node rule |Phi_1|^p overflows to inf on 182
-    # nodes whose weights underflowed to zero, and 0 * inf made phi(1) NaN
+    # regression: the former 1-D ladder of the ends reached the 4096-node
+    # rule, where |Phi_1|^p overflows to inf on 182 nodes whose weights
+    # underflowed to zero, and 0 * inf made phi(1) NaN; the graded end is
+    # finite and within the kink error of the 2048-node rule
     fam = ExpFamily(atoms=((1.0, 5.0), (-0.9, 5.2)))
     p = 4 / 3
     z = 1j * math.sqrt(p / conjugate_exponent(p))
 
     def samples(rule):
         with np.errstate(over="ignore"):
-            return np.abs(fam.phi_s_closed(1.0, z, rule.nodes, 0.0)) ** p
+            return np.abs(phi_s_closed(fam, 1.0, z, rule.nodes, 0.0)) ** p
 
     big = gh_rule(4096)
     overflowed = np.isinf(samples(big))
@@ -236,9 +239,12 @@ def test_exp_flow_nan_interior_sample_raises():
     with pytest.raises(AccuracyError, match="512 nodes"):
         exp_flow_phi(ExpFamily(atoms=((1.0, 30j),)), 1.5, s_grid=[0.5])
     # at 12j it overflows only on cells of zero weight, which the tail cut
-    # drops, so s = 0.5 settles; the 1-D end s = 0 still overflows
-    with pytest.raises(AccuracyError, match="not finite"):
-        exp_flow_phi(ExpFamily(atoms=((1.0, 12j),)), 1.5, s_grid=[0.5])
+    # drops, so s = 0.5 settles; the recentred ends are finite too.  One
+    # atom gives a constant flow: E|exp(t w - t^2/2)|^p with |.| = e^72 at
+    # s = 1 is e^(72 p) = e^108, and phi(0) = (E|.|^q)^(p/q) is the same
+    report = exp_flow_phi(ExpFamily(atoms=((1.0, 12j),)), 1.5, s_grid=[0.0, 0.5, 1.0])
+    for value in report.values:
+        assert abs(value - math.exp(108.0)) <= 1e-12 * math.exp(108.0)
 
 
 def test_exp_flow_non_finite_endpoint_raises(monkeypatch):
@@ -249,8 +255,8 @@ def test_exp_flow_non_finite_endpoint_raises(monkeypatch):
     p = 4 / 3
     monkeypatch.setattr(
         hypflow.hausdorff_young,
-        "_abs_power_average",
-        lambda fn, r: Estimate(math.nan if r == p else 1.0, 64, math.inf, False),
+        "atom_lr_estimate",
+        lambda atoms, r: Estimate(math.nan if r == p else 1.0, 360, math.inf, False),
     )
     with pytest.raises(AccuracyError, match="not finite"):
         exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), p, s_grid=[0.5])
@@ -278,7 +284,7 @@ def test_exp_flow_factors_match_phi_s_closed():
             left, right = hypflow.hausdorff_young._exp_flow_factors(fam, s, z, x)
             assert left.shape == (n, len(fam.atoms)) and right.shape == (len(fam.atoms), n)
             got = left @ right
-            want = fam.phi_s_closed(s, z, x[:, None], x[None, :])
+            want = phi_s_closed(fam, s, z, x[:, None], x[None, :])
             size = np.abs(left) @ np.abs(right)
             # phi_s_closed rounds exponents of size up to |t| (|x| + |u| + |t|),
             # over 100 at the 512-node edges: agree to a few ulp of that
@@ -349,11 +355,11 @@ def test_exp_flow_factors_share_the_largest_exponent():
 
 
 def test_exp_flow_diagnostics_list_every_capped_sample():
-    # the README family at p = 4/3 hits the 512-node cap from s = 0.6 on, and
-    # its s = 1 end (a 1-D ladder) stops unconverged at 4096 nodes
+    # the README family at p = 4/3 hits the 512-node cap from s = 0.6 on;
+    # its ends, graded at the zero of Phi_1, are resolved
     fam = ExpFamily(atoms=((1.0, 0.5), (-0.3, -1.1)))
     report = exp_flow_phi(fam, 4 / 3, s_grid=[0.25, 0.5, 0.75])
-    assert report.diagnostics["cap_hits"] == [0.75, 1.0]
+    assert report.diagnostics["cap_hits"] == [0.75]
     assert 0.0 < report.diagnostics["tail_bound"] <= 1e-15
     assert 0.0 < report.diagnostics["cells_kept_share"] < 0.5
     smooth = exp_flow_phi(ExpFamily(atoms=((1.0, 0.5),)), 2.0, s_grid=[0.0, 0.5, 1.0])
@@ -363,6 +369,52 @@ def test_exp_flow_diagnostics_list_every_capped_sample():
     left, right = hypflow.hausdorff_young._exp_flow_factors(ExpFamily(atoms=((1.0, 0.5),)), 0.5, 1j, rule.nodes)
     _, cut = factored_mixed_norm(left, right, rule.weights, rule.weights, 2.0, 2.0, share=_GRID_SHARE)
     assert 0 < cut.cells_kept < cut.cells and 0.0 <= cut.bound <= cube.TAIL_RTOL
+
+
+def _graded_end_cases():
+    """The README family and 24 seeded ones: kinked real families at p = 4/3
+    and 1.5 (mixed signs, so Phi_1 has real zeros) and complex families."""
+    rng = np.random.default_rng(22)
+    cases = [(ExpFamily(atoms=((1.0, 0.5), (-0.3, -1.1))), p) for p in (4 / 3, 1.5)]
+    for i in range(24):
+        k = 2 + i % 2
+        if i % 3 == 2:
+            atoms = zip(_complex(rng, k), 0.6 * _complex(rng, k))
+            p = (4 / 3, 1.5, 2.0)[(i // 3) % 3]
+        else:
+            amps = np.abs(rng.normal(size=k)) + 0.2
+            amps[1:] *= -1.0
+            atoms = zip(amps, np.sort(rng.uniform(-1.5, 1.5, size=k)) + 0.3 * np.arange(k))
+            p = (4 / 3, 1.5)[i % 2]
+        cases.append((ExpFamily(atoms=tuple(atoms)), p))
+    return cases
+
+
+def _complex(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def test_exp_flow_ends_and_final_form_match_split_quad():
+    for fam, p in _graded_end_cases():
+        report = exp_flow_phi(fam, p, s_grid=[0.0, 1.0])
+        assert report.diagnostics["cap_hits"] == []
+        for got, want in zip(report.values, split_quad.exp_flow_ends(fam, p)):
+            assert abs(got - want) <= 1e-12 * want, (fam, p)
+        if all(t.imag == 0.0 for _, t in fam.atoms):
+            for got, want in zip(hy_verify(fam, p), split_quad.final_form(fam, p)):
+                assert abs(got - want) <= 1e-12 * want, (fam, p)
+
+
+def test_coarse_engine_flags_the_ends_and_raises_on_norms(monkeypatch):
+    # 4- and 6-point panels leave the README family's ends unresolved: the
+    # ends are listed in cap_hits, and a norm raises
+    monkeypatch.setattr(gaussian_atoms, "_PANEL_RULES", (4, 6))
+    fam = ExpFamily(atoms=((1.0, 0.5), (-0.3, -1.1)))
+    assert exp_flow_phi(fam, 4 / 3, s_grid=[0.0, 0.5, 1.0]).diagnostics["cap_hits"] == [0.0, 1.0]
+    with pytest.raises(AccuracyError, match="not resolved"):
+        hy_verify(fam, 4 / 3)
+    with pytest.raises(AccuracyError, match="not resolved"):
+        hy_endpoints(HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 2.0, 0.0, 1.0])))
 
 
 def test_exp_flow_endpoint_change_of_variables():
