@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hypflow.cli
-from hypflow import hausdorff_young, quadrature, selftest
+from hypflow import gaussian_atoms, hausdorff_young, quadrature, selftest
 from hypflow.errors import AccuracyError
 from hypflow.hermite import HermiteSeries
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
@@ -554,6 +554,19 @@ def test_selftest_records_a_sharp_bound_violation(tmp_path, monkeypatch):
     assert entry["name"] == "9 exponential-family pipeline" and not entry["passed"]
     equalities = [f for f in entry["failures"] if f.startswith("single-atom equality")]
     assert len(equalities) == 3
+
+
+def test_selftest_records_an_unresolved_norm(tmp_path, monkeypatch):
+    # 4- and 6-point panels leave hy_verify's norms unresolved; criterion 9
+    # must list each AccuracyError as a failed check, not raise
+    monkeypatch.setattr(gaussian_atoms, "_PANEL_RULES", (4, 6))
+    monkeypatch.setattr(selftest, "CRITERIA", selftest.CRITERIA[8:9])
+    code, out = run(["selftest", "--quick"], tmp_path)
+    assert code == EXIT_VIOLATION
+    (entry,) = json.loads((out / "manifest.json").read_text())["suites"]
+    assert entry["name"] == "9 exponential-family pipeline" and not entry["passed"]
+    unresolved = [f for f in entry["failures"] if "not resolved" in f]
+    assert unresolved and all(f.startswith(("single-atom equality", "sharp bound")) for f in unresolved)
 
 
 def test_selftest_quick_and_seed_robust(tmp_path):

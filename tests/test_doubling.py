@@ -213,7 +213,7 @@ def test_atom_lp_norm_matches_split_quad():
     for count in (1, 2, 3, 3):
         atoms = _random_atoms(rng, count)
         for family in (atoms, [fourier_transform_atom(a) for a in atoms]):
-            for r in (1.0, 4 / 3, 3.0):
+            for r in (1.0, 4 / 3, 1.5, 2.0, 3.0, 4.0):
                 want = split_quad.atom_norm(family, r)
                 assert abs(atom_lp_norm(family, r) - want) <= 1e-12 * want, (family, r)
     zero = [GaussianAtom(1.0, 1.0, 0.0), GaussianAtom(-1.0, 1.0, 0.0)]  # |h| = 0 everywhere
