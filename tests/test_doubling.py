@@ -256,7 +256,7 @@ def test_hy_endpoints_matches_reference():
             coeffs = _complex_normal(rng, degree + 1)
             inp = HYInput(p=p, g_tilde=HermiteSeries(coeffs))
             for got, want in zip(hy_endpoints(inp), split_quad.hermite_endpoints(p, coeffs)):
-                assert abs(got - want) <= 1e-12 * want, (p, coeffs)
+                assert abs(got - want) <= 1e-14 * want, (p, coeffs)
 
 
 def test_mehler_atom_formula_bit_identical():
