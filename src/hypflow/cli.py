@@ -8,7 +8,8 @@ Exit codes: 0 when every asserted inequality and identity held within the
 configured tolerances, 2 when a violation was detected (the witness lands in
 the manifest), 1 for usage or configuration errors.  The endpoint
 inequalities of hy-flow and hy-exp are decided here, in one place (_judge),
-not in the library, which returns their two sides only.
+not in the library, which returns their two sides only; lhs <= rhs holds
+within tol + tol*|lhs|, the allowance the flow verdicts give a dip.
 
 Only selftest draws random numbers.  It runs the acceptance criteria of
 hypflow.selftest, the registry the test suite runs too, and gives each
@@ -146,15 +147,17 @@ def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
 
 
 def _judge(manifest: dict, checks: list[tuple[str, float, float]], config: RunConfig) -> bool:
-    """Whether every named (check, lhs, rhs) pair holds as lhs <= rhs + tol.
+    """Whether every named (check, lhs, rhs) pair holds as lhs <= rhs + tol + tol*|lhs|.
 
-    tol is --tol when given, otherwise _ENDPOINT_TOL; a NaN side fails.  The
-    first failure sets the manifest's verdict to fails-with-witness and its
-    witness to {check, lhs, rhs, tol}.
+    That is the rule FlowReport.verdict applies to consecutive samples.  tol
+    is --tol when given, otherwise _ENDPOINT_TOL; a NaN side or an infinite
+    lhs fails, and tol = 0 asks for lhs <= rhs.  The first failure sets the
+    manifest's verdict to fails-with-witness and its witness to
+    {check, lhs, rhs, tol}.
     """
     tol = _ENDPOINT_TOL if config.tol is None else config.tol
     for check, lhs, rhs in checks:
-        if not lhs <= rhs + tol:
+        if not (math.isfinite(lhs) and lhs <= rhs + tol + tol * abs(lhs)):
             manifest["verdict"] = "fails-with-witness"
             manifest["witness"] = {"check": check, "lhs": lhs, "rhs": rhs, "tol": tol}
             return False
@@ -167,8 +170,11 @@ def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
     params = config.params
     p, q = float(params["p"]), float(params["q"])
     resolution = float(params.get("resolution", 0.05))
-    budget = SearchBudget.reduced() if params.get("budget", "reduced") == "reduced" else SearchBudget()
-    rows = region_scan(p, q, disk_grid(resolution), budget=budget)
+    budget = params.get("budget", "reduced")
+    if budget not in ("reduced", "full"):
+        raise ValueError(f"budget must be 'reduced' or 'full', got {budget!r}")
+    search = SearchBudget.reduced() if budget == "reduced" else SearchBudget()
+    rows = region_scan(p, q, disk_grid(resolution), budget=search)
     write_region_csv(rows, out / "scan.csv")
     bad = [r for r in rows if r.global_holds and not r.infinitesimal_holds]
     manifest = {
@@ -382,7 +388,8 @@ def _common_flags(target: argparse.ArgumentParser, suppress: bool) -> None:
         "--tol",
         type=float,
         help="override the flow commands' tolerances: a dip counts past tol + tol*|value| "
-        "(default 1e-10); hy-flow and hy-exp endpoint checks need lhs <= rhs + tol (default 1e-8)",
+        "(default 1e-10); hy-flow and hy-exp endpoint checks need lhs <= rhs + tol + tol*|lhs| "
+        "(default 1e-8)",
         **kw,
     )
 

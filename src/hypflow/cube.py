@@ -339,35 +339,6 @@ def _real_gemm(coeffs: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return stacked[: len(coeffs)], stacked[len(coeffs) :]
 
 
-@dataclass(frozen=True)
-class CollapsedTable:
-    """T_z^k f_n on the (a, b) count grid, kept factored as U^T M V.
-
-    table[a, b] = sum_{j,m} first[j, a] mix[j, m] second[m, b], with the real
-    block matrices of the first k and the last n - k coordinates and the
-    complex coupling mix[j, m] = a_{j+m} C(j+m, m) z^m.  np.asarray gives the
-    dense table; mixed_norm_collapsed forms only the cells it keeps.  The
-    Janson grids of flows are the same table in the Gaussian limit, with
-    Hermite polynomials or monomials at Gauss nodes as the block matrices.
-    """
-
-    first: np.ndarray
-    second: np.ndarray
-    mix: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.first.shape[1], self.second.shape[1]
-
-    def row_coefficients(self) -> np.ndarray:
-        """C[a, m] = sum_j first[j, a] mix[j, m], so that table = C @ second."""
-        return self.first.T @ self.mix
-
-    def __array__(self, dtype=None, copy=None):
-        re, im = _real_gemm(self.row_coefficients(), self.second)
-        return (re + 1j * im).astype(dtype or complex, copy=False)
-
-
 class TailCut(NamedTuple):
     """What one cut_mixed_norm dropped.
 
@@ -482,18 +453,8 @@ def factored_mixed_norm(
     return cut_mixed_norm(abs_q, w_rows, w_cols, p, q, bound, share=share)
 
 
-def table_mixed_norm(
-    table: CollapsedTable, w_rows: np.ndarray, w_cols: np.ndarray, p: float, q: float, *, share: float
-) -> tuple[float, TailCut]:
-    """factored_mixed_norm of a CollapsedTable over the N nonzero columns m
-    of its mix: f[a, b] = sum_m C[a, m] second[m, b], C = row_coefficients()."""
-    active = np.any(table.mix != 0, axis=0)
-    coeffs, second = table.row_coefficients()[:, active], table.second[active]
-    return factored_mixed_norm(coeffs, second, w_rows, w_cols, p, q, share=share)
-
-
 def mixed_norm_collapsed(
-    table: CollapsedTable | np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
     n: int,
     k: int,
     p: float,
@@ -502,48 +463,56 @@ def mixed_norm_collapsed(
 ) -> float:
     """Collapsed mixed norm for block-symmetric functions.
 
-    `table[a, b]` holds the function value at any point with a (+1)s in the
-    first block and b in the second; the averages become binomially weighted
-    sums over the counts.  A CollapsedTable (from symmetric_tzk_table) is
-    cut by table_mixed_norm.  A dense table is summed whole.  If
-    `cuts` is given, the TailCut of this call is appended to it.
+    The table left @ right of the factor pair (from symmetric_tzk_table)
+    holds at [a, b] the function value at any point with a (+1)s in the
+    first block and b in the second; the averages become binomially
+    weighted sums over the counts, cut by factored_mixed_norm.  If `cuts`
+    is given, the TailCut of this call is appended to it.
     """
     _check_exponents(p, q)
-    if tuple(np.shape(table)) != (k + 1, n - k + 1):
+    left, right = factors
+    if left.shape[0] != k + 1 or right.shape[1] != n - k + 1:
         raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
-    w_first, w_second = log_binomial_weights(k), log_binomial_weights(n - k)
-    if isinstance(table, CollapsedTable):
-        value, cut = table_mixed_norm(table, w_first, w_second, p, q, share=_CUT_SHARE)
-    else:
-        table = np.asarray(table, dtype=complex)
-
-        def abs_q(rows, cols):
-            return _abs_q(table.real[rows, cols].copy(), table.imag[rows, cols].copy(), q)
-
-        value, cut = cut_mixed_norm(abs_q, w_first, w_second, p, q, share=_CUT_SHARE)
+    value, cut = factored_mixed_norm(
+        left, right, log_binomial_weights(k), log_binomial_weights(n - k), p, q, share=_CUT_SHARE
+    )
     if cuts is not None:
         cuts.append(cut)
     return value
 
 
-def symmetric_tzk_table(spec: SymmetricSpec, z: complex, k: int) -> CollapsedTable:
-    """Values of T_z^k f_n on the collapsed (a, b) grid, shape (k+1, n-k+1), factored.
+def symmetric_tzk_table(spec: SymmetricSpec, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values of T_z^k f_n on the collapsed (a, b) grid, shape (k+1, n-k+1), as a factor pair.
 
     Uses the block convolution identity: with u_j = phi_j(first block) and
     v_m = phi_m(second block, undamped), the damped symmetric function is
     sum_{j,m} a_{j+m} C(j+m, m) z^m u_j v_m, i.e. a small matrix sandwich
-    U^T C V.  Each block matrix takes O(L n): the integer Krawtchouk
-    recurrence (j+1) K_{j+1} = S K_j - (T - j + 1) K_{j-1} in the block's
-    count sum S and size T, scaled once by j! n^{-j/2}, so it is exact up to
-    that one rounding (see _block_phi_matrix).
+    U^T C V, returned as coupled_factors(U, V, C).  Each block matrix takes
+    O(L n): the integer Krawtchouk recurrence (j+1) K_{j+1} = S K_j -
+    (T - j + 1) K_{j-1} in the block's count sum S and size T, scaled once
+    by j! n^{-j/2}, so it is exact up to that one rounding (see
+    _block_phi_matrix).
     """
     n = spec.n
     if not 0 <= k <= n:
         raise ValueError(f"split index must satisfy 0 <= k <= {n}")
     l_max = spec.degree
-    return CollapsedTable(
+    return coupled_factors(
         _block_phi_matrix(l_max, n, k), _block_phi_matrix(l_max, n, n - k), coupling_matrix(spec.a, z)
     )
+
+
+def coupled_factors(first: np.ndarray, second: np.ndarray, mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table first^T mix second as the pair (left, right) that factored_mixed_norm takes.
+
+    left = first^T mix and right = second, over the columns m of mix that
+    are not all zero.  The cube tables (real block matrices of the first k
+    and the last n - k coordinates) and the Janson grids of flows (Hermite
+    polynomials or monomials at Gauss nodes, their Gaussian limit) are both
+    built this way.
+    """
+    active = np.any(mix != 0, axis=0)
+    return (first.T @ mix)[:, active], second[active]
 
 
 def coupling_matrix(a: np.ndarray, z: complex) -> np.ndarray:

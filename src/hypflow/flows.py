@@ -39,8 +39,9 @@ flow's collapsed table (cube.coupling_matrix):
 
     inner(u_i, x_k) = sum_{j,m} P_j(u_i) s^{j/2} c_{j+m} C(j+m, m) (z sqrt(1-s))^m P_m(x_k),
 
-with P at kappa = 1 the Hermite polynomials He.  That rank-(d+1) table goes
-through cube.table_mixed_norm, the kernel that cuts the cube's tables too:
+with P at kappa = 1 the Hermite polynomials He.  That rank-(d+1) table is
+built as a factor pair by cube.coupled_factors and goes through
+cube.factored_mixed_norm, the kernel that cuts the cube's tables too:
 the power-mean majorant (d+1)^{q-1} |left|^q |right|^q chooses the centred
 block of cells that carries weight, the dropped cells are bounded, and the
 full grid is formed if the bound exceeds cube.TAIL_RTOL (the proof is in
@@ -55,17 +56,17 @@ from typing import Sequence
 import numpy as np
 
 from .cube import (
-    CollapsedTable,
     CubeFunction,
     SymmetricSpec,
     TailCut,
     apply_Tzk,
+    coupled_factors,
     coupling_matrix,
     cut_summary,
+    factored_mixed_norm,
     mixed_norm,
     mixed_norm_collapsed,
     symmetric_tzk_table,
-    table_mixed_norm,
 )
 from .errors import AccuracyError, EvaluatorMismatchError
 from .hermite import (
@@ -185,6 +186,15 @@ def _basis(nodes: np.ndarray, kappa: float, degree: int) -> np.ndarray:
     return np.array([hermite_scaled_sum(unit[j, : j + 1], nodes, kappa).real for j in range(degree + 1)])
 
 
+def _grid_norm(left: np.ndarray, right: np.ndarray, rule: QuadratureRule, p: float, q: float, stats) -> float:
+    """factored_mixed_norm of the grid left @ right under the product of `rule`
+    with itself, cut at _GRID_SHARE; its TailCut goes to `stats` if given."""
+    value, cut = factored_mixed_norm(left, right, rule.weights, rule.weights, p, q, share=_GRID_SHARE)
+    if stats is not None:
+        stats.cuts.append(cut)
+    return value
+
+
 def _janson_outer(coeffs: np.ndarray, kappa: float, s: float, t: ExponentTriple, rule, stats) -> float:
     """J(s) for the inner average sum_l coeffs[l] P_l(X), X = sqrt(s) u + z sqrt(1-s) x,
     as the factored table P(u)^T diag(sqrt(s)^j) mix P(x) (see the module docstring)."""
@@ -193,11 +203,7 @@ def _janson_outer(coeffs: np.ndarray, kappa: float, s: float, t: ExponentTriple,
 
     def evaluate(rule: QuadratureRule) -> float:
         basis = _basis(rule.nodes, kappa, coeffs.size - 1)
-        table = CollapsedTable(basis, basis, mix)
-        value, cut = table_mixed_norm(table, rule.weights, rule.weights, t.p, t.q, share=_GRID_SHARE)
-        if stats is not None:
-            stats.cuts.append(cut)
-        return value
+        return _grid_norm(*coupled_factors(basis, basis, mix), rule, t.p, t.q, stats)
 
     return _auto_outer(evaluate, rule, stats=stats)
 

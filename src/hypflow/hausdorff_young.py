@@ -43,8 +43,7 @@ from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
 from .quadrature import QuadratureRule, gh_rule, integrate_entire
 from .reporting import FlowReport
 from .two_point import ExponentTriple, conjugate_exponent
-from .cube import factored_mixed_norm
-from .flows import _GRID_SHARE, OuterStats, _auto_outer, default_s_grid, janson_mehler, outer_diagnostics
+from .flows import OuterStats, _auto_outer, _grid_norm, default_s_grid, janson_mehler, outer_diagnostics
 
 
 def sharp_constant(p: float) -> float:
@@ -234,9 +233,10 @@ def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None
     Damping is z = i sqrt(p/q); the inner average runs over the z-coupled
     variable and the outer over the sqrt(s)-coupled one, matching the flow's
     displayed nesting.  At interior s each grid is the rank-L table of
-    _exp_flow_factors, cut by cube.factored_mixed_norm.  At s = 0, 1 the
-    flow is a one-variable average, an atom norm (atom_lr_estimate) on
-    panels graded toward the zeros, where |.|^r is kinked.  The endpoint
+    _exp_flow_factors, cut as the Janson grids are (flows._grid_norm).  At
+    s = 0, 1 the flow is a one-variable average, an atom norm
+    (atom_lr_estimate) on panels graded toward the zeros, where |.|^r is
+    kinked.  The endpoint
     comparison phi_exp(0) <= phi_exp(1) is left to the caller; a non-finite
     endpoint raises AccuracyError.  The report's diagnostics give, over
     every interior grid formed (none: no entry), the largest certified
@@ -269,10 +269,7 @@ def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None
                 return float(np.float64(est.value) ** p * (2.0 * math.pi) ** (-p / (2.0 * r)))
 
         def evaluate(r: QuadratureRule) -> float:
-            left, right = _exp_flow_factors(fam, s, z, r.nodes)
-            value, cut = factored_mixed_norm(left, right, r.weights, r.weights, p, q, share=_GRID_SHARE)
-            st.cuts.append(cut)
-            return value
+            return _grid_norm(*_exp_flow_factors(fam, s, z, r.nodes), r, p, q, st)
 
         return _auto_outer(evaluate, None, raise_on_failure=True, stats=st)
 

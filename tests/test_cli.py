@@ -225,9 +225,16 @@ def _run_cold(argv, cwd: Path) -> subprocess.CompletedProcess:
     [
         *((argv, None) for argv in _BAD_ARGVS.values()),
         *(([], {"command": "hy-flow", "params": {"p": 1.5, "gaussian": True, "s_points": n}}) for n in (0, 1)),
+        ([], {"command": "two-point-scan", "params": {"p": 1.5, "q": 3.0, "budget": "cheap"}}),
         *(([], config) for config in _BAD_CONFIGS.values()),
     ],
-    ids=[*_BAD_ARGVS, "config s_points 0", "config s_points 1", *(f"config {name}" for name in _BAD_CONFIGS)],
+    ids=[
+        *_BAD_ARGVS,
+        "config s_points 0",
+        "config s_points 1",
+        "config budget cheap",
+        *(f"config {name}" for name in _BAD_CONFIGS),
+    ],
 )
 def test_bad_input_exits_1_without_traceback(argv, config, tmp_path):
     if config is None:
@@ -464,6 +471,16 @@ def test_hy_exp_runs_final_form(tmp_path):
     ff = manifest["final_form"]
     assert ff["lhs_norm_fhat_q"] <= ff["rhs_scaled_norm_f_p"] + 1e-8
     assert manifest["nesting"] == "outer-x-inner-u"
+
+
+def test_hy_exp_large_constant_flow_holds_within_a_relative_tol(tmp_path):
+    # one atom with imaginary frequency: a constant flow near 8e46, whose ends
+    # differ by rounding (1.7e-14 relative), far above an absolute 1e-8
+    code, out = run(["hy-exp", "--p", "1.5", "--atoms", "1:12j", "--s-points", "3"], tmp_path)
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdict"] == "holds" and "witness" not in manifest
+    assert manifest["phi0"] > 1e46 and manifest["phi0"] != manifest["phi1"]
 
 
 def _scale_sharp_constant(monkeypatch, factor):

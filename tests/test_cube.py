@@ -238,7 +238,7 @@ def test_mixed_norm_rejects_bad_exponents():
     with pytest.raises(ValueError):
         mixed_norm(np.ones(4), 1, 4.0, 2.0)
     with pytest.raises(ValueError):
-        mixed_norm_collapsed(np.ones((2, 3)), 3, 1, 3.0, 2.0)
+        mixed_norm_collapsed((np.ones((2, 1)), np.ones((1, 3))), 3, 1, 3.0, 2.0)
 
 
 def test_mixed_norm_against_loop_oracle():
@@ -332,11 +332,18 @@ def test_binomial_weights_match_exact_fractions(count):
 
 
 def _cut_and_full(spec, z, k, p, q):
+    # the reference forms every cell of the dense table left @ right
     n = spec.n
     cuts = []
-    table = symmetric_tzk_table(spec, z, k)
-    value = mixed_norm_collapsed(table, n, k, p, q, cuts=cuts)
-    full = mixed_norm_collapsed(np.asarray(table), n, k, p, q)
+    left, right = symmetric_tzk_table(spec, z, k)
+    value = mixed_norm_collapsed((left, right), n, k, p, q, cuts=cuts)
+    table = left @ right
+
+    def abs_q(rows, cols):
+        return cube._abs_q(table.real[rows, cols].copy(), table.imag[rows, cols].copy(), q)
+
+    weights = log_binomial_weights(k), log_binomial_weights(n - k)
+    full, _ = cut_mixed_norm(abs_q, *weights, p, q, share=cube._CUT_SHARE)
     return value, full, cuts[0]
 
 
@@ -433,7 +440,8 @@ def test_cut_mixed_norm_keeps_everything_under_an_overflowing_majorant():
 def test_collapsed_table_matches_block_evaluation():
     spec = SymmetricSpec(n=9, a=[0.3, -1.0j, 0.5, 0.0, 2.0])
     z, k = 0.4 + 0.7j, 4
-    table = np.asarray(symmetric_tzk_table(spec, z, k))
+    left, right = symmetric_tzk_table(spec, z, k)
+    table = left @ right
     assert table.shape == (k + 1, spec.n - k + 1)
     for a in range(k + 1):
         for b in range(spec.n - k + 1):

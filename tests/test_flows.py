@@ -240,7 +240,7 @@ def test_outer_majorants_bound_the_full_grid(monkeypatch):
     # every cell of the full factored grid lies under the power-mean
     # majorant K^(q-1) |left|^q @ |right|^q that chooses the cells formed
     checked = []
-    original = cube.factored_mixed_norm
+    original = flows.factored_mixed_norm
 
     def spy(left, right, w_rows, w_cols, p, q, *, share):
         size_q = np.abs(left @ right) ** q
@@ -249,7 +249,7 @@ def test_outer_majorants_bound_the_full_grid(monkeypatch):
         checked.append(size_q.shape)
         return original(left, right, w_rows, w_cols, p, q, share=share)
 
-    monkeypatch.setattr(cube, "factored_mixed_norm", spy)
+    monkeypatch.setattr(flows, "factored_mixed_norm", spy)
     rng = np.random.default_rng(0x3A7)
     rule = gh_rule(96)
     for z in (0.0, 0.7 - 0.4j, 1j * math.sqrt(1 / 3)):
@@ -388,8 +388,9 @@ def test_janson_table_and_cube_table_share_the_coupling(monkeypatch):
     monkeypatch.setattr(cube, "coupling_matrix", spy)
     monkeypatch.setattr(flows, "coupling_matrix", spy)
     a = [0.5, 1.0 - 1.0j, 0.0, 0.3j]
-    table = cube.symmetric_tzk_table(SymmetricSpec(n=40, a=a), 0.4j, 10)
-    assert np.array_equal(table.mix, original(np.asarray(a, dtype=complex), 0.4j))
+    left, right = cube.symmetric_tzk_table(SymmetricSpec(n=40, a=a), 0.4j, 10)
+    first, second = cube._block_phi_matrix(3, 40, 10), cube._block_phi_matrix(3, 40, 30)
+    assert np.array_equal(left @ right, first.T @ original(np.asarray(a, dtype=complex), 0.4j) @ second)
     t = ExponentTriple(1.5, 3.0, 0.6j)
     janson_mehler(PolySeries(a), t, 0.36, 64)
     assert seen == [0.4j, 0.6j * 0.8]
