@@ -30,6 +30,8 @@ _EXPORTS = {
     "DomainError": "errors",
     "EvaluatorMismatchError": "errors",
     "HypflowError": "errors",
+    "ExponentTriple": "exponents",
+    "conjugate_exponent": "exponents",
     "convergence_experiment": "flows",
     "discrete_flow": "flows",
     "janson_flow": "flows",
@@ -58,8 +60,6 @@ _EXPORTS = {
     "gh_rule": "quadrature",
     "ConvergenceTable": "reporting",
     "FlowReport": "reporting",
-    "ExponentTriple": "two_point",
-    "conjugate_exponent": "two_point",
     "SearchBudget": "two_point",
     "extremal_ratio": "two_point",
     "real_failure_threshold": "two_point",

@@ -22,18 +22,25 @@ parsing arguments, reading and checking --config, --help, every usage or
 configuration error, and writing the CSV files and the manifest load
 neither numpy nor any numeric module.  Each handler imports the hypflow
 modules it runs, numpy with them, so a cold call loads only those:
-two-point-scan never loads the cube, flow or quadrature layers, and
-janson-flow never loads the Hausdorff-Young layer.
+two-point-scan never loads the cube, flow or quadrature layers,
+janson-flow never loads the Hausdorff-Young layer, and no flow command
+loads the two-point search (the exponents come from hypflow.exponents).
+
+The process entry is entry(), behind both `python -m hypflow.cli` and the
+`hypflow` console script: it runs main() and then freezes the garbage
+collector before exiting with main's code, so that interpreter shutdown
+does not walk every object the run left behind.  main() itself never
+freezes, because tests and the traced benchmark call it many times in one
+process.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import gc
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -64,18 +71,27 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass
 class RunConfig:
     """Fully serializable description of one run."""
 
-    command: str
-    params: dict[str, Any]
-    out: str = "."
-    seed: int = DEFAULT_SEED
-    tol: float | None = None
+    __slots__ = ("command", "params", "out", "seed", "tol")
+
+    def __init__(
+        self,
+        command: str,
+        params: dict[str, Any],
+        out: str = ".",
+        seed: int = DEFAULT_SEED,
+        tol: float | None = None,
+    ):
+        self.command = command
+        self.params = params
+        self.out = out
+        self.seed = seed
+        self.tol = tol
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -136,7 +152,7 @@ def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
     """Write flow.csv under the --tol override of the monotonicity verdict
     (tol = 0 flags noise) and return the verdict fields for the manifest."""
     if config.tol is not None:
-        report = dataclasses.replace(report, tol=config.tol)
+        report = FlowReport(report.parameter_name, report.samples, config.tol, report.diagnostics)
     write_flow_csv(report, out / "flow.csv")
     verdict = report.verdict()
     return {
@@ -193,8 +209,8 @@ def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     from .cube import SymmetricSpec
+    from .exponents import ExponentTriple
     from .flows import discrete_flow
-    from .two_point import ExponentTriple
 
     params = config.params
     p, q = float(params["p"]), float(params["q"])
@@ -208,9 +224,9 @@ def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .exponents import ExponentTriple, conjugate_exponent
     from .flows import janson_flow
     from .hermite import PolySeries
-    from .two_point import ExponentTriple, conjugate_exponent
 
     params = config.params
     p = float(params["p"])
@@ -223,8 +239,8 @@ def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
+    from .exponents import ExponentTriple
     from .flows import convergence_experiment
-    from .two_point import ExponentTriple
 
     params = config.params
     p, q = float(params["p"]), float(params["q"])
@@ -281,7 +297,8 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
-    from .hausdorff_young import ExpFamily, conjugate_exponent, exp_flow_phi, hy_verify, sharp_constant
+    from .exponents import conjugate_exponent
+    from .hausdorff_young import ExpFamily, exp_flow_phi, hy_verify, sharp_constant
 
     params = config.params
     p = float(params["p"])
@@ -321,7 +338,7 @@ def _cmd_selftest(config: RunConfig, out: Path) -> tuple[int, dict]:
             print(f"       {failure}")
     all_ok = all(res.passed for res in results)
     # a list, not a dict by name: the manifest is written with sorted keys
-    manifest = {"suites": [dataclasses.asdict(res) for res in results], "verdict": "pass" if all_ok else "fail"}
+    manifest = {"suites": [res.to_json() for res in results], "verdict": "pass" if all_ok else "fail"}
     return (EXIT_OK if all_ok else EXIT_VIOLATION), manifest
 
 
@@ -490,5 +507,19 @@ def main(argv: list[str] | None = None) -> int:
     return run_command(config)
 
 
+def entry() -> None:
+    """The process entry: main(), then exit with its code.
+
+    Every output is written by Path.write_text and closed before main
+    returns, and nothing hypflow leaves behind needs a finalizer, so the
+    collector is frozen before exiting: shutdown then skips the full
+    collections over the objects the run left, which cost a cold call tens
+    of milliseconds.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -22,7 +22,6 @@ block).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,20 +54,19 @@ def hadamard_transform(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class CubeFunction:
     """f: {-1,1}^n -> C stored through its Walsh coefficients fhat(S)."""
 
-    n: int
-    coeffs: np.ndarray
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        if not (1 <= self.n <= ENUMERATION_CAP):
-            raise ValueError(f"dimension must be in [1, {ENUMERATION_CAP}], got {self.n}")
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (1 << self.n,):
-            raise ValueError(f"coefficient table must have length 2^{self.n}")
-        object.__setattr__(self, "coeffs", arr)
+    def __init__(self, n: int, coeffs: np.ndarray):
+        if not (1 <= n <= ENUMERATION_CAP):
+            raise ValueError(f"dimension must be in [1, {ENUMERATION_CAP}], got {n}")
+        arr = np.asarray(coeffs, dtype=complex)
+        if arr.shape != (1 << n,):
+            raise ValueError(f"coefficient table must have length 2^{n}")
+        self.n = n
+        self.coeffs = arr
 
     def values(self) -> np.ndarray:
         """Function values at all 2^n points (index = point mask)."""
@@ -140,8 +138,7 @@ def _phi_level_value(ell: int, n: int, j: int) -> float:
     return float(np.real(math.factorial(ell) * prod[ell]))
 
 
-@dataclass(frozen=True)
-class BecknerExpansion:
+class BecknerExpansion(NamedTuple):
     """phi_ell(x/sqrt(n)) = sum_m coeffs[m] H_m((x_1+..+x_n)/sqrt(n)) on the cube.
 
     max_residual is the worst error of the expansion with these (rounded)
@@ -227,20 +224,19 @@ def _check_exponents(p: float, q: float) -> None:
         raise ValueError(f"need 1 <= p <= q, got p = {p}, q = {q}")
 
 
-@dataclass(frozen=True)
 class SymmetricSpec:
     """f_n = sum_ell a[ell] * phi_ell(x_1/sqrt(n), ..., x_n/sqrt(n)); n unbounded."""
 
-    n: int
-    a: np.ndarray
+    __slots__ = ("n", "a")
 
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.a, dtype=complex))
+    def __init__(self, n: int, a: np.ndarray):
+        arr = np.atleast_1d(np.asarray(a, dtype=complex))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficient list must be one-dimensional and nonempty")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "a", arr)
+        self.n = n
+        self.a = arr
 
     @property
     def degree(self) -> int:

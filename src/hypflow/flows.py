@@ -50,7 +50,6 @@ cube.cut_mixed_norm).  No cell is evaluated by a per-cell recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +68,7 @@ from .cube import (
     symmetric_tzk_table,
 )
 from .errors import AccuracyError, EvaluatorMismatchError
+from .exponents import ExponentTriple
 from .hermite import (
     HermiteSeries,
     PolySeries,
@@ -79,7 +79,6 @@ from .hermite import (
 )
 from .quadrature import QuadratureRule, doubled, gh_rule, resolve_rule
 from .reporting import ConvergenceRow, ConvergenceTable, FlowReport
-from .two_point import ExponentTriple
 
 _AUTO_START = 32
 _AUTO_CAP = 512
@@ -139,7 +138,6 @@ def discrete_flow(
     return FlowReport(parameter_name="k", samples=tuple(samples), diagnostics=diagnostics)
 
 
-@dataclass
 class OuterStats:
     """What the outer grids of one flow sample did, for the diagnostics.
 
@@ -149,8 +147,11 @@ class OuterStats:
     exp_flow_phi, that the graded estimate exceeded its tolerance.
     """
 
-    cuts: list[TailCut] = field(default_factory=list)
-    capped: bool = False
+    __slots__ = ("cuts", "capped")
+
+    def __init__(self, cuts: list[TailCut] | None = None, capped: bool = False):
+        self.cuts = [] if cuts is None else cuts
+        self.capped = capped
 
 
 def outer_diagnostics(samples: Sequence[tuple[float, OuterStats]], *extra: OuterStats) -> dict:

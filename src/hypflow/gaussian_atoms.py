@@ -21,9 +21,8 @@ Gaussian (poly_gaussian_lr_norm) feed it their zeros, window and tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,8 +33,7 @@ from .quadrature import Estimate
 DOMAIN_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class GaussianAtom:
+class GaussianAtom(NamedTuple):
     """y -> amplitude * exp(-quad * y^2 + lin * y), all parameters complex."""
 
     amplitude: complex

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AccuracyError
+from .exponents import ExponentTriple, conjugate_exponent
 from .gaussian_atoms import (
     GaussianAtom,
     atom_lp_norm,
@@ -42,7 +42,6 @@ from .gaussian_atoms import (
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
 from .quadrature import QuadratureRule, gh_rule, integrate_entire
 from .reporting import FlowReport
-from .two_point import ExponentTriple, conjugate_exponent
 from .flows import OuterStats, _auto_outer, _grid_norm, default_s_grid, janson_mehler, outer_diagnostics
 
 
@@ -52,7 +51,6 @@ def sharp_constant(p: float) -> float:
     return math.sqrt(p ** (1.0 / p) / q ** (1.0 / q))
 
 
-@dataclass(frozen=True)
 class HYInput:
     """Test function for the flow, as either a Hermite series g~ or a Gaussian atom f.
 
@@ -60,15 +58,16 @@ class HYInput:
     Exactly one of g_tilde / f_atom is given.
     """
 
-    p: float
-    g_tilde: HermiteSeries | None = None
-    f_atom: GaussianAtom | None = None
+    __slots__ = ("p", "g_tilde", "f_atom")
 
-    def __post_init__(self):
-        if not 1.0 < self.p <= 2.0:
-            raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if (self.g_tilde is None) == (self.f_atom is None):
+    def __init__(self, p: float, g_tilde: HermiteSeries | None = None, f_atom: GaussianAtom | None = None):
+        if not 1.0 < p <= 2.0:
+            raise ValueError(f"p must lie in (1, 2], got {p}")
+        if (g_tilde is None) == (f_atom is None):
             raise ValueError("provide exactly one of g_tilde or f_atom")
+        self.p = p
+        self.g_tilde = g_tilde
+        self.f_atom = f_atom
 
     @property
     def q(self) -> float:
@@ -195,16 +194,13 @@ def lemma_F_check(t: complex, p: float, u: float) -> tuple[complex, complex]:
     return complex(quad_val), complex(closed)
 
 
-@dataclass(frozen=True)
 class ExpFamily:
     """g(w) = sum_l c_l exp(t_l w), the exponential-class test functions."""
 
-    atoms: tuple[tuple[complex, complex], ...]
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "atoms", tuple((complex(c), complex(t)) for c, t in self.atoms)
-        )
+    def __init__(self, atoms: tuple[tuple[complex, complex], ...]):
+        self.atoms = tuple((complex(c), complex(t)) for c, t in atoms)
 
 
 def _exp_flow_factors(

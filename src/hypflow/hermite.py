@@ -18,7 +18,6 @@ storage layout and conversion between the bases is an exact triangular map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache as _lru_cache
 from typing import Union
 
@@ -64,14 +63,13 @@ def _as_coeff_array(coeffs) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class PolySeries:
     """Complex polynomial in the monomial basis: sum_ell coeffs[ell] * x^ell."""
 
-    coeffs: np.ndarray
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = _as_coeff_array(coeffs)
 
     @property
     def degree(self) -> int:
@@ -81,14 +79,13 @@ class PolySeries:
         return _poly.polyval(np.asarray(x, dtype=complex), self.coeffs)
 
 
-@dataclass(frozen=True)
 class HermiteSeries:
     """Complex series in the probabilists' Hermite basis: sum_ell coeffs[ell] * H_ell."""
 
-    coeffs: np.ndarray
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = _as_coeff_array(coeffs)
 
     @property
     def degree(self) -> int:

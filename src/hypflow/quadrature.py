@@ -22,14 +22,13 @@ beyond numpy is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-@dataclass(frozen=True)
-class QuadratureRule:
+
+class QuadratureRule(NamedTuple):
     """Nodes and weights for expectation against dgamma.
 
     Built from the nonnegative half of the rule (asymptotic first guesses,
@@ -172,8 +171,7 @@ def resolve_rule(rule: QuadratureRule | int) -> QuadratureRule:
     return gh_rule(rule) if isinstance(rule, int) else rule
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A quadrature value, the nodes it took and its error estimate.
 
     From doubled Gauss rules (doubled): value is the last evaluation, on a

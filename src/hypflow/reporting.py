@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AccuracyError
 
@@ -21,8 +20,7 @@ DEFAULT_TOL = 1e-10
 _NOISE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
+class MonotoneVerdict(NamedTuple):
     nondecreasing: bool
     index: int | None = None
     deficit: float | None = None
@@ -34,23 +32,26 @@ class MonotoneVerdict:
         return f"violated-at({self.index}, {self.deficit:.3e})"
 
 
-@dataclass(frozen=True)
 class FlowReport:
     """Ordered (parameter, value) samples with a recomputable monotonicity verdict.
 
     diagnostics holds how the values were obtained, for the manifest only;
-    it takes no part in comparisons or in the CSV.
+    it takes no part in the CSV.
     """
 
-    parameter_name: str
-    samples: tuple[tuple[float, float], ...]
-    tol: float = DEFAULT_TOL
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("parameter_name", "samples", "tol", "diagnostics")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "samples", tuple((float(p), float(v)) for p, v in self.samples)
-        )
+    def __init__(
+        self,
+        parameter_name: str,
+        samples: tuple[tuple[float, float], ...],
+        tol: float = DEFAULT_TOL,
+        diagnostics: dict | None = None,
+    ):
+        self.parameter_name = parameter_name
+        self.samples = tuple((float(p), float(v)) for p, v in samples)
+        self.tol = tol
+        self.diagnostics = {} if diagnostics is None else diagnostics
         params = [p for p, _ in self.samples]
         if any(b <= a for a, b in zip(params, params[1:])):
             raise ValueError("samples must be strictly ordered by parameter")
@@ -92,8 +93,7 @@ class FlowReport:
         return min(b - a for a, b in zip(vals, vals[1:]))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     k: int
     discrete: float
@@ -104,7 +104,6 @@ class ConvergenceRow:
         return abs(self.discrete - self.continuous)
 
 
-@dataclass(frozen=True)
 class ConvergenceTable:
     """Discrete-vs-continuous values with a least-squares log-log error slope.
 
@@ -112,8 +111,11 @@ class ConvergenceTable:
     manifest only, as in FlowReport.
     """
 
-    rows: tuple[ConvergenceRow, ...]
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("rows", "diagnostics")
+
+    def __init__(self, rows: tuple[ConvergenceRow, ...], diagnostics: dict | None = None):
+        self.rows = rows
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def slope(self) -> float | None:

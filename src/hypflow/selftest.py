@@ -10,12 +10,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cube import SymmetricSpec, beckner_expand, phi_symmetric, walsh_analyze
 from .errors import AccuracyError
+from .exponents import ExponentTriple, conjugate_exponent
 from .flows import (
     convergence_experiment,
     discrete_flow,
@@ -26,7 +26,6 @@ from .flows import (
 )
 from .hausdorff_young import (
     ExpFamily,
-    conjugate_exponent,
     gaussian_extremizer_input,
     hy_endpoints,
     hy_verify,
@@ -37,7 +36,6 @@ from .hausdorff_young import (
 from .hermite import PolySeries, gaussian_smooth, hermite_eval
 from .quadrature import gh_rule
 from .two_point import (
-    ExponentTriple,
     SearchBudget,
     disk_grid,
     extremal_ratio,
@@ -46,14 +44,29 @@ from .two_point import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: bool
-    checks: int
-    worst_error_over_tol: float
-    failures: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    """One criterion's outcome; to_json() is its entry in the selftest manifest."""
+
+    __slots__ = ("name", "passed", "checks", "worst_error_over_tol", "failures", "elapsed_s")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        checks: int,
+        worst_error_over_tol: float,
+        failures: list[str] | None = None,
+        elapsed_s: float = 0.0,
+    ):
+        self.name = name
+        self.passed = passed
+        self.checks = checks
+        self.worst_error_over_tol = worst_error_over_tol
+        self.failures = [] if failures is None else failures
+        self.elapsed_s = elapsed_s
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _Recorder:

@@ -22,52 +22,24 @@ not the number of z.  Every z gets bit for bit its single-z result; the
 batch result holds arrays over zs, with the evaluation counts summed and
 the `complete` flags joined by "and".
 
-Exponent pairs are carried by ExponentTriple.  Construction accepts any
-p, q >= 1: the ordering p <= q is required only by the operations whose
-derivations need it (the mixed norms and flows), and those enforce it
-themselves.  Margin and ratio evaluations are well defined either way.
+Exponent pairs are carried by ExponentTriple, which lives in
+hypflow.exponents with conjugate_exponent so that the flow commands load
+neither this module nor its search; both are imported here as well, and
+`from hypflow.two_point import ExponentTriple` keeps working.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-_Z_RADIUS_SLACK = 1e-12
+from .exponents import _Z_RADIUS_SLACK, ExponentTriple, conjugate_exponent  # noqa: F401 (re-exported)
+
 _ANGLES = 256  # unit directions of the quadratic-form scan
 _RATIO_TOL = 1e-9  # a sup ratio up to 1 + this holds
 _MARGIN_TOL = 1e-7  # a quadratic-form margin down to -this holds
-
-
-@dataclass(frozen=True)
-class ExponentTriple:
-    """Exponents p, q and damping parameter z with |z| <= 1."""
-
-    p: float
-    q: float
-    z: complex
-
-    def __post_init__(self):
-        if self.p < 1.0 or self.q < 1.0:
-            raise ValueError(f"exponents must be >= 1, got p = {self.p}, q = {self.q}")
-        if abs(self.z) > 1.0 + _Z_RADIUS_SLACK:
-            raise ValueError(f"|z| must be <= 1, got {abs(self.z)}")
-        object.__setattr__(self, "z", complex(self.z))
-
-    def require_ordered(self) -> None:
-        """Raise unless p <= q (needed by the Minkowski step of the flows)."""
-        if self.p > self.q:
-            raise ValueError(f"operation requires p <= q, got p = {self.p} > q = {self.q}")
-
-
-def conjugate_exponent(p: float) -> float:
-    """The Hausdorff-Young dual p/(p - 1) of p in (1, 2]."""
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    return p / (p - 1.0)
 
 
 @lru_cache(maxsize=1)
@@ -103,24 +75,45 @@ def infinitesimal_margin_min(t: ExponentTriple, zs=None):
     return float(margins) if zs is None else margins
 
 
-@dataclass(frozen=True)
 class SearchBudget:
-    """Grid and refinement budget for the extremal-ratio search."""
+    """Grid and refinement budget for the extremal-ratio search.
 
-    grid_radius: float = 8.0
-    grid_step: float = 0.05
-    refine_tol: float = 1e-6
-    max_evals: int = 2_000_000
+    Hashable and compared by its fields: it is a key of _search_grid's cache.
+    """
 
-    def __post_init__(self):
-        values = (self.grid_radius, self.grid_step, self.refine_tol, self.max_evals)
+    __slots__ = ("grid_radius", "grid_step", "refine_tol", "max_evals")
+
+    def __init__(
+        self,
+        grid_radius: float = 8.0,
+        grid_step: float = 0.05,
+        refine_tol: float = 1e-6,
+        max_evals: int = 2_000_000,
+    ):
+        self.grid_radius = grid_radius
+        self.grid_step = grid_step
+        self.refine_tol = refine_tol
+        self.max_evals = max_evals
+        values = self._key()
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"search budget fields must be finite, got {self}")
-        if not (self.grid_step > 0 and self.grid_radius >= 0 and self.refine_tol > 0 and self.max_evals >= 1):
+        if not (grid_step > 0 and grid_radius >= 0 and refine_tol > 0 and max_evals >= 1):
             raise ValueError(
                 "search budget needs grid_step > 0, grid_radius >= 0, refine_tol > 0 "
                 f"and max_evals >= 1, got {self}"
             )
+
+    def _key(self) -> tuple:
+        return (self.grid_radius, self.grid_step, self.refine_tol, self.max_evals)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is SearchBudget else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "SearchBudget(grid_radius={!r}, grid_step={!r}, refine_tol={!r}, max_evals={!r})".format(*self._key())
 
     @classmethod
     def reduced(cls) -> "SearchBudget":
@@ -128,8 +121,7 @@ class SearchBudget:
         return cls(grid_radius=4.0, grid_step=0.1, refine_tol=1e-6, max_evals=200_000)
 
 
-@dataclass(frozen=True)
-class ExtremalSearchResult:
+class ExtremalSearchResult(NamedTuple):
     """One search, or with `zs` a batch: then sup_ratio, witness_a and witness_b
     are arrays over zs, evaluations is their sum and complete their conjunction."""
 
@@ -156,8 +148,7 @@ _DIAG = (1.0 + 1.0j) / math.sqrt(2.0)
 _COMPASS = np.array([1.0, -1.0, 1j, -1j, _DIAG, -_DIAG, _DIAG.conjugate(), -_DIAG.conjugate()])
 
 
-@dataclass(frozen=True)
-class _SearchGrid:
+class _SearchGrid(NamedTuple):
     """The z-independent part of a search; every array is read-only."""
 
     points: np.ndarray  # half lattice, then the polar ladder, cut at max_evals
@@ -303,8 +294,7 @@ def real_failure_threshold(p: float, q: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class RegionScanRow:
+class RegionScanRow(NamedTuple):
     p: float
     q: float
     z: complex

@@ -1,5 +1,5 @@
 """CLI harness: exit codes, CSV schemas, determinism, config handling."""
-import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -214,6 +214,30 @@ def test_janson_flow_loads_no_hausdorff_young_layer(tmp_path):
     assert "hypflow.hausdorff_young" not in loaded and "hypflow.gaussian_atoms" not in loaded
 
 
+_FLOW_ARGVS = {
+    "discrete-flow": ["discrete-flow", "--n", "12", "--p", "2", "--q", "4", "--z-re", "0.5", "--coeffs", "0,1,1"],
+    "converge": ["converge", "--p", "1.5", "--q", "3", "--z-re", "0.5", "--coeffs", "0,1,0,1", "--n-list", "16,64"],
+    "janson-flow": ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--s-points", "3"],
+    "hy-flow --gaussian": ["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "3"],
+    "hy-flow --hermite-coeffs": ["hy-flow", "--p", "1.5", "--hermite-coeffs", "1,0.5", "--s-points", "3"],
+    "hy-exp": ["hy-exp", "--p", "1.5", "--atoms", "1:0.5,-0.3:-1.1", "--s-points", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [*_FLOW_ARGVS.items(), ("two-point-scan", ["two-point-scan", "--p", "2", "--q", "4", "--resolution", "0.5"])],
+    ids=[*_FLOW_ARGVS, "two-point-scan"],
+)
+def test_command_loads_no_generated_records(name, argv, tmp_path):
+    # one fresh interpreter per command: records build no code with dataclasses,
+    # and the flow commands take their exponents without the two-point search
+    [(_, _, imported), (_, code, loaded)] = _loads([[*argv, "--out", str(tmp_path)]])
+    assert code == EXIT_OK
+    assert "dataclasses" not in imported and "dataclasses" not in loaded
+    assert ("hypflow.two_point" in loaded) == (name == "two-point-scan")
+
+
 def _run_cold(argv, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "hypflow.cli", *argv], cwd=cwd, env=_fresh_env(), capture_output=True, text=True
@@ -366,16 +390,30 @@ def test_janson_flow_constant_is_flat(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["verdict"] == "nondecreasing"
 
 
+_VIOLATED = ["discrete-flow", "--n", "6", "--p", "2", "--q", "4", "--z-re", "0.95", "--coeffs", "0,1"]
+
+
 def test_violation_exit_code(tmp_path):
     # z = 0.95 is far beyond the (2, 4) threshold 1/sqrt(3): the flow decreases
-    code, out = run(
-        ["discrete-flow", "--n", "6", "--p", "2", "--q", "4", "--z-re", "0.95", "--coeffs", "0,1"],
-        tmp_path,
-    )
+    frozen = gc.get_freeze_count()
+    code, out = run(_VIOLATED, tmp_path)
     assert code == EXIT_VIOLATION
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["verdict"].startswith("violated-at")
     assert manifest["min_delta"] < 0
+    assert gc.get_freeze_count() == frozen  # only the process entry freezes the collector
+
+
+def test_violation_exits_2_cold(tmp_path):
+    # the process entry passes main's code through its collector freeze, and
+    # the outputs are complete when the process ends
+    done = _run_cold([*_VIOLATED, "--out", str(tmp_path / "out")], tmp_path)
+    assert done.returncode == EXIT_VIOLATION, done.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["verdict"] == "violated-at(5, 1.626e-01)"
+    lines = (tmp_path / "out" / "flow.csv").read_text().splitlines()
+    assert lines[0] == "parameter,value,delta_to_prev" and len(lines) == 9
+    assert json.loads(lines[-1][2:]) == {"parameter_name": "k", "verdict": "violated-at(5, 1.626e-01)"}
 
 
 def test_usage_errors(tmp_path):
@@ -420,7 +458,7 @@ def test_config_file_with_flag_override(tmp_path):
 def test_run_config_round_trip():
     cfg = RunConfig(command="selftest", params={"quick": True}, out="/tmp/x", seed=7)
     again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
-    assert again == cfg
+    assert again.to_json() == cfg.to_json()
     with pytest.raises(ValueError):
         RunConfig.from_json({"command": "selftest", "params": {}, "bogus": 1})
 
@@ -530,7 +568,7 @@ def test_hy_flow_nan_endpoint_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(
         hausdorff_young,
         "fourier_transform_atom",
-        lambda atom: dataclasses.replace(real(atom), amplitude=math.nan),
+        lambda atom: real(atom)._replace(amplitude=math.nan),
     )
     code, out = run(["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "5"], tmp_path)
     assert code == EXIT_VIOLATION

@@ -1,5 +1,4 @@
 """Two-point inequality margins, extremal search, and region scans."""
-import dataclasses
 import math
 
 import numpy as np
@@ -141,8 +140,19 @@ def test_search_budget_accepts_edge_values():
     assert res.evaluations == 1 and not res.complete
 
 
+def test_equal_search_budgets_share_one_cached_grid():
+    # SearchBudget is the key of _search_grid's cache: equal budgets hash alike
+    assert SearchBudget.reduced() == SearchBudget(4.0, 0.1, 1e-6, 200_000) != SearchBudget()
+    assert len({SearchBudget.reduced(), SearchBudget.reduced(), SearchBudget()}) == 2
+    assert two_point._search_grid(SearchBudget.reduced(), 1.5) is two_point._search_grid(SearchBudget.reduced(), 1.5)
+
+
 def _lattice_side(budget):
     return 2 * int(round(budget.grid_radius / budget.grid_step)) + 1
+
+
+def _with_max_evals(budget, max_evals):
+    return SearchBudget(budget.grid_radius, budget.grid_step, budget.refine_tol, max_evals)
 
 
 @pytest.mark.parametrize("budget", [SearchBudget.reduced(), SearchBudget()], ids=["reduced", "full"])
@@ -208,12 +218,12 @@ def test_extremal_ratio_truncated_budgets(monkeypatch):
     grid_size = (_lattice_side(reduced) ** 2 + 1) // 2 + 8 * 64  # half lattice and polar ladder
     for max_evals in (1, 100, 3000, grid_size - 1):
         calls = _count_ratio_calls(monkeypatch)
-        res = extremal_ratio(t, dataclasses.replace(reduced, max_evals=max_evals))
+        res = extremal_ratio(t, _with_max_evals(reduced, max_evals))
         assert not res.complete, max_evals
         assert res.evaluations == sum(calls) == max_evals  # the cut grid, and no compass step
     # the grid fits, two compass steps do, the rest of the compass is cut
     for max_evals in (grid_size, grid_size + 16, grid_size + 23):
-        res = extremal_ratio(t, dataclasses.replace(reduced, max_evals=max_evals))
+        res = extremal_ratio(t, _with_max_evals(reduced, max_evals))
         assert not res.complete and grid_size <= res.evaluations <= max_evals
         assert (res.evaluations - grid_size) % 8 == 0
     assert extremal_ratio(t, reduced).complete
@@ -235,7 +245,7 @@ _BATCH_ZS = np.concatenate((disk_grid(0.25), [1.0 + 1e-13, -1j * (1.0 + 1e-13)])
 def _reference_budget(budget):
     """The budget under which the reference, which also evaluates the mirrored
     half of the lattice, makes the same search: max_evals cuts it in the same step."""
-    return dataclasses.replace(budget, max_evals=budget.max_evals + (_lattice_side(budget) ** 2 - 1) // 2)
+    return _with_max_evals(budget, budget.max_evals + (_lattice_side(budget) ** 2 - 1) // 2)
 
 
 def _compass_cut(p, q, zs):
@@ -243,7 +253,7 @@ def _compass_cut(p, q, zs):
     evaluations any z makes, so that it cuts the compass for some z only."""
     reduced = SearchBudget.reduced()
     counts = [extremal_ratio(ExponentTriple(p, q, z), reduced).evaluations for z in zs]
-    return dataclasses.replace(reduced, max_evals=(min(counts) + max(counts)) // 2)
+    return _with_max_evals(reduced, (min(counts) + max(counts)) // 2)
 
 
 @pytest.mark.parametrize("budget", ["reduced", "full", "cut"])
