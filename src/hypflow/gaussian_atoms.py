@@ -2,9 +2,10 @@
 
 Atoms are the exponential-class test functions of the sharp Hausdorff-Young
 pipeline: the tilted exponentials exp(zeta*x - zeta^2/2) are atoms with
-alpha = 0, and Gaussian extremizers are atoms with beta = 0.  All the
-Gaussian integrals an atom meets (Mehler image, Fourier transform)
-complete the square and stay in the atom class.
+alpha = 0, and Gaussian extremizers are atoms with beta = 0.  The Fourier
+transform completes the square and stays in the atom class.  (The flow's
+heat image of an atom, and the Gaussian averages over it, are closed forms
+in hausdorff_young._atom_flow.)
 
 Every closed form requires the effective quadratic coefficient to have real
 part > DOMAIN_EPS; below that the defining integral diverges (or is too
@@ -50,41 +51,6 @@ def _require_damping(coeff: complex, what: str) -> None:
         raise DomainError(
             f"{what} diverges: Re(effective quadratic coefficient) = {coeff.real:.3e} <= {DOMAIN_EPS}"
         )
-
-
-def _mehler_atom_parts(sigma: complex, atom: GaussianAtom, arg):
-    """(s_k / A, B^2/(4A) - s_k*arg^2) for the composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)).
-
-    Written out, the square root of sigma cancels: with
-    s_k = 1/(2(1-sigma)), A = quad + s_k, B = lin + 2*s_k*arg, the image is
-
-        amplitude * sqrt(s_k / A) * exp(B^2/(4A) - s_k*arg^2),
-
-    which depends on sigma alone; sigma = 1 (the identity) is excluded.
-    Requires Re(A) > DOMAIN_EPS, the convergence condition of the Mehler
-    kernel integral.
-    """
-    s_k = 1.0 / (2.0 * (1.0 - sigma))
-    big_a = atom.quad + s_k
-    _require_damping(big_a, "Mehler image of atom")
-    big_b = atom.lin + 2.0 * s_k * arg
-    return s_k / big_a, big_b * big_b / (4.0 * big_a) - s_k * arg * arg
-
-
-def mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) -> np.ndarray:
-    """log |M_{sqrt(sigma)} atom (arg / sqrt(sigma))| over an argument array.
-
-    The real part of log(amplitude * sqrt(s_k / A)) + B^2/(4A) - s_k*arg^2
-    (see _mehler_atom_parts); the magnitude itself overflows where the
-    image grows like exp(+c arg^2).
-    """
-    sigma = complex(sigma)
-    with np.errstate(divide="ignore"):  # a zero atom has log-magnitude -inf
-        log_amp = np.log(abs(atom.amplitude))
-    if sigma == 1.0:
-        return log_amp + np.real(-atom.quad * arg * arg + atom.lin * arg)
-    ratio, expo = _mehler_atom_parts(sigma, atom, arg)
-    return log_amp + 0.5 * math.log(abs(ratio)) + np.real(expo)
 
 
 def fourier_transform_atom(atom: GaussianAtom) -> GaussianAtom:

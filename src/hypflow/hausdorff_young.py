@@ -11,8 +11,11 @@ yields the sharp constant, with Gaussians as extremizers (constant flow).
 
 phi is never computed from its literal definition (a Fourier transform at
 complex-shifted arguments); it always goes through J, which has stable
-evaluators.  The endpoint identities *are* computed independently
-(hy_endpoints) so the bridge is genuinely tested, not assumed.
+evaluators: for a Hermite series g~ the doubled grids of
+flows.janson_mehler, for one Gaussian atom a closed form (_atom_flow), as
+|inner|^q is then the exponential of a real quadratic form and both
+averages are Gaussian integrals.  The endpoint identities *are* computed
+independently (hy_endpoints) so the bridge is genuinely tested, not assumed.
 
 The exponential-family route uses tilted exponentials instead of
 polynomials: Phi_s(x, u) factorizes atom by atom, the flow value
@@ -29,14 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError
 from .exponents import ExponentTriple, conjugate_exponent
 from .gaussian_atoms import (
     GaussianAtom,
+    _require_damping,
     atom_lp_norm,
     atom_lr_estimate,
     fourier_transform_atom,
-    mehler_atom_log_abs,
     poly_gaussian_lr_norm,
 )
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
@@ -94,24 +97,53 @@ def gaussian_extremizer_input(p: float) -> HYInput:
     return HYInput(p=p, f_atom=GaussianAtom(1.0, np.pi, 0.0))
 
 
-def _outer_average_log(log_abs: np.ndarray, rule: QuadratureRule, p: float, q: float) -> float:
-    """_outer_average for an integrand given as log|inner(u, x)|.
+def _log_gaussian_mean(a: float, b: float, s: float) -> float:
+    """log E exp(a G^2 + b G) = b^2 / (2(1 - 2a)) - log(1 - 2a) / 2 for a standard normal G.
 
-    The weights enter as logs, so a node whose weight underflowed to zero
-    contributes exactly 0 however large |inner| is there.
+    Where 1 - 2a <= 0 the average diverges: DomainError names the flow parameter s.
     """
-    with np.errstate(divide="ignore"):
-        log_w = np.log(rule.weights)
-    x_avg = np.exp(q * log_abs + log_w).sum(axis=1)
-    return float(np.dot(rule.weights, x_avg ** (p / q)))
+    spread = 1.0 - 2.0 * a
+    if not spread > 0.0:
+        raise DomainError(f"the atom flow's Gaussian average diverges at s = {s}")
+    return b * b / (2.0 * spread) - 0.5 * math.log(spread)
+
+
+def _atom_flow(atom: GaussianAtom, p: float, q: float, z: complex, s: float) -> float:
+    """J(s) = E_u (E_x |inner(X)|^q)^{p/q} of one atom g~ in closed form, X = sqrt(s) u + z sqrt(1-s) x.
+
+    The inner average is the atom's heat image at time t = (1-s)(1-z^2):
+    amplitude d^{-1/2} exp((-quad X^2 + lin X + lin^2 t / 2) / d) with
+    d = 1 + 2 quad t, regular at t = 0.  So |inner|^q is the exponential of
+    a real quadratic form in (u, x), and both averages are Gaussian
+    integrals (_log_gaussian_mean), taken in logs and exponentiated once.
+    The heat image needs Re(quad + 1/(2t)) > 0 (DomainError otherwise).
+    """
+    t = 1.0 - (s + (1.0 - s) * z * z)
+    if t != 0.0:
+        _require_damping(atom.quad + 1.0 / (2.0 * t), "Mehler image of atom")
+    if atom.amplitude == 0.0:
+        return 0.0
+    d = 1.0 + 2.0 * atom.quad * t
+    c, e = -atom.quad / d, atom.lin / d
+    rs, w = math.sqrt(s), z * math.sqrt(1.0 - s)
+    # q log|inner| = log_c + a_uu u^2 + 2 a_ux u x + a_xx x^2 + b_u u + b_x x
+    log_c = q * (math.log(abs(atom.amplitude)) - 0.5 * math.log(abs(d)) + (atom.lin**2 * t / (2.0 * d)).real)
+    a_uu, a_ux, a_xx = q * s * c.real, q * rs * (c * w).real, q * (c * w * w).real
+    b_u, b_x = q * rs * e.real, q * (e * w).real
+    # log E_x |inner|^q at u is its value at u = 0 plus (2 a_ux u)(a_ux u + b_x) / (1 - 2 a_xx)
+    log_x = log_c + _log_gaussian_mean(a_xx, b_x, s)
+    spread, r = 1.0 - 2.0 * a_xx, p / q
+    a_outer, b_outer = r * (a_uu + 2.0 * a_ux * a_ux / spread), r * (b_u + 2.0 * a_ux * b_x / spread)
+    return math.exp(r * log_x + _log_gaussian_mean(a_outer, b_outer, s))
 
 
 def phi_flow(inp: HYInput, s_grid: Sequence[float] | None = None) -> FlowReport:
     """phi(s) = (J(s) p^{1/2} / q^{p/2q})^{1/p} over the grid, z = i sqrt(p-1).
 
     The report's diagnostics are flows.outer_diagnostics of the samples:
-    cap_hits on both routes, tail_bound and cells_kept_share on the
-    polynomial route, whose grids are cut.
+    cap_hits, and tail_bound and cells_kept_share on the polynomial route,
+    whose grids are doubled and cut.  The atom route (_atom_flow) forms no
+    grid: its cap_hits is always empty.
     """
     grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
     p, q = inp.p, inp.q
@@ -123,16 +155,7 @@ def phi_flow(inp: HYInput, s_grid: Sequence[float] | None = None) -> FlowReport:
         if inp.g_tilde is not None:
             j_val = janson_mehler(PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), s, stats=st)
         else:
-            atom = inp.g_tilde_atom()
-            z = inp.z
-            sigma = s + (1.0 - s) * z * z
-            rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
-
-            def evaluate(r: QuadratureRule, sigma=sigma, rs=rs, rc=rc, atom=atom) -> float:
-                big_x = rs * r.nodes[:, None] + z * rc * r.nodes[None, :]
-                return _outer_average_log(mehler_atom_log_abs(sigma, atom, big_x), r, p, q)
-
-            j_val = _auto_outer(evaluate, None, stats=st)
+            j_val = _atom_flow(inp.g_tilde_atom(), p, q, inp.z, s)
         values.append((j_val * bridge) ** (1.0 / p))
     diagnostics = outer_diagnostics(list(zip(grid, stats)))
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)

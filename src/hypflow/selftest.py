@@ -199,7 +199,7 @@ def _two_point(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
 
 def _gaussian_constant(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
     values = phi_flow(gaussian_extremizer_input(4 / 3), s_grid=[0.0, 0.25, 0.5, 0.75, 1.0]).values
-    rec.check(f"spread of {values}", max(values) - min(values), 1e-8)
+    rec.check(f"spread of {values}", max(values) - min(values), 1e-14 * max(values))
 
 
 def _exp_family(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:

@@ -3,9 +3,11 @@ quadrature.doubled, with the code they fed.
 
 `converged_value` and `_auto_outer` are kept verbatim, with
 `mehler_atom_scaled` and `_mehler_atom_log_abs`, for tests that require the
-shared doubling and the shared Mehler-atom formula to return the same
-values.  (The 1-D ladders of the L^r norms and of the exp_flow_phi ends are
-gone from the package; tests hold their successor to scipy's quad.)  `exp_grid_value` and `exp_flow_interior` are the
+shared doubling and the Mehler-atom formula to return the same values.
+`atom_phi_flow` (with `_outer_average_log`) is phi_flow's atom route as it
+was before its closed form: log|inner| on doubled product grids.  (The 1-D
+ladders of the L^r norms and of the exp_flow_phi ends are gone from the
+package; tests hold their successor to scipy's quad.)  `exp_grid_value` and `exp_flow_interior` are the
 interior samples of `exp_flow_phi` as they were before the factored grids:
 `phi_s_closed` on every cell of every grid.  `janson_quadrature`,
 `janson_mehler` and `janson_heat` (with `_janson_outer`, `_outer_average`
@@ -146,6 +148,36 @@ def _mehler_atom_log_abs(sigma: complex, atom: GaussianAtom, arg: np.ndarray) ->
     return log_amp + 0.5 * math.log(abs(s_k / big_a)) + np.real(
         big_b * big_b / (4.0 * big_a) - s_k * arg * arg
     )
+
+
+def _outer_average_log(log_abs: np.ndarray, rule: QuadratureRule, p: float, q: float) -> float:
+    """E_u (E_x |inner(u, x)|^q)^{p/q} for an integrand given as log|inner(u, x)|.
+
+    The weights enter as logs, so a node whose weight underflowed to zero
+    contributes exactly 0 however large |inner| is there.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = np.log(rule.weights)
+    x_avg = np.exp(q * log_abs + log_w).sum(axis=1)
+    return float(np.dot(rule.weights, x_avg ** (p / q)))
+
+
+def atom_phi_flow(inp, s_grid) -> list[float]:
+    """phi(s) of an atom HYInput: _mehler_atom_log_abs on grids doubled by _auto_outer."""
+    p, q, z = inp.p, inp.q, inp.z
+    atom = inp.g_tilde_atom()
+    bridge = math.sqrt(p) / q ** (p / (2.0 * q))
+    values = []
+    for s in s_grid:
+        sigma = s + (1.0 - s) * z * z
+        rs, rc = math.sqrt(s), math.sqrt(1.0 - s)
+
+        def evaluate(r: QuadratureRule, sigma=sigma, rs=rs, rc=rc) -> float:
+            big_x = rs * r.nodes[:, None] + z * rc * r.nodes[None, :]
+            return _outer_average_log(_mehler_atom_log_abs(sigma, atom, big_x), r, p, q)
+
+        values.append((_auto_outer(evaluate, None) * bridge) ** (1.0 / p))
+    return values
 
 
 def exp_grid_value(fam: ExpFamily, p: float, s: float, rule: QuadratureRule) -> float:

@@ -21,7 +21,6 @@ import numpy as np
 from hypflow.cube import _truncated_binomial, _truncated_product, log_binomial_weights, phi_symmetric
 from hypflow.gaussian_atoms import (
     GaussianAtom,
-    _mehler_atom_parts,
     _require_damping,
     atom_lp_norm,
     fourier_transform_atom,
@@ -45,14 +44,20 @@ def mehler_apply_series(w: complex, gt: HermiteSeries) -> HermiteSeries:
 
 
 def mehler_atom_scaled(sigma: complex, atom: GaussianAtom, arg: complex) -> complex:
-    """The composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)), branch-free, from
-    gaussian_atoms._mehler_atom_parts; sigma = 1 is the identity."""
-    sigma = complex(sigma)
-    arg = complex(arg)
-    if sigma == 1.0:
-        return complex(atom(arg))
-    ratio, expo = _mehler_atom_parts(sigma, atom, arg)
-    return complex(atom.amplitude * np.sqrt(ratio) * np.exp(expo))
+    """The composite M_{sqrt(sigma)} atom (arg / sqrt(sigma)), branch-free.
+
+    It is the atom's heat image at time t = 1 - sigma, again an atom:
+    (amplitude d^{-1/2} exp(lin^2 t / 2d), quad / d, lin / d) with
+    d = 1 + 2 quad t, so sigma = 1 (t = 0) is the identity.  For t != 0 it
+    requires Re(quad + 1/(2t)) > DOMAIN_EPS, the convergence condition of
+    the Mehler kernel integral.
+    """
+    t = 1.0 - complex(sigma)
+    if t != 0.0:
+        _require_damping(atom.quad + 1.0 / (2.0 * t), "Mehler image of atom")
+    d = 1.0 + 2.0 * atom.quad * t
+    amp = atom.amplitude * np.sqrt(1.0 / d) * np.exp(atom.lin * atom.lin * t / (2.0 * d))
+    return complex(GaussianAtom(amp, atom.quad / d, atom.lin / d)(complex(arg)))
 
 
 def mehler_apply_atom(w: complex, atom: GaussianAtom, x: complex) -> complex:

@@ -4,8 +4,9 @@ at the real zeros and the local minima of |h|.
 Nothing here calls the package's quadrature.  The zeros of a real h are
 bracketed on a fine grid and found by brentq; the local minima of |h| are
 bracketed on the same grid and refined by a bounded minimization; quad then
-integrates each piece to 2e-14 relative.  Not collected by pytest (no test_
-prefix).
+integrates each piece to 2e-14 relative.  `atom_flow` nests quad twice for
+the flow of one Gaussian atom, each integral split at the peak of its
+integrand.  Not collected by pytest (no test_ prefix).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from numpy.polynomial import hermite_e, polynomial
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq, minimize_scalar
 
-from hypflow.hausdorff_young import ExpFamily, conjugate_exponent, sharp_constant
+from hypflow.hausdorff_young import ExpFamily, HYInput, conjugate_exponent, sharp_constant
 
 
 def _breakpoints(h, lo: float, hi: float) -> list[float]:
@@ -124,3 +125,51 @@ def hermite_endpoints(p: float, coeffs) -> tuple[float, float]:
     norm_f = abs_power_integral(poly(f1), p, -40.0, 40.0, _log_gauss) ** (1.0 / p)
     j0 = abs_power_integral(poly(f0), q, -40.0, 40.0, _log_gauss) ** (p / q)
     return (j0 * math.sqrt(p) / q ** (p / (2.0 * q))) ** (1.0 / p), sharp_constant(p) * norm_f
+
+
+def _log_peak_integral(log_f) -> float:
+    """The log of the integral of exp(log_f) over R, for a unimodal log_f.
+
+    The peak comes from Brent's method; the window reaches, doubling, until
+    log_f is 80 below the peak on each side, and quad integrates each half.
+    """
+    mode = minimize_scalar(lambda x: -log_f(x), bracket=(-1.0, 1.0), tol=1e-12).x
+    top = log_f(mode)
+    total = 0.0
+    for side in (-1.0, 1.0):
+        reach = 1.0
+        while log_f(mode + side * reach) > top - 80.0:
+            reach *= 2.0
+        total += quad(lambda x: math.exp(log_f(x) - top), *sorted((mode, mode + side * reach)),
+                      epsabs=0.0, epsrel=2e-14, limit=500)[0]
+    return top + math.log(total)
+
+
+def atom_flow(inp: HYInput, s: float) -> float:
+    """phi(s) of an atom input at interior s, by quad nested in x and u.
+
+    J(s) = E_u (E_x |inner(X)|^q)^{p/q}, X = sqrt(s) u + z sqrt(1-s) x, with
+    inner the Mehler-kernel image of g~ in its completed-square form:
+    amplitude sqrt(s_k / A) exp(B^2 / 4A - s_k X^2), s_k = 1 / (2 (1 - sigma)),
+    A = quad + s_k, B = lin + 2 s_k X, sigma = s + (1 - s) z^2.
+    """
+    p, q, z = inp.p, inp.q, inp.z
+    atom = inp.g_tilde_atom()
+    s_k = 1.0 / (2.0 * (1.0 - (s + (1.0 - s) * z * z)))
+    big_a = atom.quad + s_k
+    log_amp = math.log(abs(atom.amplitude)) + 0.5 * math.log(abs(s_k / big_a))
+    rs, w = math.sqrt(s), z * math.sqrt(1.0 - s)
+
+    def log_inner(big_x: complex) -> float:
+        big_b = atom.lin + 2.0 * s_k * big_x
+        return log_amp + (big_b * big_b / (4.0 * big_a) - s_k * big_x * big_x).real
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+
+        def log_moment(u: float) -> float:  # log E_x |inner|^q at u
+            return _log_peak_integral(lambda x: q * log_inner(rs * u + w * x) + _log_gauss(x))
+
+        log_j = _log_peak_integral(lambda u: (p / q) * log_moment(u) + _log_gauss(u))
+    bridge = math.sqrt(p) / q ** (p / (2.0 * q))
+    return math.exp((log_j + math.log(bridge)) / p)

@@ -492,7 +492,7 @@ def test_hy_flow_manifest_lists_capped_samples(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["cap_hits"] == [float(s) for s in np.linspace(0.0, 1.0, 21)]
     assert 0.0 < manifest["tail_bound"] <= 1e-15 and 0.0 < manifest["cells_kept_share"] < 1.0
-    # the atom route forms full grids: it reports cap_hits alone
+    # the atom route is closed form and forms no grid: it reports cap_hits alone, empty
     code, out = run(["hy-flow", "--p", "1.5", "--gaussian", "--s-points", "5"], tmp_path, "gaussian")
     manifest = json.loads((out / "manifest.json").read_text())
     assert code == EXIT_OK and manifest["cap_hits"] == []

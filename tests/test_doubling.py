@@ -1,15 +1,16 @@
 """Every former node-doubling loop against its frozen copy in doubling_reference.
 
 Each test of a 2-D grid runs the code as it is, then swaps the reference
-loop (and, for phi_flow, the reference Mehler-atom formula) back in with
-monkeypatch and runs it again: the values must be bit-identical.  The
-interior samples of exp_flow_phi, whose grids are now factored and cut,
-are also held to 1e-14 of the reference's full grids, and the Janson
-evaluators, whose grids are now factored tables, to 2e-15 of the
-reference's per-cell grids.  The 1-D L^r norms (atom_lp_norm, hy_verify,
-hy_endpoints and the s = 0, 1 ends of exp_flow_phi) no longer double a
-rule: they are held to 1e-12 of scipy's quad split at the zeros and
-minima of |h| (split_quad).
+loop back in with monkeypatch and runs it again: the values must be
+bit-identical.  The interior samples of exp_flow_phi, whose grids are now
+factored and cut, are also held to 1e-14 of the reference's full grids, and
+the Janson evaluators, whose grids are now factored tables, to 2e-15 of the
+reference's per-cell grids.  phi_flow's atom route no longer forms a grid:
+its closed form is held to 1e-14 of the frozen doubled route and to 1e-12
+of quad nested in both variables (split_quad.atom_flow).  The 1-D L^r norms
+(atom_lp_norm, hy_verify, hy_endpoints and the s = 0, 1 ends of
+exp_flow_phi) no longer double a rule: they are held to 1e-12 of scipy's
+quad split at the zeros and minima of |h| (split_quad).
 """
 import math
 
@@ -22,12 +23,7 @@ from identity_checks import mehler_atom_scaled
 from hypflow import flows, hausdorff_young as hy
 from hypflow.errors import AccuracyError, DomainError
 from hypflow.flows import OuterStats, janson_heat, janson_mehler, janson_quadrature
-from hypflow.gaussian_atoms import (
-    GaussianAtom,
-    atom_lp_norm,
-    fourier_transform_atom,
-    mehler_atom_log_abs,
-)
+from hypflow.gaussian_atoms import GaussianAtom, atom_lp_norm, fourier_transform_atom
 from hypflow.hausdorff_young import (
     ExpFamily,
     HYInput,
@@ -140,14 +136,33 @@ def _phi_inputs():
     return inputs
 
 
-def test_phi_flow_bit_identical_on_both_routes(monkeypatch):
+def test_phi_flow_matches_the_frozen_routes(monkeypatch):
+    # the polynomial route bit for bit under the reference doubling; the
+    # atom route's closed form against the doubled log-domain grids it replaced
     grid = [0.0, 0.3, 0.7, 1.0]
-    new = [phi_flow(inp, s_grid=grid).samples for inp in _phi_inputs()]
+    inputs = _phi_inputs()
+    new = [phi_flow(inp, s_grid=grid).samples for inp in inputs]
     monkeypatch.setattr(flows, "_auto_outer", ref._auto_outer)
-    monkeypatch.setattr(hy, "_auto_outer", ref._auto_outer)
-    monkeypatch.setattr(hy, "mehler_atom_log_abs", ref._mehler_atom_log_abs)
-    old = [phi_flow(inp, s_grid=grid).samples for inp in _phi_inputs()]
-    assert new == old
+    for inp, samples in zip(inputs, new):
+        if inp.f_atom is None:
+            assert samples == phi_flow(inp, s_grid=grid).samples
+        else:
+            for (_, got), want in zip(samples, ref.atom_phi_flow(inp, grid)):
+                assert abs(got - want) <= 1e-14 * want, (inp.f_atom, inp.p)
+
+
+def test_phi_flow_atom_matches_nested_split_quad():
+    # slowly decaying atoms: the doubled grids gave inf from s = 0.4 on
+    # (p = 1.5) and NaN from s = 0.2 on (p = 2)
+    inputs = [
+        HYInput(p=1.5, f_atom=GaussianAtom(1.0, 0.02 + 0.2j, 0.0)),
+        HYInput(p=2.0, f_atom=GaussianAtom(1.0, 0.02 + 0.2j, 1.0 + 0.5j)),
+    ]
+    grid = [0.2, 0.5, 0.8]
+    for inp in inputs:
+        for s, got in phi_flow(inp, s_grid=grid).samples:
+            want = split_quad.atom_flow(inp, s)
+            assert abs(got - want) <= 1e-12 * want, (inp.f_atom, inp.p, s)
 
 
 def _exp_families():
@@ -259,19 +274,17 @@ def test_hy_endpoints_matches_reference():
                 assert abs(got - want) <= 1e-14 * want, (p, coeffs)
 
 
-def test_mehler_atom_formula_bit_identical():
+def test_mehler_atom_formula_matches_reference():
+    # the heat-image form of identity_checks against the frozen s_k / A form
     rng = np.random.default_rng(SEED + 6)
     for atom in _random_atoms(rng, 6):
         for sigma in (complex(_complex_normal(rng, 1)[0]), 0.0, -0.5, 1.0):
-            arg = _complex_normal(rng, 7)
-            want = ref.mehler_atom_scaled(sigma, atom, arg[0])
-            assert mehler_atom_scaled(sigma, atom, arg[0]) == want
-            want = ref._mehler_atom_log_abs(sigma, atom, arg)
-            assert mehler_atom_log_abs(sigma, atom, arg).tobytes() == want.tobytes()
+            arg = complex(_complex_normal(rng, 1)[0])
+            want = ref.mehler_atom_scaled(sigma, atom, arg)
+            assert abs(mehler_atom_scaled(sigma, atom, arg) - want) <= 1e-13 * abs(want), (atom, sigma)
     undamped = GaussianAtom(1.0, -2.0, 0.0)  # A = -2 + 1/(2(1 - 0.5)) = -1
-    for formula, arg in ((mehler_atom_scaled, 0.3), (mehler_atom_log_abs, np.array([0.3]))):
-        with pytest.raises(DomainError):
-            formula(0.5, undamped, arg)
+    with pytest.raises(DomainError):
+        mehler_atom_scaled(0.5, undamped, 0.3)
 
 
 def test_doubled_matches_converged_value():

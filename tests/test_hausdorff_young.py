@@ -8,9 +8,9 @@ import doubling_reference
 import split_quad
 from identity_checks import exp_family_double_average, exp_phi_endpoint_identities, phi_s_closed
 import hypflow.hausdorff_young
-from hypflow import cube, gaussian_atoms
+from hypflow import cube, flows, gaussian_atoms, quadrature
 from hypflow.cube import factored_mixed_norm
-from hypflow.errors import AccuracyError
+from hypflow.errors import AccuracyError, DomainError
 from hypflow.gaussian_atoms import GaussianAtom
 from hypflow.hausdorff_young import (
     ExpFamily,
@@ -88,20 +88,78 @@ def test_phi_flow_zero_function():
 def test_phi_flow_gaussian_extremizer_is_constant():
     inp = gaussian_extremizer_input(4 / 3)
     rep = phi_flow(inp, s_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
-    q = inp.q
-    assert max(rep.values) - min(rep.values) <= 1e-8
-    assert abs(rep.values[0] - q ** (-1 / (2 * q))) <= 1e-8
+    want = inp.q ** (-1 / (2 * inp.q))
+    assert max(rep.values) - min(rep.values) <= 1e-14 * want
+    assert abs(rep.values[0] - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("p", [4 / 3, 1.5, 2.0])
 def test_phi_flow_gaussian_extremizer_default_grid(p):
-    # at p = 2 the atom integrand grows like exp(+c x^2) where the weights
-    # underflow; the log-domain average keeps every sample finite
+    # at p = 2 the atom integrand grows like exp(+c x^2) in x; the closed
+    # form integrates it exactly against the Gaussian weight
     inp = gaussian_extremizer_input(p)
     rep = phi_flow(inp)
-    q = inp.q
-    assert all(abs(v - q ** (-1 / (2 * q))) <= 1e-9 for v in rep.values)
+    want = inp.q ** (-1 / (2 * inp.q))
+    assert all(abs(v - want) <= 1e-14 * want for v in rep.values)
     assert rep.verdict().label == "nondecreasing"
+    assert rep.diagnostics == {"cap_hits": []}
+
+
+def _random_atom_inputs(rng, p_values):
+    return [
+        HYInput(
+            p=float(p),
+            f_atom=GaussianAtom(
+                complex(rng.normal(), rng.normal()),
+                complex(rng.uniform(0.02, 4.0), rng.normal()),  # slow decay included
+                complex(rng.normal(), rng.normal()),
+            ),
+        )
+        for p in p_values
+    ]
+
+
+def test_phi_flow_atom_constant_at_p_2():
+    # at p = q = 2, phi(s)^2 is ||fhat||_2^2 for every s (Plancherel)
+    rng = np.random.default_rng(29)
+    slow = HYInput(p=2.0, f_atom=GaussianAtom(1.0, 0.02 + 0.2j, 1.0 + 0.5j))  # doubled grids gave NaN
+    for inp in [slow, *_random_atom_inputs(rng, [2.0] * 8)]:
+        values = phi_flow(inp).values
+        assert max(values) - min(values) <= 1e-12 * min(values), inp.f_atom
+
+
+def test_phi_flow_atom_endpoints_match_hy_endpoints():
+    # the closed form's ends against the graded Legendre engine of hy_endpoints
+    rng = np.random.default_rng(31)
+    for inp in _random_atom_inputs(rng, rng.uniform(1.1, 2.0, size=10)):
+        values = phi_flow(inp, s_grid=[0.0, 1.0]).values
+        for got, want in zip(values, hy_endpoints(inp)):
+            assert abs(got - want) <= 1e-13 * want, (inp.f_atom, inp.p)
+
+
+def test_phi_flow_atom_builds_no_gh_rule(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return gh_rule(n)
+
+    for module in (quadrature, flows, hypflow.hausdorff_young):
+        monkeypatch.setattr(module, "gh_rule", spy)
+    phi_flow(gaussian_extremizer_input(1.5))
+    phi_flow(HYInput(p=1.7, f_atom=GaussianAtom(0.5 + 1j, 1.3 - 0.4j, 0.2 + 0.7j)))
+    assert calls == []
+    phi_flow(HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 1.0])), s_grid=[0.5])  # the spy sees the grids
+    assert calls
+
+
+def test_phi_flow_atom_domain_error_names_s():
+    # Re(quad) < 0: |f|^p is not integrable, and E_u diverges at s = 1
+    inp = HYInput(p=1.5, f_atom=GaussianAtom(1.0, -0.1, 0.0))
+    with pytest.raises(DomainError, match="s = 1.0"):
+        phi_flow(inp, s_grid=[1.0])
+    with pytest.raises(DomainError):  # and the heat image diverges at s = 0
+        phi_flow(inp, s_grid=[0.0])
 
 
 def test_phi_flow_hermite_nondecreasing_and_bridges_endpoints():
