@@ -111,8 +111,16 @@ class RunConfig:
         return config
 
 
+def _finite_complex(text: str) -> complex:
+    """complex(text); ValueError unless both parts are finite."""
+    value = complex(text)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_complex_list(text: str) -> list[complex]:
-    return [complex(part.strip().replace(" ", "")) for part in text.split(",") if part.strip()]
+    return [_finite_complex(part.strip().replace(" ", "")) for part in text.split(",") if part.strip()]
 
 
 def _parse_atoms(text: str) -> list[tuple[complex, complex]]:
@@ -124,7 +132,7 @@ def _parse_atoms(text: str) -> list[tuple[complex, complex]]:
         c_str, _, t_str = chunk.partition(":")
         if not t_str:
             raise ValueError(f"atom {chunk!r} must look like amplitude:frequency")
-        atoms.append((complex(c_str), complex(t_str)))
+        atoms.append((_finite_complex(c_str), _finite_complex(t_str)))
     return atoms
 
 

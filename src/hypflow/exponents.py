@@ -3,12 +3,14 @@
 Every flow, the two-point search and the Hausdorff-Young pipeline take their
 exponents from here, so a flow command does not load the search for them.
 
-Construction accepts any p, q >= 1: the ordering p <= q is required only by
-the operations whose derivations need it (the mixed norms and flows), and
-those enforce it themselves.  Margin and ratio evaluations are well defined
-either way.
+Construction accepts any finite p, q >= 1: the ordering p <= q is required
+only by the operations whose derivations need it (the mixed norms and
+flows), and those enforce it themselves.  Margin and ratio evaluations are
+well defined either way.
 """
 from __future__ import annotations
+
+import math
 
 _Z_RADIUS_SLACK = 1e-12
 
@@ -19,9 +21,10 @@ class ExponentTriple:
     __slots__ = ("p", "q", "z")
 
     def __init__(self, p: float, q: float, z: complex):
-        if p < 1.0 or q < 1.0:
-            raise ValueError(f"exponents must be >= 1, got p = {p}, q = {q}")
-        if abs(z) > 1.0 + _Z_RADIUS_SLACK:
+        # written so that NaN fails both checks
+        if not (1.0 <= p < math.inf and 1.0 <= q < math.inf):
+            raise ValueError(f"exponents must be finite and >= 1, got p = {p}, q = {q}")
+        if not abs(z) <= 1.0 + _Z_RADIUS_SLACK:
             raise ValueError(f"|z| must be <= 1, got {abs(z)}")
         self.p = p
         self.q = q

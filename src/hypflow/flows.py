@@ -77,11 +77,10 @@ from .hermite import (
     heat_poly_series,
     hermite_scaled_sum,
 )
-from .quadrature import QuadratureRule, doubled, gh_rule, resolve_rule
+from .quadrature import MAX_NODES, QuadratureRule, doubled, gh_rule, resolve_rule
 from .reporting import ConvergenceRow, ConvergenceTable, FlowReport
 
 _AUTO_START = 32
-_AUTO_CAP = 512
 _AUTO_RTOL = 1e-10
 # Share of an axis' majorant mass a dropped tail may hold (the cube's tables
 # use 1e-20).  The majorants overestimate the grid by many orders of
@@ -142,7 +141,7 @@ class OuterStats:
     """What the outer grids of one flow sample did, for the diagnostics.
 
     cuts holds one TailCut per grid formed (bound 0 for a full grid);
-    capped says that the node doubling stopped at its cap (_AUTO_CAP for
+    capped says that the node doubling stopped at its cap (MAX_NODES for
     the outer grids) without meeting its tolerance, or, at the 1-D ends of
     exp_flow_phi, that the graded estimate exceeded its tolerance.
     """
@@ -167,15 +166,15 @@ def _auto_outer(evaluate, rule, raise_on_failure: bool = False, stats: OuterStat
     """evaluate on `rule` if given, else doubled (see Estimate for the policy).
 
     Kinked integrands converge only algebraically, so the doubling can stop
-    at _AUTO_CAP without meeting _AUTO_RTOL.
+    at MAX_NODES without meeting _AUTO_RTOL.
     """
     if rule is not None:
         return evaluate(resolve_rule(rule))
-    est = doubled(evaluate, _AUTO_START, _AUTO_CAP, _AUTO_RTOL)
+    est = doubled(evaluate, _AUTO_START, MAX_NODES, _AUTO_RTOL)
     if not est.converged:
         # written so that a NaN step or value raises as well
         if raise_on_failure and not est.step <= 1e-4 * max(abs(est.value), 1e-300):
-            raise AccuracyError(f"outer quadrature did not stabilize below {_AUTO_CAP} nodes")
+            raise AccuracyError(f"outer quadrature did not stabilize below {MAX_NODES} nodes")
         if stats is not None:
             stats.capped = True
     return est.value

@@ -10,14 +10,12 @@ polynomials up to degree 2N-1 exactly.
 
 The nodes are the zeros of He_N, the monic orthogonal polynomials for dgamma
 (He_{m+1} = x He_m - m He_{m-1}).  Only the nonnegative half is computed.
-First guesses come from closed-form asymptotics of the zeros (Tricomi's
-formula in the interior, Gatteschi's Airy-zero formula near the largest
-zero; see Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36 (2016), and
-chebfun's hermpts).  Newton passes on the orthonormal recurrence polish them
-to a few ulp, and the last pass also gives the weights by
-Christoffel-Darboux, w_i = 1 / (N phat_{N-1}(x_i)^2).  The rule is then
-mirrored, so its symmetry is exact.  No eigenproblem is solved and nothing
-beyond numpy is needed.
+Its squares are twice the zeros of a Laguerre polynomial of degree N // 2,
+the eigenvalues of a half-size Jacobi matrix (numpy's eigvalsh, O(N^2)
+memory).  Two Newton passes on the orthonormal recurrence polish them to a
+few ulp, and the last pass also gives the weights by Christoffel-Darboux,
+w_i = 1 / (N phat_{N-1}(x_i)^2).  The rule is then mirrored, so its symmetry
+is exact.  Rules stop at MAX_NODES nodes, the largest any caller doubles to.
 """
 from __future__ import annotations
 
@@ -27,12 +25,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+MAX_NODES = 512
+
 
 class QuadratureRule(NamedTuple):
     """Nodes and weights for expectation against dgamma.
 
-    Built from the nonnegative half of the rule (asymptotic first guesses,
-    Newton polish, Christoffel-Darboux weights) and then mirrored, so nodes
+    Built from the nonnegative half of the rule (eigenvalue starts, Newton
+    polish, Christoffel-Darboux weights) and then mirrored, so nodes
     and weights are exactly symmetric about 0.  Weights sum to 1, and the
     rule is exact on polynomials of degree <= 2*node_count - 1.  Past ~300
     nodes the extreme-node weights fall below float64 range and round to
@@ -95,65 +95,30 @@ def _orthonormal_ladder(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, 
 def gh_rule(n: int) -> QuadratureRule:
     """N-point Gauss rule for dgamma, exact through degree 2N-1.
 
-    Raises ValueError for n < 1.  Rules are cached and immutable, so a rule
-    may be shared freely across threads.
+    Raises ValueError unless 1 <= n <= MAX_NODES.  Rules are cached and
+    immutable, so a rule may be shared freely across threads.
     """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"node count must lie in [1, {MAX_NODES}], got {n}")
     return _gh_rule_cached(int(n))
-
-
-def _first_guesses(n: int) -> np.ndarray:
-    """The nonnegative zeros of He_n, ascending, to 1.5e-3 relative (1.3e-6 from 50 nodes).
-
-    He_{2m}(x) and He_{2m+1}(x)/x are Laguerre polynomials L_m^(-1/2),
-    L_m^(1/2) in x^2/2, so with nu = 2n+1 the Laguerre asymptotics give the
-    squares of the physicists' zeros y_k = x_k/sqrt(2), k = 1..m, m = n//2:
-    - Tricomi: y_k^2 = nu c - (5/(4(1-c)^2) - 1/(1-c) - 1/4)/(3 nu) with
-      c = cos^2(theta/2), theta - sin(theta) = (4m - 4k + 3) pi / nu;
-    - Gatteschi, for the j-th largest zero, from the j-th zero a_j of Ai.
-    Tricomi's formula is used where c <= 0.64 (y_k up to about 0.8 sqrt(nu)),
-    and Gatteschi's above, nearer the largest zero.
-    """
-    m = n // 2
-    nu = 2.0 * n + 1.0
-    k = np.arange(1.0, m + 1.0)
-    kepler = (4.0 * m - 4.0 * k + 3.0) * math.pi / nu
-    theta = np.full(m, math.pi / 2.0)
-    for _ in range(8):
-        theta -= (theta - np.sin(theta) - kepler) / (1.0 - np.cos(theta))
-    c = np.cos(theta / 2.0) ** 2
-    inner = c <= 0.64
-    ci = c[inner]
-    y2 = np.empty(m)
-    y2[inner] = nu * ci - (1.25 / (1.0 - ci) ** 2 - 1.0 / (1.0 - ci) - 0.25) / (3.0 * nu)
-    j = m + 1.0 - k[~inner]
-    t = 3.0 * math.pi / 8.0 * (4.0 * j - 1.0)
-    a = -t ** (2.0 / 3.0) * (
-        1.0 + 5.0 / 48.0 * t**-2 - 5.0 / 36.0 * t**-4 + 77125.0 / 82944.0 * t**-6
-        - 108056875.0 / 6967296.0 * t**-8 + 162375596875.0 / 334430208.0 * t**-10
-    )
-    # the series is 2.8e-3 off at the first zero of Ai, and within 6e-7 beyond it
-    a[j == 1.0] = -2.338107410459767
-    y2[~inner] = (
-        nu + 2.0 ** (2.0 / 3.0) * a * nu ** (1.0 / 3.0) + 0.2 * 2.0 ** (4.0 / 3.0) * a**2 * nu ** (-1.0 / 3.0)
-        + (11.0 / 35.0 - 0.25 - 12.0 / 175.0 * a**3) / nu
-        + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * 2.0 ** (2.0 / 3.0) * nu ** (-5.0 / 3.0)
-        - (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a**2) * 2.0 ** (1.0 / 3.0) * nu ** (-7.0 / 3.0)
-    )
-    x = np.sqrt(2.0 * y2)
-    return np.concatenate(([0.0], x)) if n % 2 else x
 
 
 @lru_cache(maxsize=None)
 def _gh_rule_cached(n: int) -> QuadratureRule:
-    x = _first_guesses(n)
-    # Newton on phat_n, whose derivative is sqrt(n) phat_{n-1}: from 1e-3
-    # relative, the third pass reaches a few ulp, and the fourth gives the
-    # weights at polished nodes.  At a node |phat_n| << |phat_{n-1}|, so the
-    # scaled prev lies in [0.5, 1), and the tiny weights underflow to exact
-    # zeros in the final ldexp.
-    for _ in range(4):
+    # He_{2m}(x) and He_{2m+1}(x)/x are multiples of L_m^(a)(x^2/2), a = -1/2
+    # and +1/2, and the zeros of L_m^(a) are the eigenvalues of its Jacobi
+    # matrix (Golub and Welsch, Math. Comp. 23, 1969).
+    m, a = n // 2, n % 2 - 0.5
+    k = np.arange(m, dtype=float)
+    jacobi = np.diag(2.0 * k + a + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + a)), -1)
+    x = np.sqrt(2.0 * np.linalg.eigvalsh(jacobi))
+    if n % 2:
+        x = np.concatenate(([0.0], x))
+    # Newton on phat_n, whose derivative is sqrt(n) phat_{n-1}: the second
+    # pass gives the weights at nodes already polished to a few ulp.  At a
+    # node |phat_n| << |phat_{n-1}|, so the scaled prev lies in [0.5, 1), and
+    # the tiny weights underflow to exact zeros in the final ldexp.
+    for _ in range(2):
         prev, last, exponent = _orthonormal_ladder(x, n)
         x = x - last / (math.sqrt(n) * prev)
     w = np.ldexp(1.0 / (n * prev * prev), -2 * exponent)

@@ -54,7 +54,7 @@ def _unit_directions() -> np.ndarray:
 def _disk_points(zs) -> np.ndarray:
     """zs as a 1-D complex array, checked like ExponentTriple.z."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    if np.any(np.abs(zs) > 1.0 + _Z_RADIUS_SLACK):
+    if not np.all(np.abs(zs) <= 1.0 + _Z_RADIUS_SLACK):  # NaN fails too
         raise ValueError(f"|z| must be <= 1, got {float(np.max(np.abs(zs)))}")
     return zs
 

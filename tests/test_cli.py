@@ -186,6 +186,22 @@ _BAD_ARGVS = {
 _BAD_ARGVS["discrete-flow --tol nan"] = [
     "discrete-flow", "--n", "6", "--p", "2", "--q", "4", "--z-re", "0.95", "--coeffs", "0,1", "--tol", "nan"
 ]
+# non-finite exponents, damping, coefficients and atoms: before, these ran
+# and returned a verdict (or numpy's message for an empty argmin)
+_BAD_ARGVS.update({
+    "janson-flow --p nan": ["janson-flow", "--p", "nan", "--q", "4", "--coeffs", "1,1", "--s-points", "3"],
+    "discrete-flow --q inf": ["discrete-flow", "--n", "6", "--p", "1.5", "--q", "inf", "--z-re", "0.3", "--coeffs", "0,1"],
+    "converge --z-re nan": ["converge", "--p", "1.5", "--q", "4", "--z-re", "nan", "--coeffs", "0,1", "--n-list", "8,16"],
+    "two-point-scan --p nan": ["two-point-scan", "--p", "nan", "--q", "4", "--resolution", "0.5"],
+    "two-point-scan --q inf": ["two-point-scan", "--p", "2", "--q", "inf", "--resolution", "0.5"],
+    "janson-flow --coeffs nan,1": ["janson-flow", "--p", "1.5", "--coeffs", "nan,1", "--s-points", "3"],
+    "discrete-flow --coeffs nan,1": [
+        "discrete-flow", "--n", "6", "--p", "1.5", "--q", "4", "--z-re", "0.3", "--coeffs", "nan,1"
+    ],
+    "hy-flow --hermite-coeffs nan,1": ["hy-flow", "--p", "1.5", "--hermite-coeffs", "nan,1", "--s-points", "3"],
+    "hy-exp --atoms nan:0.5": ["hy-exp", "--p", "1.5", "--atoms", "nan:0.5", "--s-points", "3"],
+    "hy-exp --atoms 1:nan": ["hy-exp", "--p", "1.5", "--atoms", "1:nan", "--s-points", "3"],
+})
 
 
 def _config_argv(config, path: Path, out: Path) -> list:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import doubling_reference
+import gh_rule_reference
 import split_quad
 from identity_checks import exp_family_double_average, exp_phi_endpoint_identities, phi_s_closed
 import hypflow.hausdorff_young
@@ -272,7 +273,8 @@ def test_exp_flow_endpoint_average_ignores_nodes_with_zero_weight():
     # regression: the former 1-D ladder of the ends reached the 4096-node
     # rule, where |Phi_1|^p overflows to inf on 182 nodes whose weights
     # underflowed to zero, and 0 * inf made phi(1) NaN; the graded end is
-    # finite and within the kink error of the 2048-node rule
+    # finite and within the kink error of the 2048-node rule (both rules
+    # from the frozen builder: gh_rule stops at MAX_NODES)
     fam = ExpFamily(atoms=((1.0, 5.0), (-0.9, 5.2)))
     p = 4 / 3
     z = 1j * math.sqrt(p / conjugate_exponent(p))
@@ -281,10 +283,10 @@ def test_exp_flow_endpoint_average_ignores_nodes_with_zero_weight():
         with np.errstate(over="ignore"):
             return np.abs(phi_s_closed(fam, 1.0, z, rule.nodes, 0.0)) ** p
 
-    big = gh_rule(4096)
+    big = gh_rule_reference._gh_rule_cached(4096)
     overflowed = np.isinf(samples(big))
     assert overflowed.sum() == 182 and np.all(big.weights[overflowed] == 0.0)
-    half = gh_rule(2048)
+    half = gh_rule_reference._gh_rule_cached(2048)
     at_2048 = float(half.integrate(lambda x: samples(half)).real)
     phi1 = exp_flow_phi(fam, p, s_grid=[1.0]).values[0]
     # the |.|^p kink leaves the 2048 -> 4096 step near 2e-5 relative

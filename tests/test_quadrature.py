@@ -8,8 +8,8 @@ import pytest
 from scipy.special import roots_hermitenorm
 
 from hypflow.quadrature import (
+    MAX_NODES,
     Estimate,
-    _first_guesses,
     _gh_rule_cached,
     _orthonormal_ladder,
     doubled,
@@ -76,7 +76,7 @@ def test_symmetry_and_normalization(n):
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [150, 513, 1024, 4096])
+@pytest.mark.parametrize("n", [150, 512])
 def test_rule_matches_independent_scipy_rule(n):
     # roots_hermitenorm uses its own asymptotic method above 150 nodes
     rule = gh_rule(n)
@@ -87,7 +87,7 @@ def test_rule_matches_independent_scipy_rule(n):
     np.testing.assert_allclose(rule.weights[big], weights[big], rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("n", [150, 151, 512, 513, 4095, 4096])
+@pytest.mark.parametrize("n", [150, 151, 512])
 def test_large_rules_are_exactly_symmetric_and_normalized(n):
     # past ~300 nodes the extreme weights underflow to exact zeros
     rule = gh_rule(n)
@@ -112,16 +112,17 @@ def test_rules_match_the_eigenvalue_rules_through_300_nodes():
         _assert_matches_reference_rule(n)
 
 
-@pytest.mark.parametrize("n", [512, 1024, 2047, 2048, 4095, 4096])
+@pytest.mark.parametrize("n", [512])
 def test_large_rules_match_the_eigenvalue_rules(n):
     _assert_matches_reference_rule(n)
 
 
 def test_in_place_ladder_is_bit_identical_to_the_allocating_one():
     for n in [*range(1, 400), 511, 512, 513, 1023, 2047, 3670, 4095]:
-        # the first guesses and points 10 % beyond them, past the largest zero
-        guesses = _first_guesses(n)
-        x = np.concatenate((guesses, 1.1 * guesses))
+        # the frozen rule's nonnegative nodes and points 10 % beyond them,
+        # past the largest zero
+        nodes = gh_rule_reference._gh_rule_cached(n).nodes[n // 2 :]
+        x = np.concatenate((nodes, 1.1 * nodes))
         got, want = _orthonormal_ladder(x, n), gh_rule_reference._orthonormal_ladder(x, n)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b, err_msg=str(n))
@@ -140,7 +141,7 @@ def _hermite_zero(n: int, guess: float) -> Decimal:
         return x
 
 
-@pytest.mark.parametrize("n", [2, 3, 20, 21, 150, 513, 2047, 4096])
+@pytest.mark.parametrize("n", [2, 3, 20, 21, 150, 511, 512])
 def test_nodes_match_40_digit_zeros(n):
     # the smallest positive, the middle and the largest nonnegative node
     positive = gh_rule(n).nodes[(n + 1) // 2 :]
@@ -150,7 +151,7 @@ def test_nodes_match_40_digit_zeros(n):
 
 
 def test_integrate_ignores_nodes_with_zero_weight():
-    rule = gh_rule(4096)
+    rule = gh_rule(MAX_NODES)
     dead = rule.weights == 0.0
     assert dead.sum() > 0
     vals = np.cos(rule.nodes)
@@ -162,11 +163,11 @@ def test_integrate_ignores_nodes_with_zero_weight():
 
 
 def test_cold_build_of_large_rule_stays_small_in_memory():
-    # forming the 4096 x 4096 eigenvector matrix alone would take 128 MiB
+    # the eigenproblem is half size and asks for no eigenvectors
     _gh_rule_cached.cache_clear()
     tracemalloc.start()
     try:
-        gh_rule(4096)
+        gh_rule(MAX_NODES)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -176,6 +177,12 @@ def test_cold_build_of_large_rule_stays_small_in_memory():
 def test_invalid_node_count_rejected():
     with pytest.raises(ValueError):
         gh_rule(0)
+
+
+def test_rules_stop_at_max_nodes():
+    assert gh_rule(MAX_NODES).node_count == MAX_NODES
+    with pytest.raises(ValueError, match=str(MAX_NODES)):
+        gh_rule(MAX_NODES + 1)
 
 
 def test_integrate_entire_matches_closed_form():

@@ -25,6 +25,13 @@ def test_exponent_triple_validation():
         ExponentTriple(0.5, 2.0, 0.1)
     with pytest.raises(ValueError):
         ExponentTriple(2.0, 2.0, 1.2)
+    # non-finite exponents and a NaN z fail too
+    for p, q, z in [(math.nan, 4.0, 0.1), (2.0, math.inf, 0.1), (math.inf, math.inf, 0.1), (2.0, 4.0, math.nan)]:
+        with pytest.raises(ValueError):
+            ExponentTriple(p, q, z)
+    for zs in ([0.1, math.nan], [complex(0.2, math.nan)], [math.inf]):
+        with pytest.raises(ValueError):
+            infinitesimal_margin_min(ExponentTriple(2.0, 4.0, 0.1), zs=zs)
     # p > q is constructible (the quadratic form is defined either way) but
     # rejected by the flow-side operations
     t = ExponentTriple(3.0, 2.0, 0.5)
