@@ -12,8 +12,8 @@ The nodes are the zeros of He_N, the monic orthogonal polynomials for dgamma
 (He_{m+1} = x He_m - m He_{m-1}).  Only the nonnegative half is computed.
 Its squares are twice the zeros of a Laguerre polynomial of degree N // 2,
 the eigenvalues of a half-size Jacobi matrix (numpy's eigvalsh, O(N^2)
-memory).  Two Newton passes on the orthonormal recurrence polish them to a
-few ulp, and the last pass also gives the weights by Christoffel-Darboux,
+memory).  Two Newton passes on the plain orthonormal recurrence polish them
+to a few ulp, and the last pass also gives the weights by Christoffel-Darboux,
 w_i = 1 / (N phat_{N-1}(x_i)^2).  The rule is then mirrored, so its symmetry
 is exact.  Rules stop at MAX_NODES nodes, the largest any caller doubles to.
 """
@@ -25,6 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+# The unscaled recurrence stays finite at the edge nodes up to 700 nodes and
+# overflows by 750, so the cap must stay below that.
 MAX_NODES = 512
 
 
@@ -63,35 +65,6 @@ class QuadratureRule(NamedTuple):
         return complex(total)
 
 
-def _orthonormal_ladder(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal (phat_{n-1}(x), phat_n(x)) as (prev, last, exponent).
-
-    The true values are prev and last times 2**exponent.  Every 32 steps,
-    and after the last, the pair is rescaled by a power of two so that the
-    larger of the two lies in [0.5, 1).  That is exact, and keeps the pair in
-    float range for extreme nodes of any rule size: one step grows it by at
-    most a factor |x| + 1.
-    """
-    root = np.sqrt(np.arange(n + 1.0))
-    prev = np.zeros_like(x)
-    last = np.ones_like(x)
-    spare = np.empty_like(x)
-    exponent = np.zeros(x.shape, dtype=np.int64)
-    for m in range(n):
-        # (x last - root[m] prev) / root[m+1], in place on three rotating buffers
-        np.multiply(prev, root[m], out=prev)
-        np.multiply(x, last, out=spare)
-        np.subtract(spare, prev, out=spare)
-        np.divide(spare, root[m + 1], out=spare)
-        prev, last, spare = last, spare, prev
-        if m % 32 == 31 or m == n - 1:
-            _, e = np.frexp(np.maximum(np.abs(prev), np.abs(last)))
-            np.ldexp(prev, -e, out=prev)
-            np.ldexp(last, -e, out=last)
-            exponent += e
-    return prev, last, exponent
-
-
 def gh_rule(n: int) -> QuadratureRule:
     """N-point Gauss rule for dgamma, exact through degree 2N-1.
 
@@ -115,13 +88,18 @@ def _gh_rule_cached(n: int) -> QuadratureRule:
     if n % 2:
         x = np.concatenate(([0.0], x))
     # Newton on phat_n, whose derivative is sqrt(n) phat_{n-1}: the second
-    # pass gives the weights at nodes already polished to a few ulp.  At a
-    # node |phat_n| << |phat_{n-1}|, so the scaled prev lies in [0.5, 1), and
-    # the tiny weights underflow to exact zeros in the final ldexp.
+    # pass gives the weights at nodes already polished to a few ulp.  phat
+    # stays below 1e215 at 512 nodes, but phat_{n-1}^2 overflows at the edge
+    # nodes from 374 nodes, so the weights come from its mantissa and
+    # exponent, and the tiny ones underflow to exact zeros in the ldexp.
+    root = np.sqrt(np.arange(n + 1.0))
     for _ in range(2):
-        prev, last, exponent = _orthonormal_ladder(x, n)
+        prev, last = np.zeros_like(x), np.ones_like(x)
+        for j in range(n):
+            prev, last = last, (x * last - root[j] * prev) / root[j + 1]
         x = x - last / (math.sqrt(n) * prev)
-    w = np.ldexp(1.0 / (n * prev * prev), -2 * exponent)
+    frac, e = np.frexp(prev)
+    w = np.ldexp(1.0 / (n * frac * frac), -2 * e)
     half = n // 2
     nodes = np.concatenate((-x[::-1][:half], x))
     weights = np.concatenate((w[::-1][:half], w))

@@ -306,9 +306,9 @@ class RegionScanRow(NamedTuple):
 
 
 def disk_grid(resolution: float) -> np.ndarray:
-    """Grid of complex points covering the closed unit disk; resolution >= 0.01."""
-    if resolution < 0.01:
-        raise ValueError("grid resolution below 0.01 rejected")
+    """Grid of complex points covering the closed unit disk; 0.01 <= resolution <= 1."""
+    if not 0.01 <= resolution <= 1.0:
+        raise ValueError(f"grid resolution must lie in [0.01, 1], got {resolution}")
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     grid = (axis[:, None] + 1j * axis[None, :]).ravel()
     return grid[np.abs(grid) <= 1.0 + 1e-12]

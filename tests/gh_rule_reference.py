@@ -1,13 +1,12 @@
 """Frozen reference: the Gauss-Hermite rule builder as it was before the
-asymptotic first guesses, and the orthonormal ladder as it was before it ran
-in place.
+asymptotic first guesses.
 
 `_gh_rule_cached` is kept verbatim.  It takes the squared nonnegative nodes
 from the eigenvalues of the even block of J^2 (a half-size symmetric
 tridiagonal matrix, through scipy), then runs two Newton passes on the
 orthonormal recurrence and takes the Christoffel-Darboux weights from the
-last one.  `_orthonormal_ladder` is kept verbatim too; it allocates two new
-arrays per step.  Tests compare the production rules and ladder with them.
+last one.  `_orthonormal_ladder` is kept verbatim too; it rescales the pair
+by powers of two every 32 steps.  Tests compare the production rules with it.
 Not collected by pytest (no test_ prefix).
 """
 from __future__ import annotations

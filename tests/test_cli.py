@@ -194,6 +194,9 @@ _BAD_ARGVS.update({
     "converge --z-re nan": ["converge", "--p", "1.5", "--q", "4", "--z-re", "nan", "--coeffs", "0,1", "--n-list", "8,16"],
     "two-point-scan --p nan": ["two-point-scan", "--p", "nan", "--q", "4", "--resolution", "0.5"],
     "two-point-scan --q inf": ["two-point-scan", "--p", "2", "--q", "inf", "--resolution", "0.5"],
+    "two-point-scan --resolution nan": ["two-point-scan", "--p", "2", "--q", "4", "--resolution", "nan"],
+    # an empty grid, rejected before a header-only scan.csv is written
+    "two-point-scan --resolution 3": ["two-point-scan", "--p", "2", "--q", "4", "--resolution", "3"],
     "janson-flow --coeffs nan,1": ["janson-flow", "--p", "1.5", "--coeffs", "nan,1", "--s-points", "3"],
     "discrete-flow --coeffs nan,1": [
         "discrete-flow", "--n", "6", "--p", "1.5", "--q", "4", "--z-re", "0.3", "--coeffs", "nan,1"
@@ -286,6 +289,7 @@ def test_bad_input_exits_1_without_traceback(argv, config, tmp_path):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not list((tmp_path / "out").glob("*.csv"))
     assert {path.name for path in tmp_path.iterdir()} <= {"out", "run.json"}  # nothing in the working directory
     if config in _BAD_CONFIGS.values():  # rejected before the run starts
         assert not (tmp_path / "out").exists()

@@ -11,7 +11,6 @@ from hypflow.quadrature import (
     MAX_NODES,
     Estimate,
     _gh_rule_cached,
-    _orthonormal_ladder,
     doubled,
     gh_rule,
     integrate_entire,
@@ -76,7 +75,7 @@ def test_symmetry_and_normalization(n):
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [150, 512])
+@pytest.mark.parametrize("n", [150, MAX_NODES])
 def test_rule_matches_independent_scipy_rule(n):
     # roots_hermitenorm uses its own asymptotic method above 150 nodes
     rule = gh_rule(n)
@@ -87,7 +86,7 @@ def test_rule_matches_independent_scipy_rule(n):
     np.testing.assert_allclose(rule.weights[big], weights[big], rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("n", [150, 151, 512])
+@pytest.mark.parametrize("n", [150, 151, MAX_NODES])
 def test_large_rules_are_exactly_symmetric_and_normalized(n):
     # past ~300 nodes the extreme weights underflow to exact zeros
     rule = gh_rule(n)
@@ -112,20 +111,9 @@ def test_rules_match_the_eigenvalue_rules_through_300_nodes():
         _assert_matches_reference_rule(n)
 
 
-@pytest.mark.parametrize("n", [512])
+@pytest.mark.parametrize("n", [MAX_NODES])
 def test_large_rules_match_the_eigenvalue_rules(n):
     _assert_matches_reference_rule(n)
-
-
-def test_in_place_ladder_is_bit_identical_to_the_allocating_one():
-    for n in [*range(1, 400), 511, 512, 513, 1023, 2047, 3670, 4095]:
-        # the frozen rule's nonnegative nodes and points 10 % beyond them,
-        # past the largest zero
-        nodes = gh_rule_reference._gh_rule_cached(n).nodes[n // 2 :]
-        x = np.concatenate((nodes, 1.1 * nodes))
-        got, want = _orthonormal_ladder(x, n), gh_rule_reference._orthonormal_ladder(x, n)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b, err_msg=str(n))
 
 
 def _hermite_zero(n: int, guess: float) -> Decimal:

@@ -353,6 +353,14 @@ def test_disk_grid():
         disk_grid(0.001)
 
 
+@pytest.mark.parametrize("resolution", [math.nan, math.inf, 3.0, 0.005])
+def test_disk_grid_rejects_resolution_outside_its_range(resolution):
+    # past 1 the grid misses the disk (at 1.5 it holds only 0.5+0.5i; at 3 it
+    # is empty), and np.arange cannot size a nan or infinite step
+    with pytest.raises(ValueError, match="resolution"):
+        disk_grid(resolution)
+
+
 def test_global_implies_infinitesimal_on_samples():
     rng = np.random.default_rng(11)
     tested = 0
