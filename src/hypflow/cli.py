@@ -7,9 +7,10 @@ output directory; identical configurations produce byte-identical CSV files.
 Exit codes: 0 when every asserted inequality and identity held within the
 configured tolerances, 2 when a violation was detected (the witness lands in
 the manifest), 1 for usage or configuration errors.  The endpoint
-inequalities of hy-flow and hy-exp are decided here, in one place (_judge),
-not in the library, which returns their two sides only; lhs <= rhs holds
-within tol + tol*|lhs|, the allowance the flow verdicts give a dip.
+inequalities of hy-flow and hy-exp are decided here, in one place
+(_flow_result), not in the library, which returns their two sides only;
+lhs <= rhs holds by reporting.within, the rule the flow verdicts apply to
+a dip.
 
 Only selftest draws random numbers.  It runs the acceptance criteria of
 hypflow.selftest, the registry the test suite runs too, and gives each
@@ -48,6 +49,7 @@ from . import __version__
 from .errors import HypflowError
 from .reporting import (
     FlowReport,
+    within,
     write_convergence_csv,
     write_flow_csv,
     write_manifest,
@@ -136,10 +138,18 @@ def _parse_atoms(text: str) -> list[tuple[complex, complex]]:
     return atoms
 
 
-def _z_from_params(params: dict, p: float) -> complex:
+def _exponents(params: dict):
+    """The ExponentTriple of discrete-flow, janson-flow and converge: q
+    defaults to the conjugate of p, z to i sqrt(p - 1)."""
+    from .exponents import ExponentTriple, conjugate_exponent
+
+    p = float(params["p"])
+    q = conjugate_exponent(p) if params.get("q") is None else float(params["q"])
     if params.get("z_re") is None and params.get("z_im") is None:
-        return 1j * math.sqrt(p - 1.0)
-    return complex(params.get("z_re") or 0.0, params.get("z_im") or 0.0)
+        z = 1j * math.sqrt(p - 1.0)
+    else:
+        z = complex(params.get("z_re") or 0.0, params.get("z_im") or 0.0)
+    return ExponentTriple(p, q, z)
 
 
 def _s_grid(params: dict):
@@ -156,36 +166,32 @@ def _s_grid(params: dict):
     return np.linspace(0.0, 1.0, s_points)
 
 
-def _flow_output(report: FlowReport, config: RunConfig, out: Path) -> dict:
-    """Write flow.csv under the --tol override of the monotonicity verdict
-    (tol = 0 flags noise) and return the verdict fields for the manifest."""
-    if config.tol is not None:
-        report = FlowReport(report.parameter_name, report.samples, config.tol, report.diagnostics)
-    write_flow_csv(report, out / "flow.csv")
-    verdict = report.verdict()
-    return {
+def _flow_result(
+    report: FlowReport, config: RunConfig, out: Path, fields: dict, checks=()
+) -> tuple[int, dict]:
+    """End a flow command: write flow.csv and return (exit code, manifest).
+
+    The manifest is fields, the flow's verdict and its diagnostics.  The
+    flow is judged under --tol when given (tol = 0 flags noise).  Each named
+    (check, lhs, rhs) endpoint pair must satisfy within(lhs, rhs, tol), with
+    tol = --tol or _ENDPOINT_TOL; the first failure sets the manifest's
+    verdict to fails-with-witness and its witness to {check, lhs, rhs, tol}.
+    """
+    verdict = write_flow_csv(report, out / "flow.csv", config.tol)
+    manifest = {
+        **fields,
         "verdict": verdict.label,
         "nondecreasing": verdict.nondecreasing,
         "min_delta": report.min_delta(),
+        **report.diagnostics,
     }
-
-
-def _judge(manifest: dict, checks: list[tuple[str, float, float]], config: RunConfig) -> bool:
-    """Whether every named (check, lhs, rhs) pair holds as lhs <= rhs + tol + tol*|lhs|.
-
-    That is the rule FlowReport.verdict applies to consecutive samples.  tol
-    is --tol when given, otherwise _ENDPOINT_TOL; a NaN side or an infinite
-    lhs fails, and tol = 0 asks for lhs <= rhs.  The first failure sets the
-    manifest's verdict to fails-with-witness and its witness to
-    {check, lhs, rhs, tol}.
-    """
     tol = _ENDPOINT_TOL if config.tol is None else config.tol
     for check, lhs, rhs in checks:
-        if not (math.isfinite(lhs) and lhs <= rhs + tol + tol * abs(lhs)):
+        if not within(lhs, rhs, tol):
             manifest["verdict"] = "fails-with-witness"
             manifest["witness"] = {"check": check, "lhs": lhs, "rhs": rhs, "tol": tol}
-            return False
-    return True
+            return EXIT_VIOLATION, manifest
+    return (EXIT_OK if verdict.nondecreasing else EXIT_VIOLATION), manifest
 
 
 def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
@@ -217,52 +223,43 @@ def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     from .cube import SymmetricSpec
-    from .exponents import ExponentTriple
     from .flows import discrete_flow
 
     params = config.params
-    p, q = float(params["p"]), float(params["q"])
-    z = _z_from_params(params, p)
+    t = _exponents(params)
     n = int(params["n"])
     spec = SymmetricSpec(n=n, a=_parse_complex_list(params["coeffs"]))
     ks = [int(k) for k in str(params["ks"]).split(",")] if params.get("ks") else None
-    report = discrete_flow(spec, ExponentTriple(p, q, z), ks=ks)
-    manifest = {"n": n, "p": p, "q": q, "z": z, **_flow_output(report, config, out), **report.diagnostics}
-    return (EXIT_OK if manifest["nondecreasing"] else EXIT_VIOLATION), manifest
+    report = discrete_flow(spec, t, ks=ks)
+    return _flow_result(report, config, out, {"n": n, "p": t.p, "q": t.q, "z": t.z})
 
 
 def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
-    from .exponents import ExponentTriple, conjugate_exponent
     from .flows import janson_flow
     from .hermite import PolySeries
 
     params = config.params
-    p = float(params["p"])
-    q = float(params.get("q") or conjugate_exponent(p))
-    z = _z_from_params(params, p)
+    t = _exponents(params)
     g = PolySeries(_parse_complex_list(params["coeffs"]))
-    report = janson_flow(g, ExponentTriple(p, q, z), s_grid=_s_grid(params))
-    manifest = {"p": p, "q": q, "z": z, **_flow_output(report, config, out), **report.diagnostics}
-    return (EXIT_OK if manifest["nondecreasing"] else EXIT_VIOLATION), manifest
+    report = janson_flow(g, t, s_grid=_s_grid(params))
+    return _flow_result(report, config, out, {"p": t.p, "q": t.q, "z": t.z})
 
 
 def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
-    from .exponents import ExponentTriple
     from .flows import convergence_experiment
 
     params = config.params
-    p, q = float(params["p"]), float(params["q"])
-    z = _z_from_params(params, p)
+    t = _exponents(params)
     s = float(params.get("s", 0.5))
     n_list = [int(v) for v in str(params["n_list"]).split(",")]
-    table = convergence_experiment(_parse_complex_list(params["coeffs"]), ExponentTriple(p, q, z), s, n_list)
+    table = convergence_experiment(_parse_complex_list(params["coeffs"]), t, s, n_list)
     write_convergence_csv(table, out / "convergence.csv")
     errs = [r.abs_error for r in table.rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     manifest = {
-        "p": p,
-        "q": q,
-        "z": z,
+        "p": t.p,
+        "q": t.q,
+        "z": t.z,
         "s": s,
         "slope": table.slope,
         "errors_strictly_decreasing": decreasing,
@@ -286,9 +283,8 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     else:
         raise ValueError("hy-flow needs either gaussian=true or hermite_coeffs")
     report = phi_flow(inp, s_grid=_s_grid(params))
-    verdicts = _flow_output(report, config, out)
     norm_fhat, scaled_norm = hy_endpoints(inp)
-    manifest = {
+    fields = {
         "p": p,
         "q": inp.q,
         "z": inp.z,
@@ -297,11 +293,8 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
         "constant": sharp_constant(p),
         "endpoint_norm_fhat_q": norm_fhat,
         "endpoint_scaled_norm_f_p": scaled_norm,
-        **verdicts,
-        **report.diagnostics,
     }
-    ok = _judge(manifest, [("sharp_bound", norm_fhat, scaled_norm)], config) and verdicts["nondecreasing"]
-    return (EXIT_OK if ok else EXIT_VIOLATION), manifest
+    return _flow_result(report, config, out, fields, [("sharp_bound", norm_fhat, scaled_norm)])
 
 
 def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
@@ -312,8 +305,7 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
     p = float(params["p"])
     fam = ExpFamily(atoms=tuple(_parse_atoms(params["atoms"])))
     report = exp_flow_phi(fam, p, s_grid=_s_grid(params))
-    verdicts = _flow_output(report, config, out)
-    manifest = {
+    fields = {
         "p": p,
         "q": conjugate_exponent(p),
         "z": 1j * math.sqrt(p / conjugate_exponent(p)),
@@ -322,18 +314,16 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
         "constant": sharp_constant(p),
         "endpoint_gap": report.values[-1] - report.values[0],
         "nesting": "outer-x-inner-u",
-        **verdicts,
-        **report.diagnostics,
     }
-    if verdicts["nondecreasing"]:
-        manifest["verdict"] = "holds"  # otherwise the flow's violated-at(...) stays
     checks = [("endpoints", report.values[0], report.values[-1])]
     if fam.atoms and all(abs(t.imag) <= 1e-12 for _, t in fam.atoms):
         lhs, rhs = hy_verify(fam, p)
-        manifest["final_form"] = {"lhs_norm_fhat_q": lhs, "rhs_scaled_norm_f_p": rhs}
+        fields["final_form"] = {"lhs_norm_fhat_q": lhs, "rhs_scaled_norm_f_p": rhs}
         checks.append(("final_form", lhs, rhs))
-    ok = _judge(manifest, checks, config) and verdicts["nondecreasing"]
-    return (EXIT_OK if ok else EXIT_VIOLATION), manifest
+    code, manifest = _flow_result(report, config, out, fields, checks)
+    if manifest["verdict"] == "nondecreasing":
+        manifest["verdict"] = "holds"  # hy-exp's label; a failure's label stays
+    return code, manifest
 
 
 def _cmd_selftest(config: RunConfig, out: Path) -> tuple[int, dict]:

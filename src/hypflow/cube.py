@@ -130,7 +130,9 @@ def _truncated_product(factors, ell: int) -> np.ndarray:
 
 
 def _phi_level_value(ell: int, n: int, j: int) -> float:
-    """phi_ell(x/sqrt(n)) at any point with j coordinates equal to +1."""
+    """phi_ell(x/sqrt(n)) at any point with j coordinates equal to +1; 0 for ell > n."""
+    if ell > n:
+        return 0.0
     c = 1.0 / math.sqrt(n)
     prod = _truncated_product(
         (_truncated_binomial(j, c, ell), _truncated_binomial(n - j, -c, ell)), ell
@@ -310,7 +312,8 @@ def _block_phi_matrix(l_max: int, n: int, total: int) -> np.ndarray:
     exactly in float64, above it on Python ints.  So U is exact up to the one
     rounding of the scale j! n^{-j/2} and of the final product: bit-identical
     to the binomial double sum wherever that sum was exact (total <= 2000 at
-    l_max = 5), and correctly rounded K_j beyond.
+    l_max = 5), and correctly rounded K_j beyond.  ValueError where j! or a
+    K_j leaves float range (every degree from 171, and C(total, j) > 1.8e308).
     """
     exact_in_float = all((total + j) * math.comb(total, j) < 2**53 for j in range(l_max))
     dtype = float if exact_in_float else object
@@ -325,7 +328,13 @@ def _block_phi_matrix(l_max: int, n: int, total: int) -> np.ndarray:
     scale = 1.0 / math.sqrt(n)
     out = np.empty((l_max + 1, total + 1))
     for j in range(l_max + 1):
-        out[j] = (math.factorial(j) * scale**j) * kraw[j].astype(float)
+        try:
+            out[j] = (math.factorial(j) * scale**j) * kraw[j].astype(float)
+        except OverflowError:
+            raise ValueError(
+                f"degree {l_max} at n = {n} is out of float range: {j}! or K_{j} of a "
+                f"{total}-coordinate block exceeds the largest float"
+            ) from None
     return out
 
 

@@ -321,12 +321,13 @@ def convergence_experiment(
     n_list = [int(n) for n in n_list]
     if any(b <= a_ for a_, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    # the discrete side first: it rejects a degree out of float range
+    ks = [round(s * n) for n in n_list]
+    discrete = [
+        discrete_flow(SymmetricSpec(n=n, a=np.asarray(a, dtype=complex)), t, ks=[k]).values[0]
+        for n, k in zip(n_list, ks)
+    ]
     stats = OuterStats()
     continuous = janson_mehler(PolySeries(np.asarray(a, dtype=complex)), t, s, stats=stats)
-    rows = []
-    for n in n_list:
-        k = round(s * n)
-        spec = SymmetricSpec(n=n, a=np.asarray(a, dtype=complex))
-        discrete = discrete_flow(spec, t, ks=[k]).values[0]
-        rows.append(ConvergenceRow(n=n, k=k, discrete=discrete, continuous=continuous))
+    rows = [ConvergenceRow(n=n, k=k, discrete=d, continuous=continuous) for n, k, d in zip(n_list, ks, discrete)]
     return ConvergenceTable(rows=tuple(rows), diagnostics=outer_diagnostics([(s, stats)]))

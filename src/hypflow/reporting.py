@@ -32,6 +32,15 @@ class MonotoneVerdict(NamedTuple):
         return f"violated-at({self.index}, {self.deficit:.3e})"
 
 
+def within(lhs: float, rhs: float, tol: float) -> bool:
+    """lhs <= rhs + tol + tol*|lhs|: the rule of the flow verdicts (lhs the
+    earlier sample) and of the CLI's endpoint checks.
+
+    False for a NaN side or an infinite lhs; tol = 0 asks for lhs <= rhs.
+    """
+    return math.isfinite(lhs) and lhs <= rhs + tol + tol * abs(lhs)
+
+
 class FlowReport:
     """Ordered (parameter, value) samples with a recomputable monotonicity verdict.
 
@@ -39,18 +48,16 @@ class FlowReport:
     it takes no part in the CSV.
     """
 
-    __slots__ = ("parameter_name", "samples", "tol", "diagnostics")
+    __slots__ = ("parameter_name", "samples", "diagnostics")
 
     def __init__(
         self,
         parameter_name: str,
         samples: tuple[tuple[float, float], ...],
-        tol: float = DEFAULT_TOL,
         diagnostics: dict | None = None,
     ):
         self.parameter_name = parameter_name
         self.samples = tuple((float(p), float(v)) for p, v in samples)
-        self.tol = tol
         self.diagnostics = {} if diagnostics is None else diagnostics
         params = [p for p, _ in self.samples]
         if any(b <= a for a, b in zip(params, params[1:])):
@@ -64,12 +71,14 @@ class FlowReport:
     def parameters(self) -> list[float]:
         return [p for p, _ in self.samples]
 
-    def verdict(self) -> MonotoneVerdict:
-        """A decrease counts only if it exceeds tol + tol * |previous value|.
+    def verdict(self, tol: float | None = None) -> MonotoneVerdict:
+        """A decrease counts only if a sample fails within(previous, next, tol);
+        tol defaults to DEFAULT_TOL.
 
         Raises AccuracyError if a sample is not finite: no comparison with
         it means anything.
         """
+        tol = DEFAULT_TOL if tol is None else tol
         worst_i, worst_d = None, 0.0
         vals = self.values
         for param, value in self.samples:
@@ -78,9 +87,8 @@ class FlowReport:
                     f"flow sample at {self.parameter_name} = {param:g} is {value}"
                 )
         for i in range(len(vals) - 1):
-            allowed = self.tol + self.tol * abs(vals[i])
             deficit = vals[i] - vals[i + 1]
-            if deficit > allowed and deficit > worst_d:
+            if not within(vals[i], vals[i + 1], tol) and deficit > worst_d:
                 worst_i, worst_d = i, deficit
         if worst_i is None:
             return MonotoneVerdict(True)
@@ -134,8 +142,9 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_flow_csv(report: FlowReport, path: Path | str) -> None:
-    verdict = report.verdict()
+def write_flow_csv(report: FlowReport, path: Path | str, tol: float | None = None) -> MonotoneVerdict:
+    """Write the samples and the verdict under tol (FlowReport.verdict); return that verdict."""
+    verdict = report.verdict(tol)
     lines = ["parameter,value,delta_to_prev"]
     prev = None
     for param, value in report.samples:
@@ -145,6 +154,7 @@ def write_flow_csv(report: FlowReport, path: Path | str) -> None:
     trailer = {"verdict": verdict.label, "parameter_name": report.parameter_name}
     lines.append("# " + json.dumps(trailer, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return verdict
 
 
 def write_convergence_csv(table: ConvergenceTable, path: Path | str) -> None:

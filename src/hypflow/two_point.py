@@ -23,8 +23,8 @@ batch result holds arrays over zs, with the evaluation counts summed and
 the `complete` flags joined by "and".
 
 Exponent pairs are carried by ExponentTriple, which lives in
-hypflow.exponents with conjugate_exponent so that the flow commands load
-neither this module nor its search; both are imported here as well, and
+hypflow.exponents so that the flow commands load neither this module nor
+its search; it is imported here as well, and
 `from hypflow.two_point import ExponentTriple` keeps working.
 """
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .exponents import _Z_RADIUS_SLACK, ExponentTriple, conjugate_exponent  # noqa: F401 (re-exported)
+from .exponents import _Z_RADIUS_SLACK, ExponentTriple
 
 _ANGLES = 256  # unit directions of the quadratic-form scan
 _RATIO_TOL = 1e-9  # a sup ratio up to 1 + this holds

@@ -1,6 +1,5 @@
 """CLI harness: exit codes, CSV schemas, determinism, config handling."""
 import gc
-import importlib
 import json
 import math
 import os
@@ -205,6 +204,19 @@ _BAD_ARGVS.update({
     "hy-exp --atoms nan:0.5": ["hy-exp", "--p", "1.5", "--atoms", "nan:0.5", "--s-points", "3"],
     "hy-exp --atoms 1:nan": ["hy-exp", "--p", "1.5", "--atoms", "1:nan", "--s-points", "3"],
 })
+# degrees whose j! or Krawtchouk values K_j leave float range: before, a raw
+# OverflowError traceback
+_ONES_172, _ONES_171 = ",".join(["1"] * 172), ",".join(["1"] * 171)
+_BAD_ARGVS.update({
+    f"discrete-flow degree 171 --n {n}": ["discrete-flow", "--n", str(n), "--p", "2", "--q", "4", "--coeffs", _ONES_172]
+    for n in (6, 200)
+})
+_BAD_ARGVS["converge degree 171 --n-list 200"] = [
+    "converge", "--p", "2", "--q", "4", "--coeffs", _ONES_172, "--n-list", "200"
+]
+_BAD_ARGVS["discrete-flow degree 170 --n 6000 --ks 0"] = [
+    "discrete-flow", "--n", "6000", "--ks", "0", "--p", "2", "--q", "4", "--coeffs", _ONES_171
+]
 
 
 def _config_argv(config, path: Path, out: Path) -> list:
@@ -323,14 +335,6 @@ def test_readme_cli_examples_exit_0(tmp_path):
     assert {argv[0] for argv in argvs} == set(hypflow.cli._HANDLERS)
     seen = _loads(argvs)
     assert [(argv, code) for argv, code, _ in seen[1:]] == [(argv, EXIT_OK) for argv in argvs]
-
-
-def test_package_reexports_resolve_on_first_use():
-    for name, module in hypflow._EXPORTS.items():
-        assert getattr(hypflow, name) is getattr(importlib.import_module(f"hypflow.{module}"), name)
-    assert set(hypflow.__all__) <= set(dir(hypflow))
-    with pytest.raises(AttributeError):
-        hypflow.no_such_name
 
 
 def test_janson_flow_manifest_reports_cut_and_cap_hits(tmp_path):

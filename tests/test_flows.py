@@ -19,9 +19,11 @@ from hypflow.flows import (
     janson_mehler,
     janson_quadrature,
 )
+from hypflow.gaussian_atoms import GaussianAtom
+from hypflow.hausdorff_young import _atom_flow
 from hypflow.hermite import HermiteSeries, PolySeries, gaussian_smooth, hermite_scaled_sum
 from hypflow.quadrature import gh_rule
-from hypflow.two_point import ExponentTriple, SearchBudget, extremal_ratio
+from hypflow.two_point import ExponentTriple, SearchBudget, _ratio_grid, extremal_ratio
 
 
 def test_discrete_flow_constant_is_flat():
@@ -104,6 +106,20 @@ def test_discrete_flow_validation():
     cube = spec.materialize()
     with pytest.raises(ValueError):
         discrete_flow(cube, ExponentTriple(1.5, 2.0, 0.5), backend="collapsed")
+
+
+def test_degrees_out_of_float_range():
+    # the collapsed backend rejects a degree whose j! or K_j leaves float range
+    t = ExponentTriple(2.0, 4.0, 0.5)
+    for n in (6, 200):
+        with pytest.raises(ValueError, match=f"degree 171 at n = {n} is out of float range"):
+            discrete_flow(SymmetricSpec(n=n, a=[1.0] * 172), t)
+    # degree 170: 170! is a float, but C(6000, 154) is not
+    with pytest.raises(ValueError, match="degree 170 at n = 6000 is out of float range"):
+        discrete_flow(SymmetricSpec(n=6000, a=[1.0] * 171), t, ks=[0])
+    # the naive backend: phi_ell vanishes for ell > n, so those terms drop out
+    naive = discrete_flow(SymmetricSpec(n=6, a=[1.0] * 172).materialize(), t)
+    assert naive.values == discrete_flow(SymmetricSpec(n=6, a=[1.0] * 7).materialize(), t).values
 
 
 def test_janson_constant_input():
@@ -514,3 +530,94 @@ def test_discrete_monotone_under_two_point_precondition():
         rep = discrete_flow(spec, t)
         assert rep.verdict().nondecreasing, (p, q, z)
         done += 1
+
+
+# The paper's chain, exact on product inputs.  With a_l = beta^l / l!, the
+# symmetric function is f = prod_i (1 + beta x_i / sqrt(n)); with c = beta/sqrt(n),
+#   A = (|1+c|^p + |1-c|^p)/2,  B = ((|1+zc|^q + |1-zc|^q)/2)^(p/q),
+# the discrete flow is Phi(k) = A^k B^(n-k), and A/B is the two-point ratio at
+# (1, c) to the power -p.  Its Gaussian limit is the atom e^(beta y), whose
+# Janson flow has log J(s) = log J(0) + s * _product_slope.
+
+
+def _disk_point(rng):
+    return complex(math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+
+
+def _product_draw(rng):
+    p = float(rng.uniform(1.0, 3.0))
+    q = float(rng.uniform(p, 5.0))
+    return p, q, _disk_point(rng), complex(rng.normal(), rng.normal())
+
+
+def _product_factors(p, q, z, c):
+    a = (abs(1 + c) ** p + abs(1 - c) ** p) / 2
+    b = ((abs(1 + z * c) ** q + abs(1 - z * c) ** q) / 2) ** (p / q)
+    return a, b
+
+
+def _product_slope(p, q, z, beta):
+    """(p/2) times the quadratic-form margin of two_point at w = beta."""
+    bz = beta * z
+    return (p / 2) * ((p - 2) * beta.real**2 + abs(beta) ** 2 - (q - 2) * bz.real**2 - abs(bz) ** 2)
+
+
+@pytest.mark.parametrize("n, draws", [(6, 5), (12, 5), (40, 4), (64, 3)])
+def test_product_input_discrete_flow_is_geometric(n, draws):
+    rng = np.random.default_rng(900 + n)
+    for _ in range(draws):
+        p, q, z, beta = _product_draw(rng)
+        spec = SymmetricSpec(n=n, a=[beta**ell / math.factorial(ell) for ell in range(n + 1)])
+        t = ExponentTriple(p, q, z)
+        a, b = _product_factors(p, q, z, beta / math.sqrt(n))
+        want = np.array([a**k * b ** (n - k) for k in range(n + 1)])
+        reports = [discrete_flow(spec, t)] + ([discrete_flow(spec.materialize(), t)] if n <= 12 else [])
+        for rep in reports:
+            assert np.max(np.abs(np.array(rep.values) - want) / want) <= 1e-13, (p, q, z, beta)
+
+
+def test_product_input_ratio_is_the_two_point_ratio():
+    rng = np.random.default_rng(907)
+    verdicts = set()
+    for n in (6, 12, 40):
+        for _ in range(8):
+            p, q, z, beta = _product_draw(rng)
+            c = beta / math.sqrt(n)
+            a, b = _product_factors(p, q, z, c)
+            assert abs(float(_ratio_grid(p, q, z, np.array(c)) ** -p) - a / b) <= 1e-14 * (a / b)
+            if abs(a - b) > 1e-8 * b:  # clear of the verdict's tolerance
+                spec = SymmetricSpec(n=n, a=[beta**ell / math.factorial(ell) for ell in range(n + 1)])
+                nondecreasing = discrete_flow(spec, ExponentTriple(p, q, z)).verdict().nondecreasing
+                assert nondecreasing == (a >= b), (n, p, q, z, beta)
+                verdicts.add(nondecreasing)
+    assert verdicts == {True, False}
+
+
+def test_linear_exponential_janson_flow_is_log_linear():
+    rng = np.random.default_rng(908)
+    for _ in range(200):
+        p, q, z, beta = _product_draw(rng)
+        atom = GaussianAtom(1.0, 0.0, beta)
+        log_j0 = math.log(_atom_flow(atom, p, q, z, 0.0))
+        for s in (0.25, 0.5, 1.0):
+            want = s * _product_slope(p, q, z, beta)
+            got = math.log(_atom_flow(atom, p, q, z, s)) - log_j0
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (p, q, z, beta, s)
+
+
+def test_discrete_product_ratio_tends_to_the_janson_slope():
+    # n log(A/B) -> the slope of log J at rate O(1/n): at least 8x per decade
+    # of n.  |beta| <= 1 keeps c = beta/sqrt(n) <= 0.1 from n = 100 on, where
+    # the 1/n term leads; larger |beta| needs larger n for the same rate.
+    rng = np.random.default_rng(909)
+    for _ in range(200):
+        p, q, z, _ = _product_draw(rng)
+        beta = _disk_point(rng)
+        slope = math.log(_atom_flow(GaussianAtom(1.0, 0.0, beta), p, q, z, 1.0)) - math.log(
+            _atom_flow(GaussianAtom(1.0, 0.0, beta), p, q, z, 0.0)
+        )
+        gaps = []
+        for n in (100, 1000, 10000):
+            ratio = float(_ratio_grid(p, q, z, np.array(beta / math.sqrt(n))) ** -p)
+            gaps.append(abs(n * math.log(ratio) - slope))
+        assert gaps[0] >= 8 * gaps[1] and gaps[1] >= 8 * gaps[2], (p, q, z, beta, gaps)
