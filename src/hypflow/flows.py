@@ -314,9 +314,10 @@ def convergence_experiment(
     """Discrete flow at k = round(s*n) against the continuous limit J(s).
 
     The discrete side runs the collapsed backend (block-symmetric inputs
-    only); the continuous side is the scaled-Hermite evaluator with the same
-    exponents and damping, and the table's diagnostics say how its outer
-    grids went (outer_diagnostics).
+    only); the continuous side is janson_flow(g, t, [s]), with its spot
+    check at s (EvaluatorMismatchError), and the table's diagnostics are
+    that report's: cap_hits, tail_bound and cells_kept_share, the spot
+    check's grids included.
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a_ for a_, b in zip(n_list, n_list[1:])):
@@ -327,7 +328,6 @@ def convergence_experiment(
         discrete_flow(SymmetricSpec(n=n, a=np.asarray(a, dtype=complex)), t, ks=[k]).values[0]
         for n, k in zip(n_list, ks)
     ]
-    stats = OuterStats()
-    continuous = janson_mehler(PolySeries(np.asarray(a, dtype=complex)), t, s, stats=stats)
-    rows = [ConvergenceRow(n=n, k=k, discrete=d, continuous=continuous) for n, k, d in zip(n_list, ks, discrete)]
-    return ConvergenceTable(rows=tuple(rows), diagnostics=outer_diagnostics([(s, stats)]))
+    report = janson_flow(PolySeries(np.asarray(a, dtype=complex)), t, [s])
+    rows = [ConvergenceRow(n=n, k=k, discrete=d, continuous=report.values[0]) for n, k, d in zip(n_list, ks, discrete)]
+    return ConvergenceTable(rows=tuple(rows), diagnostics=report.diagnostics)

@@ -11,10 +11,10 @@ yields the sharp constant, with Gaussians as extremizers (constant flow).
 
 phi is never computed from its literal definition (a Fourier transform at
 complex-shifted arguments); it always goes through J, which has stable
-evaluators: for a Hermite series g~ the doubled grids of
-flows.janson_mehler, for one Gaussian atom a closed form (_atom_flow), as
-|inner|^q is then the exponential of a real quadratic form and both
-averages are Gaussian integrals.  The endpoint identities *are* computed
+evaluators: flows.janson_flow for a Hermite series g~, and for one
+Gaussian atom a closed form (_atom_flow), as |inner|^q is then the
+exponential of a real quadratic form and both averages are Gaussian
+integrals.  The endpoint identities *are* computed
 independently (hy_endpoints) so the bridge is genuinely tested, not assumed.
 
 The exponential-family route uses tilted exponentials instead of
@@ -45,7 +45,7 @@ from .gaussian_atoms import (
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
 from .quadrature import QuadratureRule, gh_rule, integrate_entire
 from .reporting import FlowReport
-from .flows import OuterStats, _auto_outer, _grid_norm, default_s_grid, janson_mehler, outer_diagnostics
+from .flows import OuterStats, _auto_outer, _grid_norm, default_s_grid, janson_flow, outer_diagnostics
 
 
 def sharp_constant(p: float) -> float:
@@ -140,24 +140,21 @@ def _atom_flow(atom: GaussianAtom, p: float, q: float, z: complex, s: float) -> 
 def phi_flow(inp: HYInput, s_grid: Sequence[float] | None = None) -> FlowReport:
     """phi(s) = (J(s) p^{1/2} / q^{p/2q})^{1/p} over the grid, z = i sqrt(p-1).
 
-    The report's diagnostics are flows.outer_diagnostics of the samples:
-    cap_hits, and tail_bound and cells_kept_share on the polynomial route,
-    whose grids are doubled and cut.  The atom route (_atom_flow) forms no
-    grid: its cap_hits is always empty.
+    On the polynomial route J is flows.janson_flow of g~'s coefficients,
+    with its spot checks (EvaluatorMismatchError) and its diagnostics
+    (cap_hits, tail_bound, cells_kept_share).  The atom route (_atom_flow)
+    forms no grid: its diagnostics are {"cap_hits": []}.
     """
     grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
     p, q = inp.p, inp.q
     bridge = math.sqrt(p) / q ** (p / (2.0 * q))
-    values = []
-    stats = [OuterStats() for _ in grid]
-    for s, st in zip(grid, stats):
-        s = float(s)
-        if inp.g_tilde is not None:
-            j_val = janson_mehler(PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), s, stats=st)
-        else:
-            j_val = _atom_flow(inp.g_tilde_atom(), p, q, inp.z, s)
-        values.append((j_val * bridge) ** (1.0 / p))
-    diagnostics = outer_diagnostics(list(zip(grid, stats)))
+    if inp.g_tilde is not None:
+        janson = janson_flow(PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), grid)
+        j_values, diagnostics = janson.values, janson.diagnostics
+    else:
+        j_values = [_atom_flow(inp.g_tilde_atom(), p, q, inp.z, float(s)) for s in grid]
+        diagnostics = {"cap_hits": []}
+    values = [(j_val * bridge) ** (1.0 / p) for j_val in j_values]
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 

@@ -26,18 +26,6 @@ from numpy.polynomial import hermite_e as _herme
 from numpy.polynomial import polynomial as _poly
 
 
-def hermite_eval(ell: int, x: complex | np.ndarray) -> complex | np.ndarray:
-    """H_ell(x) by the three-term recurrence; x may be complex or an array."""
-    if ell < 0:
-        raise ValueError("Hermite degree must be nonnegative")
-    x = np.asarray(x)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for m in range(ell):
-        prev, cur = cur, x * cur - m * prev
-    return cur if cur.ndim else cur[()]
-
-
 def hermite_scaled_sum(coeffs: np.ndarray, x: np.ndarray, sigma: complex) -> np.ndarray:
     """sum_ell c_ell h_ell(x; sigma), h_ell(x; sigma) = sigma^{ell/2} H_ell(x / sqrt(sigma)).
 
@@ -184,15 +172,7 @@ def heat_poly_series(s: complex, h: PolySeries) -> PolySeries:
             continue
         sj = 1.0 + 0.0j
         for j in range(m // 2 + 1):
-            out[m - 2 * j] += c * math.comb(m, 2 * j) * _double_factorial_odd(j) * sj
+            out[m - 2 * j] += c * math.comb(m, 2 * j) * math.prod(range(1, 2 * j, 2)) * sj
             sj *= s
     return PolySeries(out)
-
-
-def _double_factorial_odd(j: int) -> int:
-    """(2j-1)!! with the empty-product convention (j=0 -> 1)."""
-    val = 1
-    for i in range(1, j + 1):
-        val *= 2 * i - 1
-    return val
 

@@ -1,9 +1,9 @@
 """The acceptance criteria: one registry behind `hypflow selftest` and the tests.
 
-CRITERIA lists the ten criteria in order as (name, body); body(recorder, rng,
-quick) records the checks at their tolerances, and `quick` scales the draw
-counts and grid sizes down.  `hypflow selftest` gives each entry its own
-stream, spawned from one seed through numpy's SeedSequence.
+CRITERIA lists the ten criteria in order as (name, body); body(result, rng,
+quick) records the checks into a SuiteResult at their tolerances, and
+`quick` scales the draw counts and grid sizes down.  `hypflow selftest`
+gives each entry its own stream, spawned from one seed (SeedSequence).
 """
 from __future__ import annotations
 
@@ -33,52 +33,38 @@ from .hausdorff_young import (
     lemma_F_check,
     phi_flow,
 )
-from .hermite import PolySeries, gaussian_smooth, hermite_eval
+from .hermite import HermiteSeries, PolySeries, gaussian_smooth
 from .quadrature import gh_rule
 from .two_point import SearchBudget, disk_grid, extremal_ratio, real_failure_threshold, region_scan
 
 
 class SuiteResult:
-    """One criterion's outcome; to_json() is its entry in the selftest manifest."""
+    """One criterion's outcome, recorded check by check; to_json() is its manifest entry."""
 
     __slots__ = ("name", "passed", "checks", "worst_error_over_tol", "failures", "elapsed_s")
 
-    def __init__(
-        self,
-        name: str,
-        passed: bool,
-        checks: int,
-        worst_error_over_tol: float,
-        failures: list[str] | None = None,
-        elapsed_s: float = 0.0,
-    ):
-        self.name = name
-        self.passed = passed
-        self.checks = checks
-        self.worst_error_over_tol = worst_error_over_tol
-        self.failures = [] if failures is None else failures
-        self.elapsed_s = elapsed_s
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-class _Recorder:
     def __init__(self, name: str):
-        self.result = SuiteResult(name=name, passed=True, checks=0, worst_error_over_tol=0.0)
+        self.name = name
+        self.passed = True
+        self.checks = 0
+        self.worst_error_over_tol = 0.0
+        self.failures: list[str] = []
+        self.elapsed_s = 0.0
 
     def check(self, label: str, error: float, tol: float) -> None:
         ratio = error / tol if tol else error
         # max() would drop a NaN ratio and keep the old worst
-        worst = self.result.worst_error_over_tol
-        self.result.worst_error_over_tol = max(worst, ratio) if math.isfinite(error) else math.inf
+        self.worst_error_over_tol = max(self.worst_error_over_tol, ratio) if math.isfinite(error) else math.inf
         self.require(f"{label}: error {error:.3e} > tol {tol:.1e}", error <= tol)
 
     def require(self, label: str, condition: bool) -> None:
-        self.result.checks += 1
+        self.checks += 1
         if not condition:
-            self.result.passed = False
-            self.result.failures.append(label)
+            self.passed = False
+            self.failures.append(label)
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _complex_poly(rng: np.random.Generator, max_degree: int) -> PolySeries:
@@ -86,7 +72,7 @@ def _complex_poly(rng: np.random.Generator, max_degree: int) -> PolySeries:
     return PolySeries(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
 
 
-def _sharp_constant(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _sharp_constant(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     for p in (4 / 3, 3 / 2, 2.0):
         q = conjugate_exponent(p)
         norm_fhat, scaled = hy_endpoints(gaussian_extremizer_input(p))
@@ -97,7 +83,7 @@ def _sharp_constant(rec: _Recorder, rng: np.random.Generator, quick: bool) -> No
         rec.check(f"endpoint equality at p={p:.4g}", abs(norm_fhat - scaled), 1e-8 * scaled)
 
 
-def _continuous_monotone(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _continuous_monotone(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     polys = [PolySeries([1.0, 2.0, 0.0, 1.0])]
     polys += [_complex_poly(rng, 6) for _ in range(1 if quick else 10)]
     for p in (4 / 3,) if quick else (4 / 3, 3 / 2):
@@ -108,7 +94,7 @@ def _continuous_monotone(rec: _Recorder, rng: np.random.Generator, quick: bool) 
             rec.check(f"deficit at p={p:.4g}, g={g.coeffs}", -report.min_delta(), 1e-9)
 
 
-def _three_evaluators(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _three_evaluators(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     for _ in range(6 if quick else 30):
         g = _complex_poly(rng, 8)
         p = float(rng.uniform(1.0, 4.0))
@@ -124,7 +110,7 @@ def _three_evaluators(rec: _Recorder, rng: np.random.Generator, quick: bool) -> 
         rec.check(f"quadrature vs heat at {at}", abs(a - c), 1e-6 * max(abs(a), 1e-30))
 
 
-def _discrete_monotone(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _discrete_monotone(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     done = 0
     while done < (3 if quick else 10):
         p = float(rng.uniform(1.0, 3.0))
@@ -144,7 +130,7 @@ def _discrete_monotone(rec: _Recorder, rng: np.random.Generator, quick: bool) ->
         done += 1
 
 
-def _convergence(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _convergence(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     p = 4 / 3
     t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1.0))
     n_list = [64, 256, 1024] if quick else [64, 256, 1024, 4096]
@@ -154,7 +140,7 @@ def _convergence(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
     rec.require(f"slope {table.slope} <= -0.4", table.slope is not None and table.slope <= -0.4)
 
 
-def _beckner(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _beckner(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     for ell in range(1, 7):
         scaled_low = []
         for n in (8, 12, 16, 23, 32, 47, 64):
@@ -176,11 +162,11 @@ def _beckner(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
             x = np.array([-1.0 if mask >> j & 1 else 1.0 for j in range(n)])
             lhs = phi_symmetric(3, x / math.sqrt(n)).real
             tval = x.sum() / math.sqrt(n)
-            rhs = sum(c[m].real * hermite_eval(m, tval) for m in range(4))
+            rhs = HermiteSeries(c.real)(tval)
             rec.check(f"phi_3 identity n={n} mask={mask}", abs(lhs - rhs), 1e-11)
 
 
-def _two_point(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _two_point(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     for p, q in ((2.0, 4.0), (1.5, 3.0), (2.5, 2.8)):
         for row in region_scan(p, q, disk_grid(0.25 if quick else 0.1)):
             if row.global_holds:
@@ -189,12 +175,12 @@ def _two_point(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
     rec.require(f"real threshold {threshold} in [0.567, 0.587]", 0.567 <= threshold <= 0.587)
 
 
-def _gaussian_constant(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _gaussian_constant(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     values = phi_flow(gaussian_extremizer_input(4 / 3), s_grid=[0.0, 0.25, 0.5, 0.75, 1.0]).values
     rec.check(f"spread of {values}", max(values) - min(values), 1e-14 * max(values))
 
 
-def _exp_family(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _exp_family(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     for _ in range(10 if quick else 50):
         zeta = complex(rng.normal(), rng.normal())
         x = complex(rng.normal(), rng.normal())
@@ -219,7 +205,7 @@ def _exp_family(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
             rec.check(label, sides[0] - sides[1], 1e-8 * max(sides[1], 1.0))
 
 
-def _hy_sides(rec: _Recorder, label: str, fam: ExpFamily, p: float) -> tuple[float, float] | None:
+def _hy_sides(rec: SuiteResult, label: str, fam: ExpFamily, p: float) -> tuple[float, float] | None:
     """hy_verify's two sides, or None once an unresolved norm is recorded as a failed check."""
     try:
         return hy_verify(fam, p)
@@ -228,7 +214,7 @@ def _hy_sides(rec: _Recorder, label: str, fam: ExpFamily, p: float) -> tuple[flo
         return None
 
 
-def _infrastructure(rec: _Recorder, rng: np.random.Generator, quick: bool) -> None:
+def _infrastructure(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     for n in (1, 2, 3, 4, 8, 16, 32, 64):  # Gauss rules are exact through degree 2N-1
         rule = gh_rule(n)
         for m in range(2 * n):
@@ -259,11 +245,11 @@ CRITERIA = (
 def run_criterion(index: int, rng: np.random.Generator, quick: bool = False) -> SuiteResult:
     """Run one registry entry and time it."""
     name, body = CRITERIA[index]
-    rec = _Recorder(name)
+    rec = SuiteResult(name)
     start = time.monotonic()
     body(rec, rng, quick)
-    rec.result.elapsed_s = time.monotonic() - start
-    return rec.result
+    rec.elapsed_s = time.monotonic() - start
+    return rec
 
 
 def run_selftest(seed: int, quick: bool = False) -> list[SuiteResult]:

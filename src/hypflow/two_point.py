@@ -75,45 +75,19 @@ def infinitesimal_margin_min(t: ExponentTriple, zs=None):
     return float(margins) if zs is None else margins
 
 
-class SearchBudget:
+class SearchBudget(NamedTuple):
     """Grid and refinement budget for the extremal-ratio search.
 
-    Hashable and compared by its fields: it is a key of _search_grid's cache.
+    Hashable and compared by its fields, it keys _search_grid's cache.
+    Every search builds its grid there first, which raises ValueError on a
+    non-finite field, grid_step <= 0, grid_radius < 0, refine_tol <= 0 or
+    max_evals < 1, however the budget was built (_replace and _make too).
     """
 
-    __slots__ = ("grid_radius", "grid_step", "refine_tol", "max_evals")
-
-    def __init__(
-        self,
-        grid_radius: float = 8.0,
-        grid_step: float = 0.05,
-        refine_tol: float = 1e-6,
-        max_evals: int = 2_000_000,
-    ):
-        self.grid_radius = grid_radius
-        self.grid_step = grid_step
-        self.refine_tol = refine_tol
-        self.max_evals = max_evals
-        values = self._key()
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"search budget fields must be finite, got {self}")
-        if not (grid_step > 0 and grid_radius >= 0 and refine_tol > 0 and max_evals >= 1):
-            raise ValueError(
-                "search budget needs grid_step > 0, grid_radius >= 0, refine_tol > 0 "
-                f"and max_evals >= 1, got {self}"
-            )
-
-    def _key(self) -> tuple:
-        return (self.grid_radius, self.grid_step, self.refine_tol, self.max_evals)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is SearchBudget else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "SearchBudget(grid_radius={!r}, grid_step={!r}, refine_tol={!r}, max_evals={!r})".format(*self._key())
+    grid_radius: float = 8.0
+    grid_step: float = 0.05
+    refine_tol: float = 1e-6
+    max_evals: int = 2_000_000
 
     @classmethod
     def reduced(cls) -> "SearchBudget":
@@ -159,21 +133,27 @@ class _SearchGrid(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _search_grid(budget: SearchBudget, p: float) -> _SearchGrid:
-    half = int(round(budget.grid_radius / budget.grid_step))
-    axis = budget.grid_step * np.arange(-half, half + 1)  # contains 0 exactly
+    radius, step, tol, evals = budget
+    if not (all(math.isfinite(v) for v in budget) and step > 0 and radius >= 0 and tol > 0 and evals >= 1):
+        raise ValueError(
+            "search budget needs finite fields, grid_step > 0, grid_radius >= 0, refine_tol > 0 "
+            f"and max_evals >= 1, got {budget}"
+        )
+    half = int(round(radius / step))
+    axis = step * np.arange(-half, half + 1)  # contains 0 exactly
     lattice = (axis[:, None] + 1j * axis[None, :]).ravel()
     # Ravel index k holds -b where index N^2-1-k holds b, bit for bit, and the
     # ratio at a = 1 is even in b: keep the first of each pair and the centre.
     lattice = lattice[: lattice.size // 2 + 1]
     angles = np.exp(1j * np.linspace(0.0, np.pi, 64, endpoint=False))  # b ~ -b
-    radii = budget.grid_step * 2.0 ** -np.arange(0, 8)
+    radii = step * 2.0 ** -np.arange(0, 8)
     polar = (radii[:, None] * angles[None, :]).ravel()
     points = np.concatenate((lattice, polar))
-    complete = points.size <= budget.max_evals
-    points = points[: budget.max_evals]
+    complete = points.size <= evals
+    points = points[:evals]
     levels = []
-    h = budget.grid_step
-    while h > budget.refine_tol:  # halving is exact, so these are the compass's step sizes
+    h = step
+    while h > tol:  # halving is exact, so these are the compass's step sizes
         levels.append(h * _COMPASS)
         h *= 0.5
     steps = np.array(levels).reshape(-1, _COMPASS.size)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hypflow.cli
-from hypflow import gaussian_atoms, hausdorff_young, quadrature, selftest
+from hypflow import flows, gaussian_atoms, hausdorff_young, quadrature, selftest
 from hypflow.errors import AccuracyError
 from hypflow.hermite import HermiteSeries
 from hypflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run_command
@@ -675,13 +675,13 @@ def test_selftest_failing_check_exits_2(tmp_path, monkeypatch):
 
 
 def test_recorder_reports_a_nan_error_as_infinitely_bad():
-    rec = selftest._Recorder("nan")
+    rec = selftest.SuiteResult("nan")
     rec.check("fine", 0.5, 1.0)
     rec.check("nan", float("nan"), 1.0)
     rec.check("fine again", 0.25, 1.0)
-    assert not rec.result.passed and rec.result.checks == 3
-    assert rec.result.failures == ["nan: error nan > tol 1.0e+00"]
-    assert rec.result.worst_error_over_tol == math.inf
+    assert not rec.passed and rec.checks == 3
+    assert rec.failures == ["nan: error nan > tol 1.0e+00"]
+    assert rec.worst_error_over_tol == math.inf
 
 
 def test_converge_command(tmp_path):
@@ -711,6 +711,26 @@ def test_converge_command(tmp_path):
     continuous = manifest["continuous"]
     assert continuous["cap_hits"] == []
     assert 0.0 < continuous["tail_bound"] <= 1e-15 and 0.0 < continuous["cells_kept_share"] < 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hy-flow", "--p", "1.5", "--hermite-coeffs", "1,2,0,1", "--s-points", "3"],
+        ["converge", "--p", str(4 / 3), "--q", "4", "--coeffs", "0,1,0,1", "--n-list", "16,64"],
+    ],
+    ids=["hy-flow", "converge"],
+)
+def test_polynomial_flows_report_an_evaluator_mismatch(args, tmp_path, monkeypatch):
+    # both sample J through janson_flow, so its quadrature spot check runs:
+    # a reference off by ten times its 1e-6 tolerance is a witness, exit 2
+    quadrature_j = flows.janson_quadrature
+    monkeypatch.setattr(flows, "janson_quadrature", lambda *a, **kw: quadrature_j(*a, **kw) * (1 + 1e-5))
+    code, out = run(args, tmp_path)
+    assert code == EXIT_VIOLATION
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdict"] == "fails-with-witness"
+    assert "evaluators disagree at s = " in manifest["violation"]
 
 
 def test_empty_flow_report_writes_header_only(tmp_path):

@@ -216,6 +216,41 @@ def test_janson_flow_report_and_mismatch_error(monkeypatch):
     janson_flow(g, t, s_grid=[0.0, 0.5, 1.0])
 
 
+def test_three_inner_polynomials_agree_at_every_sample(monkeypatch):
+    # Each evaluator hands its inner average to _janson_outer as a polynomial
+    # in X = sqrt(s) u + z sqrt(1-s) x: scaled Hermite h_l(X; sigma) for
+    # mehler, monomials for quadrature and heat.  On the 64-node product grid
+    # all three agree within 1e-12 of sum |c_m| |X|^m over 300 draws from
+    # acceptance criterion 3's distribution (measured 1.23e-13).  Dropping the
+    # phase of z^2 in janson_heat's complex time, (1-s)(1 - |z|^2), fails it.
+    captured = []
+    monkeypatch.setattr(flows, "_janson_outer", lambda c, kappa, *rest: captured.append((c, kappa)) or 0.0)
+    rng = np.random.default_rng(11)
+    nodes = gh_rule(64).nodes
+    for _ in range(300):
+        g = _random_poly(rng)
+        p = float(rng.uniform(1.0, 4.0))
+        q = float(rng.uniform(p, 4.0))
+        z = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        s = float(rng.uniform(0.05, 0.95))
+        t = ExponentTriple(p, q, complex(z))
+        captured.clear()
+        janson_quadrature(g, t, s)
+        janson_mehler(g, t, s)
+        janson_heat(gaussian_smooth(g), t, s)
+        (quad, k_quad), (mehler, k_mehler), (heat, k_heat) = captured
+        assert (k_quad, k_mehler, k_heat) == (0.0, 1.0, 0.0)
+        x = math.sqrt(s) * nodes[:, None] + z * math.sqrt(1.0 - s) * nodes[None, :]
+        values = [
+            np.polynomial.polynomial.polyval(x, quad),
+            hermite_scaled_sum(mehler, x, s + (1.0 - s) * z * z),
+            np.polynomial.polynomial.polyval(x, heat),
+        ]
+        scale = np.polynomial.polynomial.polyval(np.abs(x), np.abs(quad))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert np.all(np.abs(values[i] - values[j]) <= 1e-12 * scale), (i, j, g.coeffs, t, s)
+
+
 # ------------------------------------------------ outer-grid tail cut
 
 _EVALUATORS = {

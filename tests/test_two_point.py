@@ -138,8 +138,11 @@ def test_extremal_ratio_budget_flag():
     ],
 )
 def test_search_budget_rejects_invalid_fields(fields):
-    with pytest.raises(ValueError):
-        SearchBudget(**fields)
+    # every search checks its budget, however the budget was built
+    t = ExponentTriple(2.0, 4.0, 0.3)
+    for budget in (SearchBudget(**fields), SearchBudget()._replace(**fields)):
+        with pytest.raises(ValueError):
+            extremal_ratio(t, budget)
 
 
 def test_search_budget_accepts_edge_values():
