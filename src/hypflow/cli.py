@@ -43,7 +43,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import __version__
 from .errors import HypflowError
@@ -73,27 +73,17 @@ _FIELD_TYPES = {
 }
 
 
-class RunConfig:
-    """Fully serializable description of one run."""
+class RunConfig(NamedTuple):
+    """Fully serializable description of one run; its JSON form is its fields."""
 
-    __slots__ = ("command", "params", "out", "seed", "tol")
-
-    def __init__(
-        self,
-        command: str,
-        params: dict[str, Any],
-        out: str = ".",
-        seed: int = DEFAULT_SEED,
-        tol: float | None = None,
-    ):
-        self.command = command
-        self.params = params
-        self.out = out
-        self.seed = seed
-        self.tol = tol
+    command: str
+    params: dict[str, Any]
+    out: str = "."
+    seed: int = DEFAULT_SEED
+    tol: float | None = None
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return self._asdict()
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -121,16 +111,20 @@ def _finite_complex(text: str) -> complex:
     return value
 
 
-def _parse_complex_list(text: str) -> list[complex]:
-    return [_finite_complex(part.strip().replace(" ", "")) for part in text.split(",") if part.strip()]
+def _listed(params: dict, key: str) -> list[str]:
+    """The nonblank comma-separated parts of params[key]; ValueError unless it is a string."""
+    if not isinstance(text := params[key], str):
+        raise ValueError(f"{key} must be a comma-separated string, got {text!r}")
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _parse_atoms(text: str) -> list[tuple[complex, complex]]:
+def _parse_complex_list(params: dict, key: str) -> list[complex]:
+    return [_finite_complex(part.replace(" ", "")) for part in _listed(params, key)]
+
+
+def _parse_atoms(params: dict) -> list[tuple[complex, complex]]:
     atoms = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _listed(params, "atoms"):
         c_str, _, t_str = chunk.partition(":")
         if not t_str:
             raise ValueError(f"atom {chunk!r} must look like amplitude:frequency")
@@ -148,7 +142,7 @@ def _exponents(params: dict):
     if params.get("z_re") is None and params.get("z_im") is None:
         z = 1j * math.sqrt(p - 1.0)
     else:
-        z = complex(params.get("z_re") or 0.0, params.get("z_im") or 0.0)
+        z = complex(float(params.get("z_re") or 0.0), float(params.get("z_im") or 0.0))
     return ExponentTriple(p, q, z)
 
 
@@ -228,7 +222,7 @@ def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     params = config.params
     t = _exponents(params)
     n = int(params["n"])
-    spec = SymmetricSpec(n=n, a=_parse_complex_list(params["coeffs"]))
+    spec = SymmetricSpec(n=n, a=_parse_complex_list(params, "coeffs"))
     ks = [int(k) for k in str(params["ks"]).split(",")] if params.get("ks") else None
     report = discrete_flow(spec, t, ks=ks)
     return _flow_result(report, config, out, {"n": n, "p": t.p, "q": t.q, "z": t.z})
@@ -240,7 +234,7 @@ def _cmd_janson_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
 
     params = config.params
     t = _exponents(params)
-    g = PolySeries(_parse_complex_list(params["coeffs"]))
+    g = PolySeries(_parse_complex_list(params, "coeffs"))
     report = janson_flow(g, t, s_grid=_s_grid(params))
     return _flow_result(report, config, out, {"p": t.p, "q": t.q, "z": t.z})
 
@@ -252,7 +246,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
     t = _exponents(params)
     s = float(params.get("s", 0.5))
     n_list = [int(v) for v in str(params["n_list"]).split(",")]
-    table = convergence_experiment(_parse_complex_list(params["coeffs"]), t, s, n_list)
+    table = convergence_experiment(_parse_complex_list(params, "coeffs"), t, s, n_list)
     write_convergence_csv(table, out / "convergence.csv")
     errs = [r.abs_error for r in table.rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -279,7 +273,7 @@ def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     if params.get("gaussian"):
         inp = gaussian_extremizer_input(p)
     elif params.get("hermite_coeffs"):
-        inp = HYInput(p=p, g_tilde=HermiteSeries(_parse_complex_list(params["hermite_coeffs"])))
+        inp = HYInput(p=p, g_tilde=HermiteSeries(_parse_complex_list(params, "hermite_coeffs")))
     else:
         raise ValueError("hy-flow needs either gaussian=true or hermite_coeffs")
     report = phi_flow(inp, s_grid=_s_grid(params))
@@ -303,7 +297,7 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
 
     params = config.params
     p = float(params["p"])
-    fam = ExpFamily(atoms=tuple(_parse_atoms(params["atoms"])))
+    fam = ExpFamily(atoms=tuple(_parse_atoms(params)))
     report = exp_flow_phi(fam, p, s_grid=_s_grid(params))
     fields = {
         "p": p,

@@ -29,10 +29,6 @@ import numpy as np
 ENUMERATION_CAP = 24  # 2^n complex values; above this only collapsed inputs
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks)
-
-
 def hadamard_transform(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard butterfly: out[m] = sum_S (-1)^{popcount(m&S)} v[S]."""
     size = values.size
@@ -87,15 +83,14 @@ def apply_Tzk(f: CubeFunction, z: complex, k: int) -> CubeFunction:
     """fhat(S) -> z^{|S & {k+1..n}|} fhat(S); k = n is the identity, k = 0 full damping."""
     if not 0 <= k <= f.n:
         raise ValueError(f"split index must satisfy 0 <= k <= {f.n}, got {k}")
-    masks = np.arange(1 << f.n, dtype=np.uint64)
-    counts = _popcount(masks >> np.uint64(k))
+    counts = np.bitwise_count(np.arange(1 << f.n, dtype=np.uint64) >> np.uint64(k))
     return CubeFunction(f.n, f.coeffs * complex(z) ** counts)
 
 
 def phi_symmetric(ell: int, inputs) -> complex:
     """ell! * e_ell(inputs) via the truncated generating product prod(1 + t*x_j).
 
-    Returns 0 when ell exceeds the number of inputs.
+    Returns 0 when ell exceeds the number of inputs.  The naive backend's only phi_ell.
     """
     if ell < 0:
         raise ValueError("symmetric-function degree must be nonnegative")
@@ -105,39 +100,8 @@ def phi_symmetric(ell: int, inputs) -> complex:
     partial = np.zeros(ell + 1, dtype=complex)
     partial[0] = 1.0
     for v in inputs:
-        upper = min(ell, inputs.size)
-        partial[1 : upper + 1] = partial[1 : upper + 1] + v * partial[0:upper]
+        partial[1:] += v * partial[:-1]
     return complex(math.factorial(ell) * partial[ell])
-
-
-def _truncated_binomial(count: int, coeff: complex, ell: int) -> np.ndarray:
-    """Coefficients of (1 + coeff*t)^count through degree ell."""
-    out = np.zeros(ell + 1, dtype=complex)
-    out[0] = 1.0
-    term = 1.0 + 0.0j
-    for j in range(1, min(ell, count) + 1):
-        term *= coeff * (count - j + 1) / j
-        out[j] = term
-    return out
-
-
-def _truncated_product(factors, ell: int) -> np.ndarray:
-    acc = np.zeros(ell + 1, dtype=complex)
-    acc[0] = 1.0
-    for fac in factors:
-        acc = np.convolve(acc, fac)[: ell + 1]
-    return acc
-
-
-def _phi_level_value(ell: int, n: int, j: int) -> float:
-    """phi_ell(x/sqrt(n)) at any point with j coordinates equal to +1; 0 for ell > n."""
-    if ell > n:
-        return 0.0
-    c = 1.0 / math.sqrt(n)
-    prod = _truncated_product(
-        (_truncated_binomial(j, c, ell), _truncated_binomial(n - j, -c, ell)), ell
-    )
-    return float(np.real(math.factorial(ell) * prod[ell]))
 
 
 class BecknerExpansion(NamedTuple):
@@ -244,18 +208,20 @@ class SymmetricSpec:
     def degree(self) -> int:
         return self.a.size - 1
 
+    def level_values(self) -> np.ndarray:
+        """f_n by its count j = 0..n of +1 coordinates: phi_symmetric at a point of j entries 1/sqrt(n)
+        and n - j entries -1/sqrt(n), sharing nothing with the collapsed backend's Krawtchouk matrices."""
+        out = np.zeros(self.n + 1, dtype=complex)
+        for j in range(self.n + 1):
+            point = np.r_[np.ones(j), -np.ones(self.n - j)] / math.sqrt(self.n)
+            out[j] = sum(c * phi_symmetric(ell, point) for ell, c in enumerate(self.a) if c != 0)
+        return out
+
     def materialize(self) -> CubeFunction:
-        """Explicit CubeFunction (n <= 24 only); values depend on the sum level alone."""
+        """Explicit CubeFunction (n <= 24 only), spread from level_values by the count of +1s."""
         if self.n > ENUMERATION_CAP:
             raise ValueError(f"cannot enumerate 2^{self.n} points; use the collapsed backend")
-        level_values = np.zeros(self.n + 1, dtype=complex)
-        for j in range(self.n + 1):
-            for ell, c in enumerate(self.a):
-                if c != 0:
-                    level_values[j] += c * _phi_level_value(ell, self.n, j)
-        masks = np.arange(1 << self.n, dtype=np.uint32)
-        plus_counts = self.n - _popcount(masks)
-        return walsh_analyze(level_values[plus_counts])
+        return walsh_analyze(self.level_values()[self.n - np.bitwise_count(np.arange(1 << self.n, dtype=np.uint32))])
 
 
 # ------------------------------------------------- collapsed backend

@@ -88,9 +88,9 @@ _AUTO_RTOL = 1e-10
 _GRID_SHARE = 1e-28
 
 
-def default_s_grid() -> np.ndarray:
-    """21 equispaced samples of [0, 1]."""
-    return np.linspace(0.0, 1.0, 21)
+def s_samples(s_grid: Sequence[float] | None) -> np.ndarray:
+    """The flows' s-grid as a float array: 21 equispaced samples of [0, 1] when None."""
+    return np.linspace(0.0, 1.0, 21) if s_grid is None else np.asarray(list(s_grid), dtype=float)
 
 
 def discrete_flow(
@@ -291,7 +291,7 @@ def janson_flow(g: PolySeries, t: ExponentTriple, s_grid: Sequence[float] | None
     node doubling stopped at the cap without meeting its tolerance
     (cap_hits).
     """
-    grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
+    grid = s_samples(s_grid)
     stats = [OuterStats() for _ in grid]
     values = [janson_mehler(g, t, float(s), stats=st) for s, st in zip(grid, stats)]
     spot = OuterStats()

@@ -45,7 +45,7 @@ from .gaussian_atoms import (
 from .hermite import HermiteSeries, PolySeries, basis_convert, heat_poly_series
 from .quadrature import QuadratureRule, gh_rule, integrate_entire
 from .reporting import FlowReport
-from .flows import OuterStats, _auto_outer, _grid_norm, default_s_grid, janson_flow, outer_diagnostics
+from .flows import OuterStats, _auto_outer, _grid_norm, janson_flow, outer_diagnostics, s_samples
 
 
 def sharp_constant(p: float) -> float:
@@ -145,7 +145,7 @@ def phi_flow(inp: HYInput, s_grid: Sequence[float] | None = None) -> FlowReport:
     (cap_hits, tail_bound, cells_kept_share).  The atom route (_atom_flow)
     forms no grid: its diagnostics are {"cap_hits": []}.
     """
-    grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
+    grid = s_samples(s_grid)
     p, q = inp.p, inp.q
     bridge = math.sqrt(p) / q ** (p / (2.0 * q))
     if inp.g_tilde is not None:
@@ -263,7 +263,7 @@ def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None
     """
     q = conjugate_exponent(p)
     z = 1j * math.sqrt(p / q)
-    grid = default_s_grid() if s_grid is None else np.asarray(list(s_grid), dtype=float)
+    grid = s_samples(s_grid)
     stats: dict[float, OuterStats] = {}
 
     @functools.cache  # the ends are asked for twice: on the grid and for the finiteness check

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from hypflow.cube import _truncated_binomial, _truncated_product, log_binomial_weights, phi_symmetric
+from hypflow.cube import log_binomial_weights, phi_symmetric
 from hypflow.gaussian_atoms import (
     GaussianAtom,
     _require_damping,
@@ -87,28 +87,27 @@ class BlockCounts:
             raise ValueError(f"invalid block counts {self} for n = {n}")
 
 
+def block_sum(j: int, plus: int, minus: int) -> int:
+    """e_j of `plus` entries +1 and `minus` entries -1, exactly: the t^j coefficient of (1+t)^plus (1-t)^minus."""
+    return sum(math.comb(plus, i) * math.comb(minus, j - i) * (-1) ** (j - i) for i in range(j + 1))
+
+
 def phi_block_eval(ell: int, n: int, counts: BlockCounts, z: complex) -> complex:
     """phi_ell at the block point (x'/sqrt(n), z x''/sqrt(n)) with given counts.
 
     Any representative with `a` of +1 among the first k coordinates and `b`
-    of +1 among the rest gives the same value; the generating polynomial
-    (1+t/sn)^a (1-t/sn)^{k-a} (1+zt/sn)^b (1-zt/sn)^{n-k-b} with
-    sn = sqrt(n) is truncated at degree ell and the coefficient of t^ell is
-    scaled by ell!.
+    of +1 among the rest gives the same value,
+
+        ell! n^{-ell/2} sum_m z^m E_{ell-m}(a, k-a) E_m(b, n-k-b),
+
+    with the block sums E_j = block_sum taken in Python integers, so only
+    the powers of z and the final scaling are rounded.
     """
     counts.validate(n)
-    c = 1.0 / math.sqrt(n)
-    zc = complex(z) * c
-    prod = _truncated_product(
-        (
-            _truncated_binomial(counts.a, c, ell),
-            _truncated_binomial(counts.k - counts.a, -c, ell),
-            _truncated_binomial(counts.b, zc, ell),
-            _truncated_binomial(n - counts.k - counts.b, -zc, ell),
-        ),
-        ell,
-    )
-    return complex(math.factorial(ell) * prod[ell])
+    first = [block_sum(j, counts.a, counts.k - counts.a) for j in range(ell + 1)]
+    second = [block_sum(m, counts.b, n - counts.k - counts.b) for m in range(ell + 1)]
+    total = sum(complex(z) ** m * (first[ell - m] * second[m]) for m in range(ell + 1))
+    return complex(math.factorial(ell) * total / math.sqrt(n) ** ell)
 
 
 def _exp_family_value(fam: ExpFamily, w) -> np.ndarray:

@@ -307,6 +307,35 @@ def test_bad_input_exits_1_without_traceback(argv, config, tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, params, key",
+    [
+        ("janson-flow", {"p": 1.5, "coeffs": [1, 2]}, "coeffs"),
+        ("discrete-flow", {"n": 6, "p": 2.0, "q": 4.0, "coeffs": [0, 1]}, "coeffs"),
+        ("converge", {"p": 1.5, "q": 3.0, "coeffs": [0, 1], "n_list": "16,64"}, "coeffs"),
+        ("hy-flow", {"p": 1.5, "hermite_coeffs": [1, 0.5]}, "hermite_coeffs"),
+        ("hy-exp", {"p": 1.5, "atoms": ["1:0.5"]}, "atoms"),
+    ],
+    ids=["janson-flow coeffs", "discrete-flow coeffs", "converge coeffs", "hy-flow hermite_coeffs", "hy-exp atoms"],
+)
+def test_config_list_for_a_string_exits_1_naming_the_key(command, params, key, tmp_path, capsys):
+    argv = _config_argv({"command": command, "params": params}, tmp_path / "run.json", tmp_path / "out")
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be a comma-separated string") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("key", ["z_re", "z_im"])
+def test_config_damping_given_as_a_string_reads_as_a_number(key, tmp_path):
+    # as p does: "0.5" runs the flow that 0.5 runs
+    params = {"p": 1.5, "coeffs": "1,1j", "s_points": 3}
+    for i, value in enumerate((0.5, "0.5")):
+        config = {"command": "janson-flow", "params": {**params, key: value}}
+        assert main(_config_argv(config, tmp_path / f"{i}.json", tmp_path / str(i))) == EXIT_OK
+    assert (tmp_path / "0" / "flow.csv").read_bytes() == (tmp_path / "1" / "flow.csv").read_bytes()
+
+
 def test_removed_nodes_flag_exits_1_without_traceback(tmp_path):
     argv = ["janson-flow", "--p", "1.5", "--coeffs", "1,1j", "--nodes", "64", "--out", str(tmp_path / "out")]
     done = _run_cold(argv, tmp_path)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from identity_checks import BlockCounts, binomial_split_check, phi_block_eval
+from identity_checks import BlockCounts, binomial_split_check, block_sum, phi_block_eval
 import hypflow.cube as cube
 from hypflow.cube import (
     CubeFunction,
@@ -290,17 +290,32 @@ def test_damping_commutes_with_block_evaluation():
         assert abs(damped_values[mask] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+def test_level_values_match_exact_integers():
+    # the naive backend's level values against ell! e_ell / n^{ell/2}, with
+    # e_ell of j entries +1 and n - j entries -1 an exact integer; degrees
+    # above n give 0
+    for n in range(1, 25):
+        for ell in range(12):
+            got = SymmetricSpec(n=n, a=[0.0] * ell + [1.0]).level_values()
+            want = [
+                float(Fraction(math.factorial(ell) * block_sum(ell, j, n - j), n ** (ell // 2)))
+                / math.sqrt(n) ** (ell % 2)
+                for j in range(n + 1)
+            ]
+            scale = max(1.0, math.factorial(ell) * math.comb(n, ell) / math.sqrt(n) ** ell)
+            assert np.max(np.abs(got - want)) <= 2e-15 * scale, (n, ell)
+    # materialize spreads them over the cube by the count of +1 coordinates
+    spec = SymmetricSpec(n=5, a=[0.5, -1.0j, 2.0])
+    plus = [int(np.sum(point_from_mask(mask, 5) == 1)) for mask in range(32)]
+    np.testing.assert_allclose(spec.materialize().values(), spec.level_values()[plus], rtol=0, atol=1e-14)
+
+
 def test_symmetric_spec_validation():
     with pytest.raises(ValueError):
         SymmetricSpec(n=0, a=[1.0])
     spec = SymmetricSpec(n=30, a=[1.0, 1.0])
     with pytest.raises(ValueError):
         spec.materialize()
-
-
-def _krawtchouk(total: int, j: int, c: int) -> int:
-    # e_j of c entries +1 and total - c entries -1, as an exact integer
-    return sum((-1) ** (j - i) * math.comb(c, i) * math.comb(total - c, j - i) for i in range(j + 1))
 
 
 @pytest.mark.parametrize(
@@ -313,7 +328,7 @@ def test_block_phi_matrix_is_exact(n, total, l_max):
     scale = 1.0 / math.sqrt(n)
     want = np.array(
         [
-            [(math.factorial(j) * scale**j) * float(_krawtchouk(total, j, c)) for c in range(total + 1)]
+            [(math.factorial(j) * scale**j) * float(block_sum(j, c, total - c)) for c in range(total + 1)]
             for j in range(l_max + 1)
         ]
     )
