@@ -24,15 +24,16 @@ configuration error, and writing the CSV files and the manifest load
 neither numpy nor any numeric module.  Each handler imports the hypflow
 modules it runs, numpy with them, so a cold call loads only those:
 two-point-scan never loads the cube, flow or quadrature layers,
-janson-flow never loads the Hausdorff-Young layer, and no flow command
-loads the two-point search (the exponents come from hypflow.exponents).
+discrete-flow loads the cube layer alone, janson-flow never loads the
+Hausdorff-Young layer, and no flow command loads the two-point search (the
+exponents come from hypflow.exponents).
 
 The process entry is entry(), behind both `python -m hypflow.cli` and the
-`hypflow` console script: it runs main() and then freezes the garbage
-collector before exiting with main's code, so that interpreter shutdown
-does not walk every object the run left behind.  main() itself never
-freezes, because tests and the traced benchmark call it many times in one
-process.
+`hypflow` console script: it switches the garbage collector off, runs
+main(), and freezes the collector before exiting with main's code, so that
+neither the run nor interpreter shutdown walks the objects numpy's import
+and the run leave behind.  main() itself does not touch the collector,
+because tests and the traced benchmark call it many times in one process.
 """
 from __future__ import annotations
 
@@ -111,6 +112,21 @@ def _finite_complex(text: str) -> complex:
     return value
 
 
+def _integer(key: str, value) -> int:
+    """value as an int: an int, an integral float or a decimal integer string;
+    ValueError naming key for anything else (int() would truncate 6.9 to 6)."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def _listed(params: dict, key: str) -> list[str]:
     """The nonblank comma-separated parts of params[key]; ValueError unless it is a string."""
     if not isinstance(text := params[key], str):
@@ -154,7 +170,7 @@ def _s_grid(params: dict):
     """
     import numpy as np
 
-    s_points = int(params.get("s_points", 21))
+    s_points = _integer("s_points", params.get("s_points", 21))
     if s_points < 2:
         raise ValueError(f"s_points must be at least 2, got {s_points}")
     return np.linspace(0.0, 1.0, s_points)
@@ -216,14 +232,13 @@ def _cmd_two_point_scan(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_discrete_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
-    from .cube import SymmetricSpec
-    from .flows import discrete_flow
+    from .cube import SymmetricSpec, discrete_flow
 
     params = config.params
     t = _exponents(params)
-    n = int(params["n"])
+    n = _integer("n", params["n"])
     spec = SymmetricSpec(n=n, a=_parse_complex_list(params, "coeffs"))
-    ks = [int(k) for k in str(params["ks"]).split(",")] if params.get("ks") else None
+    ks = [_integer("ks", k) for k in _listed(params, "ks")] if params.get("ks") else None
     report = discrete_flow(spec, t, ks=ks)
     return _flow_result(report, config, out, {"n": n, "p": t.p, "q": t.q, "z": t.z})
 
@@ -245,7 +260,7 @@ def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
     params = config.params
     t = _exponents(params)
     s = float(params.get("s", 0.5))
-    n_list = [int(v) for v in str(params["n_list"]).split(",")]
+    n_list = [_integer("n_list", v) for v in _listed(params, "n_list")]
     table = convergence_experiment(_parse_complex_list(params, "coeffs"), t, s, n_list)
     write_convergence_csv(table, out / "convergence.csv")
     errs = [r.abs_error for r in table.rows]
@@ -500,14 +515,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The process entry: main(), then exit with its code.
+    """The process entry: main() with the collector off, then exit with its code.
 
-    Every output is written by Path.write_text and closed before main
-    returns, and nothing hypflow leaves behind needs a finalizer, so the
-    collector is frozen before exiting: shutdown then skips the full
-    collections over the objects the run left, which cost a cold call tens
-    of milliseconds.
+    A run builds no reference cycle that must be freed while it runs, so
+    the collector is off during main(): its young collections over the
+    objects numpy's import leaves cost a cold call about 10 ms.  Every
+    output is written by Path.write_text and closed before main returns,
+    and nothing hypflow leaves behind needs a finalizer, so the collector
+    is frozen before exiting: shutdown then skips the full collections over
+    the objects the run left, which cost a cold call tens of milliseconds.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -18,13 +18,20 @@ depend on a point only through block counts of +1 coordinates, which is what
 lets the flow experiments reach n in the thousands: all norms collapse to
 binomially-weighted tables over (count in first block, count in second
 block).
+
+The discrete flow k -> E^k (E_{n-k} |T_z^k f|^q)^{p/q} itself is here too
+(discrete_flow), so the discrete-flow command loads this module alone; the
+flows module imports it for its convergence experiment.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .exponents import ExponentTriple
+from .reporting import FlowReport
 
 ENUMERATION_CAP = 24  # 2^n complex values; above this only collapsed inputs
 
@@ -240,6 +247,9 @@ TAIL_RTOL = 1e-15
 # chosen.  The bound overestimates the value by orders of magnitude, so this
 # sits far below TAIL_RTOL, and the check after the fact rarely fails.
 _CUT_SHARE = 1e-20
+# Rows at least this share as wide as the widest of a stack share its
+# zero padding (_by_width): the padding at most doubles a stack's work.
+_SIMILAR_WIDTH = 0.5
 
 
 def log_binomial_weights(count: int) -> np.ndarray:
@@ -266,41 +276,66 @@ def log_binomial_weights(count: int) -> np.ndarray:
 
 
 def _block_phi_matrix(l_max: int, n: int, total: int) -> np.ndarray:
-    """U[j, c] = phi_j of a block with c entries 1/sqrt(n) and total-c entries -1/sqrt(n).
+    """U[j, c] = phi_j of a block with c entries 1/sqrt(n) and total-c entries -1/sqrt(n)."""
+    return _block_phi_matrices(l_max, n, (total,))[total]
+
+
+def _block_phi_matrices(l_max: int, n: int, sizes) -> dict[int, np.ndarray]:
+    """_block_phi_matrix of each distinct block size T of `sizes`.
 
     U[j, c] = j! n^{-j/2} K_j(c), where K_j(c) = e_j of the block's +-1
-    entries (a Krawtchouk polynomial in c) is an integer.  With S = 2c - total,
+    entries (a Krawtchouk polynomial in c) is an integer.  With S = 2c - T,
 
-        (j+1) K_{j+1} = S K_j - (total - j + 1) K_{j-1},   K_0 = 1,  K_1 = S.
+        (j+1) K_{j+1} = S K_j - (T - j + 1) K_{j-1},   K_0 = 1,  K_1 = S.
 
-    |K_j| <= C(total, j), so every intermediate is an integer of size at most
-    (total + j) C(total, j).  While that stays below 2^53 the recurrence runs
+    |K_j| <= C(T, j), so every intermediate is an integer of size at most
+    (T + j) C(T, j).  While that stays below 2^53 the recurrence runs
     exactly in float64, above it on Python ints.  So U is exact up to the one
     rounding of the scale j! n^{-j/2} and of the final product: bit-identical
-    to the binomial double sum wherever that sum was exact (total <= 2000 at
-    l_max = 5), and correctly rounded K_j beyond.  ValueError where j! or a
-    K_j leaves float range (every degree from 171, and C(total, j) > 1.8e308).
+    to the binomial double sum wherever that sum was exact (T <= 2000 at
+    l_max = 5), and correctly rounded K_j beyond.  The sizes exact in float64
+    (the smallest ones) run the recurrence together, on one stack per group
+    of similar sizes (_by_width) zero-padded to its largest: exact integers
+    do not depend on that, and the padding's values are cut off.  ValueError
+    where j! or a K_j leaves float range (every degree from 171, and
+    C(T, j) > 1.8e308).
     """
-    exact_in_float = all((total + j) * math.comb(total, j) < 2**53 for j in range(l_max))
-    dtype = float if exact_in_float else object
-    s = np.arange(-total, total + 1, 2).astype(dtype)
-    kraw = np.zeros((l_max + 1, total + 1), dtype=dtype)
-    kraw[0] = 1
-    if l_max:
-        kraw[1] = s
-    for j in range(1, l_max):
-        step = s * kraw[j] - (total - j + 1) * kraw[j - 1]
-        kraw[j + 1] = step / (j + 1) if exact_in_float else step // (j + 1)
+    sizes = sorted(set(sizes))
+    exact = [T for T in sizes if all((T + j) * math.comb(T, j) < 2**53 for j in range(l_max))]
     scale = 1.0 / math.sqrt(n)
-    out = np.empty((l_max + 1, total + 1))
-    for j in range(l_max + 1):
+    out = {}
+
+    def scaled(j: int, total: int, kraw) -> np.ndarray:
         try:
-            out[j] = (math.factorial(j) * scale**j) * kraw[j].astype(float)
+            return (math.factorial(j) * scale**j) * kraw.astype(float, copy=False)
         except OverflowError:
             raise ValueError(
                 f"degree {l_max} at n = {n} is out of float range: {j}! or K_{j} of a "
                 f"{total}-coordinate block exceeds the largest float"
             ) from None
+
+    for group in _by_width([T + 1 for T in exact]):
+        group = [exact[i] for i in group]
+        totals = np.array(group, dtype=float)[:, None]
+        s = 2.0 * np.arange(group[0] + 1) - totals
+        kraw = np.zeros((l_max + 1, *s.shape))
+        kraw[0] = 1
+        if l_max:
+            kraw[1] = s
+        with np.errstate(over="ignore", invalid="ignore"):  # only the padding can leave float range
+            for j in range(1, l_max):
+                kraw[j + 1] = (s * kraw[j] - (totals - j + 1) * kraw[j - 1]) / (j + 1)
+            stack = np.stack([scaled(j, group[0], kraw[j]) for j in range(l_max + 1)])
+        out.update((T, np.ascontiguousarray(stack[:, b, : T + 1])) for b, T in enumerate(group))
+    for total in sizes[len(exact) :]:
+        s = np.arange(-total, total + 1, 2).astype(object)
+        kraw = np.zeros((l_max + 1, total + 1), dtype=object)
+        kraw[0] = 1
+        if l_max:
+            kraw[1] = s
+        for j in range(1, l_max):
+            kraw[j + 1] = (s * kraw[j] - (total - j + 1) * kraw[j - 1]) // (j + 1)
+        out[total] = np.stack([scaled(j, total, kraw[j]) for j in range(l_max + 1)])
     return out
 
 
@@ -322,25 +357,125 @@ class TailCut(NamedTuple):
     cells: int
 
 
-def _window(mass: np.ndarray, share: float) -> tuple[slice, np.ndarray]:
-    """The narrowest index window each of whose two tails holds at most
-    share / 2 of every row of `mass` (nonnegative, one row per constraint),
-    and each row's sum outside it.  The whole range if a row sum is not
-    finite.  A row that is symmetric about the middle gets a centred window."""
-    left = np.cumsum(mass, axis=1)
-    right = np.cumsum(mass[:, ::-1], axis=1)
-    size = mass.shape[1]
-    budget = 0.5 * share * left[:, -1:]
-    lo = int(np.min(np.sum(left <= budget, axis=1), initial=size))
-    hi = size - int(np.min(np.sum(right <= budget, axis=1), initial=size))
-    if lo >= hi or not np.all(np.isfinite(budget)):
-        return slice(0, size), np.zeros(mass.shape[0])
-    tail = np.zeros(mass.shape[0])
-    if lo:
-        tail += left[:, lo - 1]
-    if hi < size:
-        tail += right[:, size - hi - 1]
-    return slice(lo, hi), tail
+def _by_width(widths: list[int]) -> list[list[int]]:
+    """The indices of `widths` in groups of similar widths, widest first:
+    each at least _SIMILAR_WIDTH times the widest of its group, so padding a
+    group to its widest at most doubles it."""
+    groups: list[list[int]] = []
+    for i in sorted(range(len(widths)), key=lambda i: -widths[i]):
+        if not groups or widths[i] < _SIMILAR_WIDTH * widths[groups[-1][0]]:
+            groups.append([])
+        groups[-1].append(i)
+    return groups
+
+
+def _windows(masses: list[np.ndarray], share: float) -> list[tuple[slice, np.ndarray]]:
+    """For each mass (nonnegative, one row per constraint): the narrowest
+    index window each of whose two tails holds at most share / 2 of every
+    row, and each row's sum outside it.  The whole range if a row sum is not
+    finite.  A row that is symmetric about the middle gets a centred window.
+
+    Masses of similar widths (_by_width) go through one vectorized pass,
+    zero-padded to one shape.  Padding leaves
+    every window and tail bit for bit as for the mass alone: cumulative sums
+    of a padded row repeat those of the row; the padding of a left sum
+    equals the row sum, above the budget unless the row is all zero, which
+    cannot lower the minimum over rows; and the padding of a right sum adds
+    to its count exactly the number of entries padded.
+    """
+    out: list = [None] * len(masses)
+    for group in _by_width([mass.shape[1] for mass in masses]):
+        _window_pass(masses, group, share, out)
+    return out
+
+
+def _window_pass(masses: list[np.ndarray], group: list[int], share: float, out: list) -> None:
+    """_windows of the masses of `group`, by one vectorized pass, into out."""
+    size = masses[group[0]].shape[1]
+    if len(group) == 1:
+        stack = masses[group[0]][None]
+    else:
+        stack = np.zeros((len(group), max(masses[i].shape[0] for i in group), size))
+        for row, i in enumerate(group):
+            stack[row, : masses[i].shape[0], : masses[i].shape[1]] = masses[i]
+    left = np.cumsum(stack, axis=2)
+    right = np.cumsum(stack[:, :, ::-1], axis=2)
+    budget = 0.5 * share * left[:, :, -1:]
+    los = np.min(np.sum(left <= budget, axis=2), axis=1, initial=size).tolist()
+    his = (size - np.min(np.sum(right <= budget, axis=2), axis=1, initial=size)).tolist()
+    finite = np.all(np.isfinite(budget), axis=(1, 2)).tolist()
+    for row, i in enumerate(group):
+        count, width = masses[i].shape
+        lo, hi = los[row], his[row]
+        if lo >= hi or not finite[row]:
+            out[i] = slice(0, width), np.zeros(count)
+            continue
+        tail = np.zeros(count)
+        if lo:
+            tail += left[row, :count, lo - 1]
+        if hi < width:
+            tail += right[row, :count, size - hi - 1]
+        out[i] = slice(lo, hi), tail
+
+
+class _Plan(NamedTuple):
+    """The block of a grid that cut_mixed_norm forms, and what bounds the
+    cells it drops: each axis' majorant mass outside its window (row_tail,
+    col_tail) and the row majorant spread * R."""
+
+    rows: slice
+    cols: slice
+    row_tail: float
+    col_tail: np.ndarray
+    majorant: np.ndarray
+
+
+def _plan_cuts(bounds, w_rows, w_cols, r: float, share: float) -> list[_Plan]:
+    """The _Plan of each grid of a stack.
+
+    For the grid with majorant bound (spread, R, C) and weights w_rows,
+    w_cols (see cut_mixed_norm): the columns kept by _windows on the
+    masses w_cols * C, the rows kept by _windows on w_rows (spread R @
+    G)^r, G the row sums of those masses, each axis' tail outside its
+    window, and the row majorant spread * R.  One call of _windows chooses
+    the columns of all grids, one the rows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_masses = [wc * big_c for (_, _, big_c), wc in zip(bounds, w_cols)]
+        majorants = [spread * big_r for spread, big_r, _ in bounds]
+        row_masses = [
+            (wr * (major @ mass.sum(axis=1)) ** r)[None, :] for wr, major, mass in zip(w_rows, majorants, col_masses)
+        ]
+        col_windows = _windows(col_masses, share)
+        row_windows = _windows(row_masses, share)
+    return [
+        _Plan(rows, cols, row_tail[0], col_tail, major)
+        for (rows, row_tail), (cols, col_tail), major in zip(row_windows, col_windows, majorants)
+    ]
+
+
+def _kept_norm(
+    abs_q, w_rows: np.ndarray, w_cols: np.ndarray, r: float, plan: _Plan | None = None
+) -> tuple[float, TailCut]:
+    """cut_mixed_norm's value and TailCut on the block that `plan` keeps, or
+    on every cell without a plan or where the bound of the dropped cells
+    exceeds TAIL_RTOL times the kept value."""
+    rows, cols = (slice(0, len(w_rows)), slice(0, len(w_cols))) if plan is None else (plan.rows, plan.cols)
+    kept = (rows.stop - rows.start) * (cols.stop - cols.start)
+    cells = len(w_rows) * len(w_cols)
+    inner = abs_q(rows, cols) @ w_cols[cols]
+    weights = w_rows[rows]
+    value = float(np.dot(weights, inner**r))
+    if kept == cells:
+        return value, TailCut(0.0, cells, cells)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        col_bound = plan.majorant[rows] @ plan.col_tail
+        tangent = r * col_bound / inner ** (1.0 - r)
+        dropped = float(plan.row_tail) + float(np.dot(weights, np.fmin(col_bound**r, tangent)))
+    rel = 0.0 if not dropped else dropped / value if value > 0 else math.inf
+    if rel <= TAIL_RTOL:
+        return value, TailCut(rel, kept, cells)
+    return _kept_norm(abs_q, w_rows, w_cols, r)
 
 
 def cut_mixed_norm(
@@ -351,39 +486,19 @@ def cut_mixed_norm(
     abs_q(rows, cols) forms F on a block of two slices.  Without `bound`
     every cell is formed.  With bound = (spread, R, C), any nonnegative
     rank-K majorant F <= spread * R @ C (R rows x K, C K x columns), only
-    the rows and columns chosen by _window (tails of at most `share` of the
-    majorant mass) are formed.  With G = w_cols * C and r = p/q <= 1, a kept
-    row i with kept inner sum A_i misses at most B_i = spread R[i] @ G', G'
-    the sums of G over the dropped columns, so its term w_i A_i^r moves by at
-    most w_i min(B_i^r, r A_i^{r-1} B_i) (subadditivity and concavity of
-    x^r); a dropped row adds at most w_i (spread R[i] @ G'')^r, G'' the sums
-    over all columns.  Dropping cells only lowers the value.  If the summed
-    bound exceeds TAIL_RTOL times the kept value, or a majorant is not
-    finite, every cell is formed instead.
+    the rows and columns chosen by _windows (tails of at most `share` of
+    the majorant mass) are formed.  With G = w_cols * C and r = p/q <= 1, a
+    kept row i with kept inner sum A_i misses at most B_i = spread R[i] @ G',
+    G' the sums of G over the dropped columns, so its term w_i A_i^r moves
+    by at most w_i min(B_i^r, r A_i^{r-1} B_i) (subadditivity and concavity
+    of x^r); a dropped row adds at most w_i (spread R[i] @ G'')^r, G'' the
+    sums over all columns.  Dropping cells only lowers the value.  If the
+    summed bound exceeds TAIL_RTOL times the kept value, or a majorant is
+    not finite, every cell is formed instead.
     """
     r = p / q
-    rows = slice(0, len(w_rows))
-    cols = slice(0, len(w_cols))
-    if bound is not None:
-        spread, big_r, big_c = bound
-        with np.errstate(over="ignore", invalid="ignore"):
-            col_mass = w_cols * big_c
-            cols, col_tail = _window(col_mass, share)
-            rows, row_tail = _window((w_rows * (spread * big_r @ col_mass.sum(axis=1)) ** r)[None, :], share)
-    kept = (rows.stop - rows.start) * (cols.stop - cols.start)
-    cells = len(w_rows) * len(w_cols)
-    inner = abs_q(rows, cols) @ w_cols[cols]
-    value = float(np.dot(w_rows[rows], inner**r))
-    if kept == cells:
-        return value, TailCut(0.0, cells, cells)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        col_bound = spread * big_r[rows] @ col_tail
-        tangent = r * col_bound / inner ** (1.0 - r)
-        dropped = float(row_tail[0]) + float(np.dot(w_rows[rows], np.fmin(col_bound**r, tangent)))
-    rel = 0.0 if not dropped else dropped / value if value > 0 else math.inf
-    if rel <= TAIL_RTOL:
-        return value, TailCut(rel, kept, cells)
-    return cut_mixed_norm(abs_q, w_rows, w_cols, p, q, share=share)
+    plan = None if bound is None else _plan_cuts([bound], [w_rows], [w_cols], r, share)[0]
+    return _kept_norm(abs_q, w_rows, w_cols, r, plan)
 
 
 def cut_summary(cuts: list[TailCut]) -> dict:
@@ -403,17 +518,15 @@ def _abs_q(re: np.ndarray, im: np.ndarray, q: float) -> np.ndarray:
     return np.power(re, q / 2.0, out=re)
 
 
-def factored_mixed_norm(
-    left: np.ndarray, right: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray, p: float, q: float, *, share: float
-) -> tuple[float, TailCut]:
-    """cut_mixed_norm of the table f = left @ right (rows x K times K x columns).
-
-    |f|^q <= K^{q-1} |left|^q @ |right|^q by the power mean inequality over
-    the K terms of each cell, and that rank-K majorant chooses the cells
-    formed.  A real `right` is multiplied by one real GEMM.
-    """
+def _factored_bound(left: np.ndarray, right: np.ndarray, q: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The majorant |left @ right|^q <= K^{q-1} |left|^q @ |right|^q, by the
+    power mean inequality over the K terms of each cell, as (spread, R, C)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (float(left.shape[1]) ** (q - 1.0), np.abs(left) ** q, np.abs(right) ** q)
+        return float(left.shape[1]) ** (q - 1.0), np.abs(left) ** q, np.abs(right) ** q
+
+
+def _factored_abs_q(left: np.ndarray, right: np.ndarray, q: float):
+    """abs_q(rows, cols) of the table left @ right; a real `right` is multiplied by one real GEMM."""
 
     def abs_q(rows: slice, cols: slice) -> np.ndarray:
         if np.isrealobj(right):
@@ -421,38 +534,74 @@ def factored_mixed_norm(
         cells = left[rows] @ right[:, cols]
         return _abs_q(cells.real.copy(), cells.imag.copy(), q)
 
-    return cut_mixed_norm(abs_q, w_rows, w_cols, p, q, bound, share=share)
+    return abs_q
+
+
+def factored_mixed_norm(
+    left: np.ndarray, right: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray, p: float, q: float, *, share: float
+) -> tuple[float, TailCut]:
+    """cut_mixed_norm of the table f = left @ right (rows x K times K x
+    columns), whose rank-K majorant (_factored_bound) chooses the cells formed."""
+    bound = _factored_bound(left, right, q)
+    return cut_mixed_norm(_factored_abs_q(left, right, q), w_rows, w_cols, p, q, bound, share=share)
 
 
 def mixed_norm_collapsed(
-    factors: tuple[np.ndarray, np.ndarray],
+    tables: Sequence[tuple[np.ndarray, np.ndarray]],
     n: int,
-    k: int,
+    ks: Sequence[int],
     p: float,
     q: float,
     cuts: list[TailCut] | None = None,
-) -> float:
-    """Collapsed mixed norm for block-symmetric functions.
+) -> list[float]:
+    """Collapsed mixed norms of block-symmetric functions, one per split index of ks.
 
-    The table left @ right of the factor pair (from symmetric_tzk_table)
+    The table left @ right of each factor pair (from symmetric_tzk_table)
     holds at [a, b] the function value at any point with a (+1)s in the
     first block and b in the second; the averages become binomially
-    weighted sums over the counts, cut by factored_mixed_norm.  If `cuts`
-    is given, the TailCut of this call is appended to it.
+    weighted sums over the counts, cut as factored_mixed_norm cuts them.
+    The weights are built once per block size, so k and n - k share them,
+    and the windows of all tables are chosen in one pass (_plan_cuts).  If
+    `cuts` is given, the TailCut of each table is appended to it in the
+    order of ks.
     """
     _check_exponents(p, q)
-    left, right = factors
-    if left.shape[0] != k + 1 or right.shape[1] != n - k + 1:
-        raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
-    value, cut = factored_mixed_norm(
-        left, right, log_binomial_weights(k), log_binomial_weights(n - k), p, q, share=_CUT_SHARE
+    if len(tables) != len(ks):
+        raise ValueError(f"{len(tables)} tables for {len(ks)} split indices")
+    for (left, right), k in zip(tables, ks):
+        if left.shape[0] != k + 1 or right.shape[1] != n - k + 1:
+            raise ValueError(f"collapsed table must have shape ({k+1}, {n-k+1})")
+    weights = {size: log_binomial_weights(size) for size in sorted({*ks, *(n - k for k in ks)})}
+    r = p / q
+    plans = _plan_cuts(
+        [_factored_bound(left, right, q) for left, right in tables],
+        [weights[k] for k in ks],
+        [weights[n - k] for k in ks],
+        r,
+        _CUT_SHARE,
     )
-    if cuts is not None:
-        cuts.append(cut)
-    return value
+    values = []
+    for (left, right), k, plan in zip(tables, ks, plans):
+        value, cut = _kept_norm(_factored_abs_q(left, right, q), weights[k], weights[n - k], r, plan)
+        values.append(value)
+        if cuts is not None:
+            cuts.append(cut)
+    return values
 
 
-def symmetric_tzk_table(spec: SymmetricSpec, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
+class _SharedBlocks(NamedTuple):
+    """What the tables of several split indices share: the block matrices
+    by block size, the coupling matrix and its nonzero columns (None: not
+    yet found)."""
+
+    phi: dict[int, np.ndarray]
+    mix: np.ndarray
+    active: np.ndarray | None
+
+
+def symmetric_tzk_table(
+    spec: SymmetricSpec, z: complex, k: int, blocks: _SharedBlocks | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Values of T_z^k f_n on the collapsed (a, b) grid, shape (k+1, n-k+1), as a factor pair.
 
     Uses the block convolution identity: with u_j = phi_j(first block) and
@@ -462,27 +611,31 @@ def symmetric_tzk_table(spec: SymmetricSpec, z: complex, k: int) -> tuple[np.nda
     O(L n): the integer Krawtchouk recurrence (j+1) K_{j+1} = S K_j -
     (T - j + 1) K_{j-1} in the block's count sum S and size T, scaled once
     by j! n^{-j/2}, so it is exact up to that one rounding (see
-    _block_phi_matrix).
+    _block_phi_matrix).  `blocks`, when given, holds the blocks of sizes k
+    and n - k and the coupling matrix of spec at z (discrete_flow shares
+    them between the split indices of a chunk); otherwise they are built here.
     """
     n = spec.n
     if not 0 <= k <= n:
         raise ValueError(f"split index must satisfy 0 <= k <= {n}")
-    l_max = spec.degree
-    return coupled_factors(
-        _block_phi_matrix(l_max, n, k), _block_phi_matrix(l_max, n, n - k), coupling_matrix(spec.a, z)
-    )
+    if blocks is None:
+        blocks = _SharedBlocks(_block_phi_matrices(spec.degree, n, (k, n - k)), coupling_matrix(spec.a, z), None)
+    return coupled_factors(blocks.phi[k], blocks.phi[n - k], blocks.mix, blocks.active)
 
 
-def coupled_factors(first: np.ndarray, second: np.ndarray, mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def coupled_factors(
+    first: np.ndarray, second: np.ndarray, mix: np.ndarray, active: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The table first^T mix second as the pair (left, right) that factored_mixed_norm takes.
 
     left = first^T mix and right = second, over the columns m of mix that
-    are not all zero.  The cube tables (real block matrices of the first k
-    and the last n - k coordinates) and the Janson grids of flows (Hermite
-    polynomials or monomials at Gauss nodes, their Gaussian limit) are both
-    built this way.
+    are not all zero (`active`, found here when not given).  The cube
+    tables (real block matrices of the first k and the last n - k
+    coordinates) and the Janson grids of flows (Hermite polynomials or
+    monomials at Gauss nodes, their Gaussian limit) are both built this way.
     """
-    active = np.any(mix != 0, axis=0)
+    if active is None:
+        active = np.any(mix != 0, axis=0)
     return (first.T @ mix)[:, active], second[active]
 
 
@@ -501,3 +654,75 @@ def coupling_matrix(a: np.ndarray, z: complex) -> np.ndarray:
         for m in range(l_max + 1 - j):
             mix[j, m] = a[j + m] * math.comb(j + m, m) * complex(z) ** m
     return mix
+
+
+# ------------------------------------------------------ the discrete flow
+
+# Elements the stacked majorant masses of one chunk of split indices may
+# hold, about (degree + 1)(n + 1) per table: it bounds the memory of a
+# chunk (its blocks, tables and masses are a few times this) and leaves
+# the per-chunk work small beside the per-table work.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _chunks(ks: list[int], n: int, l_max: int) -> list[list[int]]:
+    """ks in chunks of at most _CHUNK_ELEMENTS table elements each, ordered
+    so that k and n - k fall in one chunk and share their blocks and weights."""
+    per_chunk = max(1, _CHUNK_ELEMENTS // ((l_max + 1) * (n + 1)))
+    chunks: list[list[int]] = [[]]
+    for k in sorted(ks, key=lambda k: (min(k, n - k), k)):
+        if len(chunks[-1]) >= per_chunk and chunks[-1][-1] != n - k:
+            chunks.append([])
+        chunks[-1].append(k)
+    return chunks
+
+
+def discrete_flow(
+    f: CubeFunction | SymmetricSpec,
+    t: ExponentTriple,
+    ks: Sequence[int] | None = None,
+    backend: str = "auto",
+) -> FlowReport:
+    """The discrete monotone map k -> E^k (E_{n-k} |T_z^k f|^q)^{p/q} over the requested split indices.
+
+    CubeFunction inputs are enumerated (n <= 24); SymmetricSpec inputs go to
+    the collapsed block-count backend and scale to n in the thousands.  The
+    collapsed backend builds the coupling matrix once, then takes the split
+    indices in chunks (_chunks): each block matrix and weight vector of a
+    chunk is built once, for k and n - k alike, and the windows of all its
+    tables are chosen in one pass (mixed_norm_collapsed).  Its report's
+    diagnostics give the largest certified relative effect of the dropped
+    binomial tails over k (tail_bound) and the share of table cells kept
+    (cells_kept_share).  Endpoints satisfy value(n) = E|f|^p and value(0) =
+    (E|T_z f|^q)^{p/q}, and the flow is nondecreasing whenever the
+    two-point inequality holds at (p, q, z).
+    """
+    t.require_ordered()
+    n = f.n
+    if ks is None:
+        ks = range(n + 1)
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 0 or ks[-1] > n:
+        raise ValueError(f"split indices must be given and lie in [0, {n}]")
+    if backend == "auto":
+        backend = "collapsed" if isinstance(f, SymmetricSpec) else "naive"
+    diagnostics = {}
+    if backend == "naive":
+        cube = f.materialize() if isinstance(f, SymmetricSpec) else f
+        values = [mixed_norm(apply_Tzk(cube, t.z, k).values(), k, t.p, t.q) for k in ks]
+    elif backend == "collapsed":
+        if not isinstance(f, SymmetricSpec):
+            raise ValueError("collapsed backend requires a SymmetricSpec input")
+        mix = coupling_matrix(f.a, t.z)
+        active = np.any(mix != 0, axis=0)
+        cuts: list[TailCut] = []
+        by_k = {}
+        for chunk in _chunks(ks, n, f.degree):
+            blocks = _SharedBlocks(_block_phi_matrices(f.degree, n, (*chunk, *(n - k for k in chunk))), mix, active)
+            tables = [symmetric_tzk_table(f, t.z, k, blocks) for k in chunk]
+            by_k.update(zip(chunk, mixed_norm_collapsed(tables, n, chunk, t.p, t.q, cuts)))
+        values = [by_k[k] for k in ks]
+        diagnostics = cut_summary(cuts)
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return FlowReport(parameter_name="k", samples=tuple(zip(ks, values)), diagnostics=diagnostics)

@@ -1,11 +1,12 @@
-"""Discrete and continuous hypercontractive flows and their convergence.
+"""The continuous hypercontractive flow and its convergence from the discrete one.
 
-The discrete flow evaluates, on the cube,
+The discrete flow on the cube,
 
     k  ->  E^k ( E_{n-k} |T_z^k f|^q )^{p/q},      k = 0..n,
 
-which is nondecreasing whenever the two-point inequality holds at (p, q, z).
-Its Gaussian limit (k/n -> s) is
+nondecreasing whenever the two-point inequality holds at (p, q, z), is
+cube.discrete_flow; it is imported here for convergence_experiment, so
+flows.discrete_flow names it too.  Its Gaussian limit (k/n -> s) is
 
     J(s) = E_u ( E_x | E_v E_y  g((u+iv) sqrt(s) + z (x+iy) sqrt(1-s)) |^q )^{p/q}
 
@@ -55,17 +56,13 @@ from typing import Sequence
 import numpy as np
 
 from .cube import (
-    CubeFunction,
     SymmetricSpec,
     TailCut,
-    apply_Tzk,
     coupled_factors,
     coupling_matrix,
     cut_summary,
+    discrete_flow,
     factored_mixed_norm,
-    mixed_norm,
-    mixed_norm_collapsed,
-    symmetric_tzk_table,
 )
 from .errors import AccuracyError, EvaluatorMismatchError
 from .exponents import ExponentTriple
@@ -91,50 +88,6 @@ _GRID_SHARE = 1e-28
 def s_samples(s_grid: Sequence[float] | None) -> np.ndarray:
     """The flows' s-grid as a float array: 21 equispaced samples of [0, 1] when None."""
     return np.linspace(0.0, 1.0, 21) if s_grid is None else np.asarray(list(s_grid), dtype=float)
-
-
-def discrete_flow(
-    f: CubeFunction | SymmetricSpec,
-    t: ExponentTriple,
-    ks: Sequence[int] | None = None,
-    backend: str = "auto",
-) -> FlowReport:
-    """The discrete monotone map over the requested split indices.
-
-    CubeFunction inputs are enumerated (n <= 24); SymmetricSpec inputs go to
-    the collapsed block-count backend and scale to n in the thousands.  Its
-    report's diagnostics give the largest certified relative effect of the
-    dropped binomial tails over k (tail_bound) and the share of table cells
-    kept (cells_kept_share).
-    Endpoints satisfy value(n) = E|f|^p and value(0) = (E|T_z f|^q)^{p/q}.
-    """
-    t.require_ordered()
-    n = f.n
-    if ks is None:
-        ks = range(n + 1)
-    ks = sorted(set(int(k) for k in ks))
-    if ks[0] < 0 or ks[-1] > n:
-        raise ValueError(f"split indices must lie in [0, {n}]")
-    if backend == "auto":
-        backend = "collapsed" if isinstance(f, SymmetricSpec) else "naive"
-    diagnostics = {}
-    if backend == "naive":
-        cube = f.materialize() if isinstance(f, SymmetricSpec) else f
-        samples = [
-            (k, mixed_norm(apply_Tzk(cube, t.z, k).values(), k, t.p, t.q)) for k in ks
-        ]
-    elif backend == "collapsed":
-        if not isinstance(f, SymmetricSpec):
-            raise ValueError("collapsed backend requires a SymmetricSpec input")
-        cuts: list[TailCut] = []
-        samples = [
-            (k, mixed_norm_collapsed(symmetric_tzk_table(f, t.z, k), n, k, t.p, t.q, cuts=cuts))
-            for k in ks
-        ]
-        diagnostics = cut_summary(cuts)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return FlowReport(parameter_name="k", samples=tuple(samples), diagnostics=diagnostics)
 
 
 class OuterStats:
@@ -320,8 +273,8 @@ def convergence_experiment(
     check's grids included.
     """
     n_list = [int(n) for n in n_list]
-    if any(b <= a_ for a_, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    if not n_list or any(b <= a_ for a_, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be nonempty and strictly increasing")
     # the discrete side first: it rejects a degree out of float range
     ks = [round(s * n) for n in n_list]
     discrete = [

@@ -13,12 +13,11 @@ import time
 
 import numpy as np
 
-from .cube import SymmetricSpec, beckner_expand, phi_symmetric, walsh_analyze
+from .cube import SymmetricSpec, beckner_expand, discrete_flow, phi_symmetric, walsh_analyze
 from .errors import AccuracyError
 from .exponents import ExponentTriple, conjugate_exponent
 from .flows import (
     convergence_experiment,
-    discrete_flow,
     janson_flow,
     janson_heat,
     janson_mehler,

@@ -269,6 +269,18 @@ def test_command_loads_no_generated_records(name, argv, tmp_path):
     assert ("hypflow.two_point" in loaded) == (name == "two-point-scan")
 
 
+def test_discrete_flow_loads_only_the_cube_layer(tmp_path):
+    # the collapsed flow lives in cube: flows, hermite, quadrature and
+    # numpy.polynomial load for converge, never for discrete-flow
+    unused = ["hypflow.flows", "hypflow.hermite", "hypflow.quadrature", "numpy.polynomial"]
+    discrete = [*_FLOW_ARGVS["discrete-flow"], "--out", str(tmp_path / "d")]
+    converge = [*_FLOW_ARGVS["converge"], "--out", str(tmp_path / "c")]
+    [_, (_, code, loaded), (_, converged, then)] = _loads([discrete, converge])
+    assert code == EXIT_OK and "hypflow.cube" in loaded
+    assert set(loaded).isdisjoint(unused), sorted(set(loaded).intersection(unused))
+    assert converged == EXIT_OK and set(unused) <= set(then)
+
+
 def _run_cold(argv, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "hypflow.cli", *argv], cwd=cwd, env=_fresh_env(), capture_output=True, text=True
@@ -282,6 +294,9 @@ def _run_cold(argv, cwd: Path) -> subprocess.CompletedProcess:
         *(([], {"command": "hy-flow", "params": {"p": 1.5, "gaussian": True, "s_points": n}}) for n in (0, 1)),
         ([], {"command": "two-point-scan", "params": {"p": 1.5, "q": 3.0, "budget": "cheap"}}),
         *(([], config) for config in _BAD_CONFIGS.values()),
+        ([], {"command": "discrete-flow", "params": {"n": 6.9, "p": 2.0, "q": 4.0, "coeffs": "0,1"}}),
+        ([], {"command": "discrete-flow", "params": {"n": 6, "p": 2.0, "q": 4.0, "coeffs": "0,1", "ks": ","}}),
+        ([], {"command": "converge", "params": {"p": 1.5, "q": 3.0, "coeffs": "0,1", "n_list": ","}}),
     ],
     ids=[
         *_BAD_ARGVS,
@@ -289,6 +304,9 @@ def _run_cold(argv, cwd: Path) -> subprocess.CompletedProcess:
         "config s_points 1",
         "config budget cheap",
         *(f"config {name}" for name in _BAD_CONFIGS),
+        "config n 6.9",
+        "config ks empty",
+        "config n_list empty",
     ],
 )
 def test_bad_input_exits_1_without_traceback(argv, config, tmp_path):
@@ -315,8 +333,13 @@ def test_bad_input_exits_1_without_traceback(argv, config, tmp_path):
         ("converge", {"p": 1.5, "q": 3.0, "coeffs": [0, 1], "n_list": "16,64"}, "coeffs"),
         ("hy-flow", {"p": 1.5, "hermite_coeffs": [1, 0.5]}, "hermite_coeffs"),
         ("hy-exp", {"p": 1.5, "atoms": ["1:0.5"]}, "atoms"),
+        ("converge", {"p": 1.5, "q": 3.0, "coeffs": "0,1", "n_list": [16, 64]}, "n_list"),
+        ("discrete-flow", {"n": 6, "p": 2.0, "q": 4.0, "coeffs": "0,1", "ks": [0, 2]}, "ks"),
     ],
-    ids=["janson-flow coeffs", "discrete-flow coeffs", "converge coeffs", "hy-flow hermite_coeffs", "hy-exp atoms"],
+    ids=[
+        "janson-flow coeffs", "discrete-flow coeffs", "converge coeffs", "hy-flow hermite_coeffs", "hy-exp atoms",
+        "converge n_list", "discrete-flow ks",
+    ],
 )
 def test_config_list_for_a_string_exits_1_naming_the_key(command, params, key, tmp_path, capsys):
     argv = _config_argv({"command": command, "params": params}, tmp_path / "run.json", tmp_path / "out")
@@ -324,6 +347,43 @@ def test_config_list_for_a_string_exits_1_naming_the_key(command, params, key, t
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be a comma-separated string") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+_DISCRETE_PARAMS = {"n": 6, "p": 2.0, "q": 4.0, "z_re": 0.5, "coeffs": "0,1,1"}
+
+
+@pytest.mark.parametrize(
+    "command, params, key",
+    [
+        ("discrete-flow", {**_DISCRETE_PARAMS, "n": 6.9}, "n"),
+        ("discrete-flow", {**_DISCRETE_PARAMS, "n": "6.9"}, "n"),
+        ("discrete-flow", {**_DISCRETE_PARAMS, "ks": "0,2.5"}, "ks"),
+        ("converge", {"p": 1.5, "q": 3.0, "coeffs": "0,1", "n_list": "16,64.5"}, "n_list"),
+        ("janson-flow", {"p": 1.5, "coeffs": "1,2", "s_points": 2.7}, "s_points"),
+        ("hy-flow", {"p": 1.5, "gaussian": True, "s_points": 3.5}, "s_points"),
+        ("hy-exp", {"p": 1.5, "atoms": "1:0.5", "s_points": "3.0"}, "s_points"),
+    ],
+    ids=["n 6.9", "n '6.9'", "ks 2.5", "n_list 64.5", "janson-flow s_points 2.7", "hy-flow s_points 3.5",
+         "hy-exp s_points '3.0'"],
+)
+def test_config_non_integral_value_exits_1_naming_the_key(command, params, key, tmp_path, capsys):
+    # before, int() truncated 6.9 to 6 and 2.7 to 2 and the run exited 0
+    argv = _config_argv({"command": command, "params": params}, tmp_path / "run.json", tmp_path / "out")
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_config_integral_values_run_as_integers(tmp_path):
+    # 6.0 and "6" name the dimension 6 does, and "0, 3" the split indices
+    runs = [{**_DISCRETE_PARAMS, "ks": "0,3"}, {**_DISCRETE_PARAMS, "n": 6.0, "ks": "0, 3"}]
+    runs.append({**_DISCRETE_PARAMS, "n": "6", "ks": "3,0"})
+    for i, params in enumerate(runs):
+        config = {"command": "discrete-flow", "params": params}
+        assert main(_config_argv(config, tmp_path / f"{i}.json", tmp_path / str(i))) == EXIT_OK
+    csvs = {(tmp_path / str(i) / "flow.csv").read_bytes() for i in range(len(runs))}
+    assert len(csvs) == 1
 
 
 @pytest.mark.parametrize("key", ["z_re", "z_im"])
@@ -448,13 +508,14 @@ _VIOLATED = ["discrete-flow", "--n", "6", "--p", "2", "--q", "4", "--z-re", "0.9
 
 def test_violation_exit_code(tmp_path):
     # z = 0.95 is far beyond the (2, 4) threshold 1/sqrt(3): the flow decreases
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     code, out = run(_VIOLATED, tmp_path)
     assert code == EXIT_VIOLATION
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["verdict"].startswith("violated-at")
     assert manifest["min_delta"] < 0
-    assert gc.get_freeze_count() == frozen  # only the process entry freezes the collector
+    # only the process entry switches the collector off and freezes it
+    assert gc.get_freeze_count() == frozen and gc.isenabled() == enabled
 
 
 def test_violation_exits_2_cold(tmp_path):

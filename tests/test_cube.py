@@ -1,5 +1,6 @@
 """Walsh algebra, damping operator, symmetric functions, and mixed norms."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,10 @@ from hypflow.cube import (
     apply_Tzk,
     beckner_expand,
     _block_phi_matrix,
+    _windows,
     cut_mixed_norm,
+    discrete_flow,
+    factored_mixed_norm,
     hadamard_transform,
     log_binomial_weights,
     mixed_norm,
@@ -22,6 +26,7 @@ from hypflow.cube import (
     symmetric_tzk_table,
     walsh_analyze,
 )
+from hypflow.exponents import ExponentTriple
 from hypflow.quadrature import gh_rule
 
 
@@ -238,7 +243,7 @@ def test_mixed_norm_rejects_bad_exponents():
     with pytest.raises(ValueError):
         mixed_norm(np.ones(4), 1, 4.0, 2.0)
     with pytest.raises(ValueError):
-        mixed_norm_collapsed((np.ones((2, 1)), np.ones((1, 3))), 3, 1, 3.0, 2.0)
+        mixed_norm_collapsed([(np.ones((2, 1)), np.ones((1, 3)))], 3, [1], 3.0, 2.0)
 
 
 def test_mixed_norm_against_loop_oracle():
@@ -268,7 +273,7 @@ def test_collapsed_equals_naive_mixed_norm():
             for z in [0.5, 0.3 - 0.6j]:
                 naive = mixed_norm(apply_Tzk(cube, z, k).values(), k, 1.5, 4.0)
                 table = symmetric_tzk_table(spec, z, k)
-                collapsed = mixed_norm_collapsed(table, n, k, 1.5, 4.0)
+                (collapsed,) = mixed_norm_collapsed([table], n, [k], 1.5, 4.0)
                 assert abs(naive - collapsed) <= 1e-12 * max(1.0, naive)
 
 
@@ -336,6 +341,27 @@ def test_block_phi_matrix_is_exact(n, total, l_max):
     assert np.array_equal(got, want)
 
 
+def test_block_phi_matrices_built_together_are_exact():
+    # sizes of several widths built on padded stacks, and the two largest
+    # past the float-exact range at l_max = 8 (Python ints), each bit for
+    # bit j! n^{-j/2} times its exact integer, as built alone
+    n, l_max = 400, 8
+    sizes = [0, 1, 2, 5, 57, 60, 130, 200, 399, 400]
+    got = cube._block_phi_matrices(l_max, n, [*sizes, 57, 2])
+    assert sorted(got) == sizes
+    scale = 1.0 / math.sqrt(n)
+    for total in sizes:
+        want = np.array(
+            [
+                [(math.factorial(j) * scale**j) * float(block_sum(j, c, total - c)) for c in range(total + 1)]
+                for j in range(l_max + 1)
+            ]
+        )
+        assert np.array_equal(got[total], want), total
+        assert got[total].flags.c_contiguous and np.array_equal(got[total], _block_phi_matrix(l_max, n, total))
+    assert not all((400 + j) * math.comb(400, j) < 2**53 for j in range(l_max))
+
+
 @pytest.mark.parametrize("count", [12, 800, 2000, 4096])
 def test_binomial_weights_match_exact_fractions(count):
     exact = np.array([float(Fraction(math.comb(count, j), 2**count)) for j in range(count + 1)])
@@ -351,7 +377,7 @@ def _cut_and_full(spec, z, k, p, q):
     n = spec.n
     cuts = []
     left, right = symmetric_tzk_table(spec, z, k)
-    value = mixed_norm_collapsed((left, right), n, k, p, q, cuts=cuts)
+    (value,) = mixed_norm_collapsed([(left, right)], n, [k], p, q, cuts=cuts)
     table = left @ right
 
     def abs_q(rows, cols):
@@ -463,3 +489,153 @@ def test_collapsed_table_matches_block_evaluation():
             counts = BlockCounts(k=k, a=a, b=b)
             want = sum(c * phi_block_eval(ell, spec.n, counts, z) for ell, c in enumerate(spec.a))
             assert abs(table[a, b] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _one_table_window(mass, share):
+    # the window rule on one mass, as cut_mixed_norm applied it before the
+    # stacked pass: the reference _windows must reproduce bit for bit
+    left = np.cumsum(mass, axis=1)
+    right = np.cumsum(mass[:, ::-1], axis=1)
+    size = mass.shape[1]
+    budget = 0.5 * share * left[:, -1:]
+    lo = int(np.min(np.sum(left <= budget, axis=1), initial=size))
+    hi = size - int(np.min(np.sum(right <= budget, axis=1), initial=size))
+    if lo >= hi or not np.all(np.isfinite(budget)):
+        return slice(0, size), np.zeros(mass.shape[0])
+    tail = np.zeros(mass.shape[0])
+    if lo:
+        tail += left[:, lo - 1]
+    if hi < size:
+        tail += right[:, size - hi - 1]
+    return slice(lo, hi), tail
+
+
+def _random_masses(rng, count):
+    # bell-shaped rows of random widths and centres, as the majorant masses
+    # are, with all-zero rows, all-zero masses, non-finite entries and
+    # masses without rows mixed in
+    masses = []
+    for _ in range(count):
+        rows, size = int(rng.integers(0, 5)), int(rng.integers(1, 200))
+        grid = np.arange(size)
+        centres, widths = rng.uniform(0, size, rows), rng.uniform(0.5, size, rows)
+        mass = rng.uniform(0.1, 1e3, (rows, 1)) * np.exp(-(((grid - centres[:, None]) / widths[:, None]) ** 2))
+        kind = rng.integers(0, 6)
+        if kind == 0 and rows:
+            mass[rng.integers(rows)] = 0.0
+        elif kind == 1:
+            mass[:] = 0.0
+        elif kind == 2 and rows:
+            mass[rng.integers(rows), rng.integers(size)] = rng.choice([np.inf, np.nan])
+        elif kind == 3 and rows:
+            mass[0] = mass[0] + mass[0, ::-1]  # symmetric about the middle
+        masses.append(mass)
+    return masses
+
+
+def test_stacked_windows_match_the_one_table_rule():
+    rng = np.random.default_rng(51)
+    masses = _random_masses(rng, 60)
+    cut = 0
+    for share in (1e-20, 1e-6, 0.2):
+        got = _windows(masses, share)
+        assert len(got) == len(masses)
+        for mass, (window, tail) in zip(masses, got):
+            want_window, want_tail = _one_table_window(mass, share)
+            assert window == want_window
+            assert tail.shape == want_tail.shape and np.array_equal(tail, want_tail)
+            cut += window != slice(0, mass.shape[1])
+    assert cut > 0
+
+
+def _per_table_flow(spec, t, ks):
+    # every table on its own: one factor pair, its two weight vectors and
+    # factored_mixed_norm, the cut_mixed_norm route with a stack of one
+    n, out = spec.n, {}
+    for k in ks:
+        left, right = symmetric_tzk_table(spec, t.z, k)
+        weights = log_binomial_weights(k), log_binomial_weights(n - k)
+        out[k] = factored_mixed_norm(left, right, *weights, t.p, t.q, share=cube._CUT_SHARE)
+    return out
+
+
+def _planned_flow(spec, t, ks, monkeypatch):
+    # discrete_flow's values, and its TailCuts in the order of its chunks
+    cuts = []
+    summary = cube.cut_summary
+    monkeypatch.setattr(cube, "cut_summary", lambda seen: cuts.extend(seen) or summary(seen))
+    report = discrete_flow(spec, t, ks)
+    order = [k for chunk in cube._chunks(list(report.parameters), spec.n, spec.degree) for k in chunk]
+    return report, dict(zip(report.parameters, report.values)), dict(zip(order, cuts))
+
+
+def _random_spec(rng, n, degree):
+    return SymmetricSpec(n=n, a=rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+
+
+def _random_triple(rng):
+    p = float(rng.uniform(1.0, 2.0))
+    return ExponentTriple(p, float(rng.uniform(max(p, 2.0), 4.5)), complex(*rng.uniform(-0.6, 0.6, 2)))
+
+
+@pytest.mark.parametrize(
+    "n, degree, split_count, chunk_elements",
+    [
+        (1, 2, None, None),
+        (2, 0, None, None),
+        (3, 4, None, None),
+        (40, 3, None, None),
+        (300, 5, 17, None),
+        (401, 4, None, None),
+        (60, 3, None, 3 * 4 * 61),  # three tables a chunk: pairs meet chunk boundaries
+        (400, 8, 9, None),  # blocks past the float-exact Krawtchouk range
+    ],
+)
+def test_planned_flow_matches_the_per_table_route(monkeypatch, n, degree, split_count, chunk_elements):
+    rng = np.random.default_rng(n + degree)
+    if chunk_elements is not None:
+        monkeypatch.setattr(cube, "_CHUNK_ELEMENTS", chunk_elements)
+    for draw in range(3):
+        spec, t = _random_spec(rng, n, degree), _random_triple(rng)
+        if draw == 2:
+            spec.a[-1] = 0.0  # a coupling column that is all zero
+        ks = list(range(n + 1))
+        if split_count is not None:
+            ks = sorted({0, n, *(int(k) for k in rng.integers(0, n + 1, split_count))})
+        report, values, cuts = _planned_flow(spec, t, None if split_count is None else ks, monkeypatch)
+        want = _per_table_flow(spec, t, ks)
+        assert list(report.parameters) == ks
+        assert values == {k: value for k, (value, _) in want.items()}
+        assert cuts == {k: cut for k, (_, cut) in want.items()}
+        assert report.diagnostics == cube.cut_summary([cut for _, cut in want.values()])
+    if chunk_elements is not None:
+        chunks = cube._chunks(ks, n, degree)
+        assert len(chunks) > 1 and max(map(len, chunks)) <= 4
+        assert all(n - k not in ks or n - k in chunk for chunk in chunks for k in chunk)
+    if degree == 8:
+        assert any((n + j) * math.comb(n, j) >= 2**53 for j in range(degree))
+
+
+def test_planned_flow_falls_back_to_the_full_tables_as_the_per_table_route(monkeypatch):
+    rng = np.random.default_rng(52)
+    spec, t = _random_spec(rng, 120, 3), _random_triple(rng)
+    monkeypatch.setattr(cube, "TAIL_RTOL", -1.0)
+    report, values, cuts = _planned_flow(spec, t, None, monkeypatch)
+    want = _per_table_flow(spec, t, range(121))
+    assert values == {k: value for k, (value, _) in want.items()}
+    assert cuts == {k: cut for k, (_, cut) in want.items()}
+    assert all(cut == cube.TailCut(0.0, cut.cells, cut.cells) for cut in cuts.values())
+    assert report.diagnostics == {"tail_bound": 0.0, "cells_kept_share": 1.0}
+
+
+def test_flow_over_all_k_stays_small_in_memory():
+    # one chunk of blocks, tables and stacked masses at a time, never all n + 1
+    spec = SymmetricSpec(n=2000, a=[0.3 + 0.1j, 1 - 0.5j, 0.2j, 0.7, -0.4 + 0.3j, 0.25 - 0.6j])
+    t = ExponentTriple(1.5, 3.2, 0.3 + 0.2j)
+    tracemalloc.start()
+    try:
+        discrete_flow(spec, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
