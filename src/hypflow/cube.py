@@ -209,7 +209,8 @@ class SymmetricSpec:
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n
-        self.a = arr
+        # trailing zeros would only raise the degree the tables are built for
+        self.a = arr[: max(np.flatnonzero(arr), default=0) + 1]
 
     @property
     def degree(self) -> int:

@@ -514,13 +514,13 @@ def test_violation_exit_code(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["verdict"].startswith("violated-at")
     assert manifest["min_delta"] < 0
-    # only the process entry switches the collector off and freezes it
+    # only the process entry switches the collector off; nothing freezes it
     assert gc.get_freeze_count() == frozen and gc.isenabled() == enabled
 
 
 def test_violation_exits_2_cold(tmp_path):
-    # the process entry passes main's code through its collector freeze, and
-    # the outputs are complete when the process ends
+    # the process entry passes main's code to os._exit, and the outputs are
+    # complete when the process ends without finalization
     done = _run_cold([*_VIOLATED, "--out", str(tmp_path / "out")], tmp_path)
     assert done.returncode == EXIT_VIOLATION, done.stderr
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -528,6 +528,17 @@ def test_violation_exits_2_cold(tmp_path):
     lines = (tmp_path / "out" / "flow.csv").read_text().splitlines()
     assert lines[0] == "parameter,value,delta_to_prev" and len(lines) == 9
     assert json.loads(lines[-1][2:]) == {"parameter_name": "k", "verdict": "violated-at(5, 1.626e-01)"}
+
+
+def test_selftest_cold_output_arrives_through_a_pipe(tmp_path):
+    # stdout is block-buffered into a pipe: without the flush before os._exit
+    # the PASS lines would be lost with the process
+    env = {key: value for key, value in _fresh_env().items() if key != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "hypflow.cli", "selftest", "--quick", "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(selftest.CRITERIA) and lines[-1].startswith("[PASS] ")
 
 
 def test_usage_errors(tmp_path):
@@ -567,6 +578,127 @@ def test_config_file_with_flag_override(tmp_path):
     # flags override the file
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "override")]) == EXIT_OK
     assert (tmp_path / "override" / "flow.csv").exists()
+
+
+# (command, config params, flags after the command, the key the flags leave
+# alone, what the run shows of it): each flag set names the command and
+# overrides other keys, so the config's value of the key must reach the run
+_KEPT_BY_NAMED_COMMAND = {
+    "two-point-scan resolution": (
+        "two-point-scan", {"p": 2, "q": 4, "resolution": 0.5}, ["--p", "2", "--q", "4"], "resolution",
+        lambda out, manifest, spied: manifest["grid_points"], 13,
+    ),
+    "two-point-scan budget": (
+        "two-point-scan", {"p": 2, "q": 4, "resolution": 0.5, "budget": "full"}, ["--p", "2", "--q", "4"], "budget",
+        lambda out, manifest, spied: len((out / "scan.csv").read_text().splitlines()), 14,
+    ),
+    **{
+        f"{argv[0]} s_points": (
+            argv[0], {**params, "s_points": 3}, argv[1:], "s_points",
+            lambda out, manifest, spied: len((out / "flow.csv").read_text().splitlines()), 5,
+        )
+        for argv, params in (
+            (["janson-flow", "--p", "1.5"], {"coeffs": "1,1j"}),
+            (["hy-flow", "--p", "1.5"], {"gaussian": True}),
+            (["hy-exp", "--p", "1.5"], {"atoms": "1:0.5"}),
+        )
+    },
+    "converge s": (
+        "converge", {"s": 0.25}, ["--p", "1.5", "--q", "3", "--z-re", "0.5", "--coeffs", "0,1", "--n-list", "16,64"],
+        "s", lambda out, manifest, spied: manifest["s"], 0.25,
+    ),
+    "hy-flow gaussian": (
+        "hy-flow", {"gaussian": True}, ["--p", "1.5", "--s-points", "3"], "gaussian",
+        lambda out, manifest, spied: manifest["phi0"] > 0, True,
+    ),
+    "selftest quick": (
+        "selftest", {"quick": True}, ["--seed", "7"], "quick", lambda out, manifest, spied: spied, [(7, True)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, params, flags, key, shown, want", _KEPT_BY_NAMED_COMMAND.values(), ids=_KEPT_BY_NAMED_COMMAND
+)
+def test_config_keeps_its_keys_under_a_named_command(command, params, flags, key, shown, want, tmp_path, monkeypatch):
+    # before, the parser's defaults (resolution 0.05, budget reduced, 21 s
+    # samples, s 0.5, no gaussian, no quick) overwrote the config's values
+    spied = []
+    monkeypatch.setattr(selftest, "run_selftest", lambda seed, quick: spied.append((seed, quick)) or [])
+    argv = _config_argv({"command": command, "params": params}, tmp_path / "run.json", tmp_path / "out")
+    assert main([*argv, command, *flags]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["params"][key] == params[key]
+    assert shown(tmp_path / "out", manifest, spied) == want
+
+
+def test_config_supplies_what_the_flags_leave_out(tmp_path):
+    # before, janson-flow's parser required --p and --coeffs although the file holds them
+    config = {"command": "janson-flow", "params": {"p": 1.5, "coeffs": "1,2"}}
+    argv = _config_argv(config, tmp_path / "run.json", tmp_path / "out")
+    assert main([*argv, "janson-flow", "--s-points", "3"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["params"] == {"p": 1.5, "coeffs": "1,2", "s_points": 3}
+    assert len((tmp_path / "out" / "flow.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+def test_missing_parameter_exits_1_naming_it(from_config, tmp_path):
+    if from_config:
+        config = {"command": "discrete-flow", "params": {"n": 6, "q": 4.0, "coeffs": "0,1"}}
+        argv = _config_argv(config, tmp_path / "run.json", tmp_path / "out")
+    else:
+        argv = ["discrete-flow", "--n", "6", "--q", "4", "--coeffs", "0,1", "--out", str(tmp_path / "out")]
+    done = _run_cold(argv, tmp_path)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("error: missing parameter p: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "--p" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discrete-flow", "--n", "12", "--p", "1.5", "--z-re", "0.3", "--coeffs", "0,1,1"],
+        ["converge", "--p", "1.5", "--z-re", "0.5", "--coeffs", "0,1,0,1", "--n-list", "16,64"],
+    ],
+    ids=["discrete-flow", "converge"],
+)
+def test_q_defaults_to_the_conjugate_exponent(argv, tmp_path):
+    # p = 1.5: the conjugate exponent is 3; before, --q was required here
+    assert main([*argv, "--q", "3", "--out", str(tmp_path / "q")]) == EXIT_OK
+    assert main([*argv, "--out", str(tmp_path / "conj")]) == EXIT_OK
+    [csv] = {"flow.csv", "convergence.csv"} & {path.name for path in (tmp_path / "q").iterdir()}
+    assert (tmp_path / "q" / csv).read_bytes() == (tmp_path / "conj" / csv).read_bytes()
+    manifests = [json.loads((tmp_path / name / "manifest.json").read_text()) for name in ("q", "conj")]
+    assert manifests[0]["q"] == manifests[1]["q"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"p": 1.5, "hermite_coeffs": "1,0.5"}, ["--gaussian"]),
+        ({"p": 1.5, "gaussian": True}, ["--hermite-coeffs", "1,0.5"]),
+        ({}, ["--p", "1.5", "--gaussian", "--hermite-coeffs", "1,0.5"]),
+        ({"p": 1.5}, []),
+    ],
+    ids=["config coeffs, flag gaussian", "config gaussian, flag coeffs", "flags both", "neither"],
+)
+def test_hy_flow_needs_exactly_one_input(config, flags, tmp_path, capsys):
+    argv = _config_argv({"command": "hy-flow", "params": config}, tmp_path / "run.json", tmp_path / "out")
+    assert main([*argv, "hy-flow", *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: hy-flow needs exactly one of gaussian and hermite_coeffs\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_discrete_flow_ignores_trailing_zero_coefficients(tmp_path):
+    # before, the 200 zeros set the degree to 204, out of float range at n = 50
+    argv = ["discrete-flow", "--n", "50", "--p", "2", "--q", "4", "--z-re", "0.3"]
+    padded = ",".join(["1"] * 5 + ["0"] * 200)
+    assert main([*argv, "--coeffs", padded, "--out", str(tmp_path / "padded")]) == EXIT_OK
+    assert main([*argv, "--coeffs", "1,1,1,1,1", "--out", str(tmp_path / "plain")]) == EXIT_OK
+    assert (tmp_path / "padded" / "flow.csv").read_bytes() == (tmp_path / "plain" / "flow.csv").read_bytes()
 
 
 def test_run_config_round_trip():

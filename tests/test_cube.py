@@ -628,6 +628,23 @@ def test_planned_flow_falls_back_to_the_full_tables_as_the_per_table_route(monke
     assert report.diagnostics == {"tail_bound": 0.0, "cells_kept_share": 1.0}
 
 
+def test_symmetric_spec_drops_trailing_zero_coefficients(monkeypatch):
+    # the tables are built at the degree f has, and the values do not move
+    spec = SymmetricSpec(n=300, a=[0.5, 1 - 0.5j] + [0] * 8)
+    assert spec.degree == 1 and spec.a.tolist() == [0.5, 1 - 0.5j]
+    assert SymmetricSpec(n=4, a=[0, 0, 0]).a.tolist() == [0]  # one coefficient stays
+    padded = SymmetricSpec(n=300, a=spec.a)
+    padded.a = np.r_[spec.a, np.zeros(8)]  # as the spec was before the trim
+    degrees = []
+    build = cube._block_phi_matrices
+    monkeypatch.setattr(cube, "_block_phi_matrices", lambda l_max, *rest: degrees.append(l_max) or build(l_max, *rest))
+    t = ExponentTriple(1.5, 3.2, 0.3 + 0.2j)
+    trimmed = discrete_flow(spec, t)
+    assert degrees and set(degrees) == {1}
+    assert discrete_flow(padded, t).values == trimmed.values
+    assert set(degrees) == {1, 9}
+
+
 def test_flow_over_all_k_stays_small_in_memory():
     # one chunk of blocks, tables and stacked masses at a time, never all n + 1
     spec = SymmetricSpec(n=2000, a=[0.3 + 0.1j, 1 - 0.5j, 0.2j, 0.7, -0.4 + 0.3j, 0.25 - 0.6j])
