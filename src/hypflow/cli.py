@@ -125,6 +125,14 @@ def _integer(key: str, value) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def _boolean(key: str, value) -> bool:
+    """value if it is True or False, the values a store_true flag gives;
+    ValueError naming key for anything else ("false" would read as true)."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be true or false, got {value!r}")
+
+
 def _listed(params: dict, key: str) -> list[str]:
     """The nonblank comma-separated parts of params[key]; ValueError unless it is a string."""
     if not isinstance(text := params[key], str):
@@ -293,21 +301,22 @@ def _cmd_converge(config: RunConfig, out: Path) -> tuple[int, dict]:
 def _cmd_hy_flow(config: RunConfig, out: Path) -> tuple[int, dict]:
     params = config.params
     p = float(params["p"])
-    gaussian = bool(params.get("gaussian"))
+    gaussian = _boolean("gaussian", params.get("gaussian", False))
     if gaussian == bool(params.get("hermite_coeffs")):
         raise ValueError("hy-flow needs exactly one of gaussian and hermite_coeffs")
     coeffs = None if gaussian else _parse_complex_list(params, "hermite_coeffs")
     s_grid = _s_grid(params)
-    from .hausdorff_young import HYInput, gaussian_extremizer_input, hy_endpoints, phi_flow, sharp_constant
+    from .hausdorff_young import GAUSSIAN_EXTREMIZER, hy_endpoints, hy_exponents, phi_flow, sharp_constant
     from .hermite import HermiteSeries
 
-    inp = gaussian_extremizer_input(p) if gaussian else HYInput(p=p, g_tilde=HermiteSeries(coeffs))
-    report = phi_flow(inp, s_grid=s_grid)
-    norm_fhat, scaled_norm = hy_endpoints(inp)
+    g = GAUSSIAN_EXTREMIZER if gaussian else HermiteSeries(coeffs)
+    report = phi_flow(p, g, s_grid=s_grid)
+    norm_fhat, scaled_norm = hy_endpoints(p, g)
+    t = hy_exponents(p)
     fields = {
         "p": p,
-        "q": inp.q,
-        "z": inp.z,
+        "q": t.q,
+        "z": t.z,
         "phi0": report.values[0],
         "phi1": report.values[-1],
         "constant": sharp_constant(p),
@@ -321,15 +330,15 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
     params = config.params
     p = float(params["p"])
     atoms, s_grid = tuple(_parse_atoms(params)), _s_grid(params)
-    from .exponents import conjugate_exponent
-    from .hausdorff_young import ExpFamily, exp_flow_phi, hy_verify, sharp_constant
+    from .hausdorff_young import ExpFamily, exp_flow_exponents, exp_flow_phi, hy_verify, sharp_constant
 
     fam = ExpFamily(atoms=atoms)
     report = exp_flow_phi(fam, p, s_grid=s_grid)
+    t = exp_flow_exponents(p)
     fields = {
         "p": p,
-        "q": conjugate_exponent(p),
-        "z": 1j * math.sqrt(p / conjugate_exponent(p)),
+        "q": t.q,
+        "z": t.z,
         "phi0": report.values[0],
         "phi1": report.values[-1],
         "constant": sharp_constant(p),
@@ -337,8 +346,8 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
         "nesting": "outer-x-inner-u",
     }
     checks = [("endpoints", report.values[0], report.values[-1])]
-    if fam.atoms and all(abs(t.imag) <= 1e-12 for _, t in fam.atoms):
-        lhs, rhs = hy_verify(fam, p)
+    if (sides := hy_verify(fam, p)) is not None:
+        lhs, rhs = sides
         fields["final_form"] = {"lhs_norm_fhat_q": lhs, "rhs_scaled_norm_f_p": rhs}
         checks.append(("final_form", lhs, rhs))
     code, manifest = _flow_result(report, config, out, fields, checks)
@@ -348,9 +357,10 @@ def _cmd_hy_exp(config: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _cmd_selftest(config: RunConfig, out: Path) -> tuple[int, dict]:
+    quick = _boolean("quick", config.params.get("quick", False))
     from .selftest import run_selftest  # the only command that needs the registry
 
-    results = run_selftest(seed=config.seed, quick=bool(config.params.get("quick")))
+    results = run_selftest(seed=config.seed, quick=quick)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.checks} checks, {res.elapsed_s:.2f}s")
         for failure in res.failures:

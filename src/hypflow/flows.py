@@ -272,6 +272,8 @@ def convergence_experiment(
     that report's: cap_hits, tail_bound and cells_kept_share, the spot
     check's grids included.
     """
+    if not 0.0 <= s <= 1.0:  # before round(s*n): NaN fails too
+        raise ValueError("flow parameter s must lie in [0, 1]")
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a_ for a_, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and strictly increasing")

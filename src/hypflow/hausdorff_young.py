@@ -11,18 +11,20 @@ yields the sharp constant, with Gaussians as extremizers (constant flow).
 
 phi is never computed from its literal definition (a Fourier transform at
 complex-shifted arguments); it always goes through J, which has stable
-evaluators: flows.janson_flow for a Hermite series g~, and for one
-Gaussian atom a closed form (_atom_flow), as |inner|^q is then the
-exponential of a real quadratic form and both averages are Gaussian
-integrals.  The endpoint identities *are* computed
-independently (hy_endpoints) so the bridge is genuinely tested, not assumed.
+evaluators: flows.janson_flow for a HermiteSeries g~, and for a GaussianAtom
+f a closed form (_atom_flow), as |inner|^q is then the exponential of a
+real quadratic form and both averages are Gaussian integrals.  phi_flow and
+hy_endpoints take g~ or f itself and dispatch on its type.  The endpoint
+identities *are* computed independently (hy_endpoints) so the bridge is
+genuinely tested, not assumed.
 
 The exponential-family route uses tilted exponentials instead of
 polynomials: Phi_s(x, u) factorizes atom by atom, the flow value
 phi_exp(s) = E_x ( E_u |Phi_s(x, u)|^q )^{p/q} satisfies
 phi_exp(0) <= phi_exp(1), and unwinding the endpoint change of variables
 gives the sharp inequality for sums of modulated Gaussians directly.
-Here the damping is z = i sqrt(p/q).
+Here the damping is z = i sqrt(p/q).  Each route's q and z come from one
+function, hy_exponents and exp_flow_exponents.
 """
 from __future__ import annotations
 
@@ -54,47 +56,31 @@ def sharp_constant(p: float) -> float:
     return math.sqrt(p ** (1.0 / p) / q ** (1.0 / q))
 
 
-class HYInput:
-    """Test function for the flow, as either a Hermite series g~ or a Gaussian atom f.
-
-    The two representations are linked by g~(y) = f(y) exp(y^2/2p) (2 pi)^{1/2p}.
-    Exactly one of g_tilde / f_atom is given.
-    """
-
-    __slots__ = ("p", "g_tilde", "f_atom")
-
-    def __init__(self, p: float, g_tilde: HermiteSeries | None = None, f_atom: GaussianAtom | None = None):
-        if not 1.0 < p <= 2.0:
-            raise ValueError(f"p must lie in (1, 2], got {p}")
-        if (g_tilde is None) == (f_atom is None):
-            raise ValueError("provide exactly one of g_tilde or f_atom")
-        self.p = p
-        self.g_tilde = g_tilde
-        self.f_atom = f_atom
-
-    @property
-    def q(self) -> float:
-        return conjugate_exponent(self.p)
-
-    @property
-    def z(self) -> complex:
-        return 1j * math.sqrt(self.p - 1.0)
-
-    def g_tilde_atom(self) -> GaussianAtom:
-        """g~ as an atom (atom representation only)."""
-        if self.f_atom is None:
-            raise ValueError("input has no atom representation")
-        scale = (2.0 * np.pi) ** (1.0 / (2.0 * self.p))
-        return GaussianAtom(
-            self.f_atom.amplitude * scale,
-            self.f_atom.quad - 1.0 / (2.0 * self.p),
-            self.f_atom.lin,
-        )
+GAUSSIAN_EXTREMIZER = GaussianAtom(1.0, np.pi, 0.0)  # f(y) = exp(-pi y^2), for every p
 
 
-def gaussian_extremizer_input(p: float) -> HYInput:
-    """f(y) = exp(-pi y^2), the extremizing Gaussian, as an HYInput."""
-    return HYInput(p=p, f_atom=GaussianAtom(1.0, np.pi, 0.0))
+def hy_exponents(p: float) -> ExponentTriple:
+    """(p, q, z) of the flow phi: q = p/(p-1) and z = i sqrt(p-1)."""
+    return ExponentTriple(p, conjugate_exponent(p), 1j * math.sqrt(p - 1.0))
+
+
+def exp_flow_exponents(p: float) -> ExponentTriple:
+    """(p, q, z) of the exponential-family flow: q = p/(p-1) and z = i sqrt(p/q), a
+    formula of its own: it rounds apart from hy_exponents' z at some p (1.81)."""
+    q = conjugate_exponent(p)
+    return ExponentTriple(p, q, 1j * math.sqrt(p / q))
+
+
+def _g_tilde_atom(f: GaussianAtom, p: float) -> GaussianAtom:
+    """g~(y) = f(y) exp(y^2/2p) (2 pi)^{1/2p}, again an atom."""
+    scale = (2.0 * np.pi) ** (1.0 / (2.0 * p))
+    return GaussianAtom(f.amplitude * scale, f.quad - 1.0 / (2.0 * p), f.lin)
+
+
+def _sharp_sides(f_atoms: Sequence[GaussianAtom], t: ExponentTriple) -> tuple[float, float]:
+    """(||Fhat||_q, C_p ||F||_p) of F = sum f_atoms: exact transforms, recentred norms."""
+    fhat_atoms = [fourier_transform_atom(atom) for atom in f_atoms]
+    return atom_lp_norm(fhat_atoms, t.q), sharp_constant(t.p) * atom_lp_norm(f_atoms, t.p)
 
 
 def _log_gaussian_mean(a: float, b: float, s: float) -> float:
@@ -137,50 +123,54 @@ def _atom_flow(atom: GaussianAtom, p: float, q: float, z: complex, s: float) -> 
     return math.exp(r * log_x + _log_gaussian_mean(a_outer, b_outer, s))
 
 
-def phi_flow(inp: HYInput, s_grid: Sequence[float] | None = None) -> FlowReport:
-    """phi(s) = (J(s) p^{1/2} / q^{p/2q})^{1/p} over the grid, z = i sqrt(p-1).
+def phi_flow(p: float, g: HermiteSeries | GaussianAtom, s_grid: Sequence[float] | None = None) -> FlowReport:
+    """phi(s) = (J(s) p^{1/2} / q^{p/2q})^{1/p} over the grid, (q, z) = hy_exponents(p).
 
-    On the polynomial route J is flows.janson_flow of g~'s coefficients,
-    with its spot checks (EvaluatorMismatchError) and its diagnostics
-    (cap_hits, tail_bound, cells_kept_share).  The atom route (_atom_flow)
-    forms no grid: its diagnostics are {"cap_hits": []}.
+    g is g~ as a HermiteSeries, or f as a GaussianAtom.  On the polynomial
+    route J is flows.janson_flow of g~'s coefficients, with its spot checks
+    (EvaluatorMismatchError) and its diagnostics (cap_hits, tail_bound,
+    cells_kept_share).  The atom route (_atom_flow) forms no grid: its
+    diagnostics are {"cap_hits": []}.  Any other g raises TypeError.
     """
+    t = hy_exponents(p)
     grid = s_samples(s_grid)
-    p, q = inp.p, inp.q
-    bridge = math.sqrt(p) / q ** (p / (2.0 * q))
-    if inp.g_tilde is not None:
-        janson = janson_flow(PolySeries(inp.g_tilde.coeffs), ExponentTriple(p, q, inp.z), grid)
+    bridge = math.sqrt(p) / t.q ** (p / (2.0 * t.q))
+    if isinstance(g, HermiteSeries):
+        janson = janson_flow(PolySeries(g.coeffs), t, grid)
         j_values, diagnostics = janson.values, janson.diagnostics
-    else:
-        j_values = [_atom_flow(inp.g_tilde_atom(), p, q, inp.z, float(s)) for s in grid]
+    elif isinstance(g, GaussianAtom):
+        atom = _g_tilde_atom(g, p)
+        j_values = [_atom_flow(atom, p, t.q, t.z, float(s)) for s in grid]
         diagnostics = {"cap_hits": []}
+    else:
+        raise TypeError(f"phi_flow takes a HermiteSeries g~ or a GaussianAtom f, got {type(g).__name__}")
     values = [(j_val * bridge) ** (1.0 / p) for j_val in j_values]
     return FlowReport(parameter_name="s", samples=tuple(zip(grid, values)), diagnostics=diagnostics)
 
 
-def hy_endpoints(inp: HYInput) -> tuple[float, float]:
+def hy_endpoints(p: float, g: HermiteSeries | GaussianAtom) -> tuple[float, float]:
     """(||fhat||_q,  (p^{1/p}/q^{1/q})^{1/2} ||f||_p), both by direct quadrature.
 
-    The transform uses the convention fhat(x) = int f(y) exp(-2 pi i x y) dy.
-    The sharp inequality itself, first <= second, is judged by the caller.
+    g is g~ as a HermiteSeries, or f as a GaussianAtom (_sharp_sides); any
+    other g raises TypeError.  The transform uses the convention
+    fhat(x) = int f(y) exp(-2 pi i x y) dy.  The sharp inequality itself,
+    first <= second, is judged by the caller.
     """
-    p, q = inp.p, inp.q
-    if inp.f_atom is not None:
-        norm_f = atom_lp_norm([inp.f_atom], p)
-        norm_fhat = atom_lp_norm([fourier_transform_atom(inp.f_atom)], q)
-    else:
-        poly = basis_convert(inp.g_tilde)
-        a = 1.0 / (2.0 * p)
-        log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
-        norm_f = poly_gaussian_lr_norm(poly, a, log_amp, p)
-        # fhat(x) = amp * sqrt(pi/a) * exp(c^2/4a) * (P_{1/2a} poly)(c/2a), c = -2 pi i x.
-        evolved = heat_poly_series(1.0 / (2.0 * a), poly)
-        hat_poly = PolySeries(
-            evolved.coeffs * (-2.0j * np.pi / (2.0 * a)) ** np.arange(evolved.coeffs.size)
-        )
-        # |exp(c^2/4a)| = exp(-pi^2 x^2 / a): a Gaussian envelope in x.
-        hat_log_amp = log_amp + 0.5 * math.log(np.pi / a)
-        norm_fhat = poly_gaussian_lr_norm(hat_poly, np.pi**2 / a, hat_log_amp, q)
+    t = hy_exponents(p)
+    if isinstance(g, GaussianAtom):
+        return _sharp_sides([g], t)
+    if not isinstance(g, HermiteSeries):
+        raise TypeError(f"hy_endpoints takes a HermiteSeries g~ or a GaussianAtom f, got {type(g).__name__}")
+    poly = basis_convert(g)
+    a = 1.0 / (2.0 * p)
+    log_amp = -math.log(2.0 * np.pi) / (2.0 * p)
+    norm_f = poly_gaussian_lr_norm(poly, a, log_amp, p)
+    # fhat(x) = amp * sqrt(pi/a) * exp(c^2/4a) * (P_{1/2a} poly)(c/2a), c = -2 pi i x.
+    evolved = heat_poly_series(1.0 / (2.0 * a), poly)
+    hat_poly = PolySeries(evolved.coeffs * (-2.0j * np.pi / (2.0 * a)) ** np.arange(evolved.coeffs.size))
+    # |exp(c^2/4a)| = exp(-pi^2 x^2 / a): a Gaussian envelope in x.
+    hat_log_amp = log_amp + 0.5 * math.log(np.pi / a)
+    norm_fhat = poly_gaussian_lr_norm(hat_poly, np.pi**2 / a, hat_log_amp, t.q)
     return norm_fhat, sharp_constant(p) * norm_f
 
 
@@ -246,23 +236,22 @@ def _exp_flow_factors(
 def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None) -> FlowReport:
     """The exponential-family flow phi_exp(s) = E_x (E_u |Phi_s(x,u)|^q)^{p/q}.
 
-    Damping is z = i sqrt(p/q); the inner average runs over the z-coupled
-    variable and the outer over the sqrt(s)-coupled one, matching the flow's
-    displayed nesting.  At interior s each grid is the rank-L table of
-    _exp_flow_factors, cut as the Janson grids are (flows._grid_norm).  At
-    s = 0, 1 the flow is a one-variable average, an atom norm
-    (atom_lr_estimate) on panels graded toward the zeros, where |.|^r is
-    kinked.  The endpoint
-    comparison phi_exp(0) <= phi_exp(1) is left to the caller; a non-finite
-    endpoint raises AccuracyError.  The report's diagnostics give, over
-    every interior grid formed (none: no entry), the largest certified
-    relative bound of the dropped cells (tail_bound) and the share of cells
-    kept (cells_kept_share), and every interior s whose doubling stopped at
-    its cap unconverged and every end whose error estimate exceeds
-    gaussian_atoms.LR_RTOL (cap_hits).
+    Damping is z = i sqrt(p/q) (exp_flow_exponents); the inner average runs
+    over the z-coupled variable and the outer over the sqrt(s)-coupled one,
+    matching the flow's displayed nesting.  At interior s each grid is the
+    rank-L table of _exp_flow_factors, cut as the Janson grids are
+    (flows._grid_norm).  At s = 0, 1 the flow is a one-variable average, an
+    atom norm (atom_lr_estimate) on panels graded toward the zeros, where
+    |.|^r is kinked.  The endpoint comparison phi_exp(0) <= phi_exp(1) is
+    left to the caller; a non-finite endpoint raises AccuracyError.  The
+    report's diagnostics give, over every interior grid formed (none: no
+    entry), the largest certified relative bound of the dropped cells
+    (tail_bound) and the share of cells kept (cells_kept_share), and every
+    interior s whose doubling stopped at its cap unconverged and every end
+    whose error estimate exceeds gaussian_atoms.LR_RTOL (cap_hits).
     """
-    q = conjugate_exponent(p)
-    z = 1j * math.sqrt(p / q)
+    t = exp_flow_exponents(p)
+    q, z = t.q, t.z
     grid = s_samples(s_grid)
     stats: dict[float, OuterStats] = {}
 
@@ -299,31 +288,18 @@ def exp_flow_phi(fam: ExpFamily, p: float, s_grid: Sequence[float] | None = None
 
 def exp_family_final_atoms(fam: ExpFamily, p: float) -> list[GaussianAtom]:
     """The modulated-Gaussian family x -> exp(-pi x^2) sum_l c_l exp(t_l sqrt(2 pi p) x - t_l^2/2)."""
-    out = []
-    for c, t in fam.atoms:
-        out.append(
-            GaussianAtom(
-                c * np.exp(-t * t / 2.0),
-                np.pi,
-                t * math.sqrt(2.0 * np.pi * p),
-            )
-        )
-    return out
+    return [GaussianAtom(c * np.exp(-t * t / 2.0), np.pi, t * math.sqrt(2.0 * np.pi * p)) for c, t in fam.atoms]
 
 
-def hy_verify(fam: ExpFamily, p: float) -> tuple[float, float]:
-    """Sharp transform bound for a modulated-Gaussian family with real frequencies.
+def hy_verify(fam: ExpFamily, p: float) -> tuple[float, float] | None:
+    """Sharp transform bound for the final form of a family: its modulated Gaussians.
 
-    Returns (||Fhat||_q, (p^{1/p}/q^{1/q})^{1/2} ||F||_p); whether the first
-    is at most the second is judged by the caller.  The transform is exact
-    atom by atom; both norms are recentred quadratures.
+    Returns (||Fhat||_q, (p^{1/p}/q^{1/q})^{1/2} ||F||_p) by _sharp_sides;
+    whether the first is at most the second is judged by the caller.  A
+    family with no atoms, or with a frequency t_l off the real line
+    (|Im t_l| > 1e-12), has no final form: None.
     """
-    q = conjugate_exponent(p)
-    for _, t in fam.atoms:
-        if abs(t.imag) > 1e-12:
-            raise ValueError("final-form verification requires real frequencies t_l")
-    if not fam.atoms:
-        return 0.0, 0.0
-    f_atoms = exp_family_final_atoms(fam, p)
-    fhat_atoms = [fourier_transform_atom(atom) for atom in f_atoms]
-    return atom_lp_norm(fhat_atoms, q), sharp_constant(p) * atom_lp_norm(f_atoms, p)
+    t = exp_flow_exponents(p)
+    if not fam.atoms or any(abs(freq.imag) > 1e-12 for _, freq in fam.atoms):
+        return None
+    return _sharp_sides(exp_family_final_atoms(fam, p), t)

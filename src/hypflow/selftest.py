@@ -24,9 +24,10 @@ from .flows import (
     janson_quadrature,
 )
 from .hausdorff_young import (
+    GAUSSIAN_EXTREMIZER,
     ExpFamily,
-    gaussian_extremizer_input,
     hy_endpoints,
+    hy_exponents,
     hy_verify,
     lemma_A_check,
     lemma_F_check,
@@ -74,7 +75,7 @@ def _complex_poly(rng: np.random.Generator, max_degree: int) -> PolySeries:
 def _sharp_constant(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
     for p in (4 / 3, 3 / 2, 2.0):
         q = conjugate_exponent(p)
-        norm_fhat, scaled = hy_endpoints(gaussian_extremizer_input(p))
+        norm_fhat, scaled = hy_endpoints(p, GAUSSIAN_EXTREMIZER)
         # int exp(-r pi y^2) dy = r^{-1/2}  =>  ||f||_p = p^{-1/2p}, ||fhat||_q = q^{-1/2q}
         want = q ** (-1.0 / (2.0 * q))
         rec.check(f"||fhat||_q at p={p:.4g}", abs(norm_fhat - want), 1e-8)
@@ -86,7 +87,7 @@ def _continuous_monotone(rec: SuiteResult, rng: np.random.Generator, quick: bool
     polys = [PolySeries([1.0, 2.0, 0.0, 1.0])]
     polys += [_complex_poly(rng, 6) for _ in range(1 if quick else 10)]
     for p in (4 / 3,) if quick else (4 / 3, 3 / 2):
-        t = ExponentTriple(p, conjugate_exponent(p), 1j * math.sqrt(p - 1.0))
+        t = hy_exponents(p)
         for g in polys:
             report = janson_flow(g, t)
             rec.require(f"21 samples for {g.coeffs}", len(report.samples) == 21)
@@ -175,7 +176,7 @@ def _two_point(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
 
 
 def _gaussian_constant(rec: SuiteResult, rng: np.random.Generator, quick: bool) -> None:
-    values = phi_flow(gaussian_extremizer_input(4 / 3), s_grid=[0.0, 0.25, 0.5, 0.75, 1.0]).values
+    values = phi_flow(4 / 3, GAUSSIAN_EXTREMIZER, s_grid=[0.0, 0.25, 0.5, 0.75, 1.0]).values
     rec.check(f"spread of {values}", max(values) - min(values), 1e-14 * max(values))
 
 

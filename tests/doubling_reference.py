@@ -29,7 +29,7 @@ from hypflow.cube import TailCut, cut_mixed_norm
 from hypflow.errors import AccuracyError, DomainError
 from hypflow.flows import OuterStats
 from hypflow.gaussian_atoms import DOMAIN_EPS, GaussianAtom, _require_damping
-from hypflow.hausdorff_young import ExpFamily, conjugate_exponent
+from hypflow.hausdorff_young import ExpFamily, _g_tilde_atom, conjugate_exponent, hy_exponents
 from hypflow.hermite import (
     HermiteSeries,
     PolySeries,
@@ -162,10 +162,11 @@ def _outer_average_log(log_abs: np.ndarray, rule: QuadratureRule, p: float, q: f
     return float(np.dot(rule.weights, x_avg ** (p / q)))
 
 
-def atom_phi_flow(inp, s_grid) -> list[float]:
-    """phi(s) of an atom HYInput: _mehler_atom_log_abs on grids doubled by _auto_outer."""
-    p, q, z = inp.p, inp.q, inp.z
-    atom = inp.g_tilde_atom()
+def atom_phi_flow(p, f, s_grid) -> list[float]:
+    """phi(s) of an atom input f: _mehler_atom_log_abs on grids doubled by _auto_outer."""
+    t = hy_exponents(p)
+    q, z = t.q, t.z
+    atom = _g_tilde_atom(f, p)
     bridge = math.sqrt(p) / q ** (p / (2.0 * q))
     values = []
     for s in s_grid:

@@ -18,7 +18,8 @@ from numpy.polynomial import hermite_e, polynomial
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq, minimize_scalar
 
-from hypflow.hausdorff_young import ExpFamily, HYInput, conjugate_exponent, sharp_constant
+from hypflow.gaussian_atoms import GaussianAtom
+from hypflow.hausdorff_young import ExpFamily, _g_tilde_atom, conjugate_exponent, hy_exponents, sharp_constant
 
 
 def _breakpoints(h, lo: float, hi: float) -> list[float]:
@@ -145,16 +146,17 @@ def _log_peak_integral(log_f) -> float:
     return top + math.log(total)
 
 
-def atom_flow(inp: HYInput, s: float) -> float:
-    """phi(s) of an atom input at interior s, by quad nested in x and u.
+def atom_flow(p: float, f: GaussianAtom, s: float) -> float:
+    """phi(s) of an atom input f at interior s, by quad nested in x and u.
 
     J(s) = E_u (E_x |inner(X)|^q)^{p/q}, X = sqrt(s) u + z sqrt(1-s) x, with
     inner the Mehler-kernel image of g~ in its completed-square form:
     amplitude sqrt(s_k / A) exp(B^2 / 4A - s_k X^2), s_k = 1 / (2 (1 - sigma)),
     A = quad + s_k, B = lin + 2 s_k X, sigma = s + (1 - s) z^2.
     """
-    p, q, z = inp.p, inp.q, inp.z
-    atom = inp.g_tilde_atom()
+    t = hy_exponents(p)
+    q, z = t.q, t.z
+    atom = _g_tilde_atom(f, p)
     s_k = 1.0 / (2.0 * (1.0 - (s + (1.0 - s) * z * z)))
     big_a = atom.quad + s_k
     log_amp = math.log(abs(atom.amplitude)) + 0.5 * math.log(abs(s_k / big_a))

@@ -692,6 +692,60 @@ def test_hy_flow_needs_exactly_one_input(config, flags, tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+_NOT_BOOLEAN = {
+    "gaussian 'false'": ("hy-flow", {"p": 1.5, "gaussian": "false", "s_points": 3}, "gaussian"),
+    "gaussian 1": ("hy-flow", {"p": 1.5, "gaussian": 1, "s_points": 3}, "gaussian"),
+    "quick 'true'": ("selftest", {"quick": "true"}, "quick"),
+    "quick null": ("selftest", {"quick": None}, "quick"),
+}
+
+
+@pytest.mark.parametrize("command, params, key", _NOT_BOOLEAN.values(), ids=_NOT_BOOLEAN)
+def test_boolean_key_must_be_a_json_boolean(command, params, key, tmp_path, capsys, monkeypatch):
+    # before, "false" read as true: hy-flow ran the Gaussian and exited 0
+    spied = []
+    monkeypatch.setattr(selftest, "run_selftest", lambda seed, quick: spied.append((seed, quick)) or [])
+    argv = _config_argv({"command": command, "params": params}, tmp_path / "run.json", tmp_path / "out")
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {key} must be true or false, got {params[key]!r}\n"
+    assert spied == [] and not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_boolean_key_is_checked_before_any_numeric_module_loads(tmp_path):
+    argvs = [
+        _config_argv({"command": command, "params": params}, tmp_path / f"{i}.json", tmp_path / str(i))
+        for i, (command, params, _) in enumerate(_NOT_BOOLEAN.values())
+    ]
+    for argv, code, loaded in _loads(argvs)[1:]:
+        assert code == EXIT_USAGE
+        assert set(loaded).isdisjoint(_NUMERIC), (argv, sorted(set(loaded).intersection(_NUMERIC)))
+
+
+@pytest.mark.parametrize("s", ["inf", "nan", "1.5", "-0.2"])
+def test_converge_checks_s_first(s, tmp_path):
+    # before: an OverflowError traceback (inf), "cannot convert float NaN to
+    # integer" (nan) and a message on split indices (1.5, -0.2)
+    argv = ["converge", "--p", "1.5", "--coeffs", "0,1,0,1", "--n-list", "16,64", f"--s={s}"]
+    done = _run_cold([*argv, "--out", str(tmp_path / "out")], tmp_path)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == "error: flow parameter s must lie in [0, 1]\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_each_route_reports_its_own_z(tmp_path):
+    # at p = 1.81, i sqrt(p - 1) and i sqrt(p / q) round apart
+    p = 1.81
+    runs = {
+        "hy-flow": (["--gaussian"], hausdorff_young.hy_exponents(p).z),
+        "hy-exp": (["--atoms", "1:0.5"], hausdorff_young.exp_flow_exponents(p).z),
+    }
+    for command, (flags, z) in runs.items():
+        code, out = run([command, "--p", str(p), *flags, "--s-points", "3"], tmp_path, command)
+        assert code == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["z"] == {"re": z.real, "im": z.imag}
+    assert runs["hy-flow"][1] != runs["hy-exp"][1]
+
+
 def test_discrete_flow_ignores_trailing_zero_coefficients(tmp_path):
     # before, the 200 zeros set the degree to 204, out of float range at n = 50
     argv = ["discrete-flow", "--n", "50", "--p", "2", "--q", "4", "--z-re", "0.3"]
@@ -765,6 +819,7 @@ def test_hy_exp_large_constant_flow_holds_within_a_relative_tol(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["verdict"] == "holds" and "witness" not in manifest
     assert manifest["phi0"] > 1e46 and manifest["phi0"] != manifest["phi1"]
+    assert "final_form" not in manifest  # a complex frequency: hy_verify gives None
 
 
 def _scale_sharp_constant(monkeypatch, factor):
@@ -795,8 +850,7 @@ def test_hy_flow_sharp_bound_fails_past_the_default_tol(tmp_path, monkeypatch):
 
 
 def test_hy_flow_tol_0_flags_an_endpoint_excess_of_1e_12(tmp_path, monkeypatch):
-    inp = hausdorff_young.HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 2.0, 0.0, 1.0]))
-    lhs, rhs = hausdorff_young.hy_endpoints(inp)
+    lhs, rhs = hausdorff_young.hy_endpoints(1.5, HermiteSeries([1.0, 2.0, 0.0, 1.0]))
     _scale_sharp_constant(monkeypatch, (lhs - 1e-12) / rhs)
     args = ["hy-flow", "--p", "1.5", "--hermite-coeffs", "1,2,0,1", "--s-points", "5"]
     code, out = run([*args, "--tol", "0"], tmp_path)

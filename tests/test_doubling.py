@@ -25,10 +25,10 @@ from hypflow.errors import AccuracyError, DomainError
 from hypflow.flows import OuterStats, janson_heat, janson_mehler, janson_quadrature
 from hypflow.gaussian_atoms import GaussianAtom, atom_lp_norm, fourier_transform_atom
 from hypflow.hausdorff_young import (
+    GAUSSIAN_EXTREMIZER,
     ExpFamily,
-    HYInput,
+    conjugate_exponent,
     exp_flow_phi,
-    gaussian_extremizer_input,
     hy_endpoints,
     hy_verify,
     phi_flow,
@@ -127,12 +127,12 @@ def test_janson_factored_grids_match_the_cell_grids(name):
 
 def _phi_inputs():
     rng = np.random.default_rng(SEED + 1)
-    inputs = [gaussian_extremizer_input(p) for p in (4 / 3, 1.5, 2.0)]
+    inputs = [(p, GAUSSIAN_EXTREMIZER) for p in (4 / 3, 1.5, 2.0)]
     for p in (1.25, 1.7):
         amp, lin = _complex_normal(rng, 2)
         atom = GaussianAtom(amp, complex(rng.uniform(1.0, 4.0), 0.3), lin)
-        inputs.append(HYInput(p=p, f_atom=atom))
-        inputs.append(HYInput(p=p, g_tilde=HermiteSeries(_complex_normal(rng, 4))))
+        inputs.append((p, atom))
+        inputs.append((p, HermiteSeries(_complex_normal(rng, 4))))
     return inputs
 
 
@@ -141,28 +141,28 @@ def test_phi_flow_matches_the_frozen_routes(monkeypatch):
     # atom route's closed form against the doubled log-domain grids it replaced
     grid = [0.0, 0.3, 0.7, 1.0]
     inputs = _phi_inputs()
-    new = [phi_flow(inp, s_grid=grid).samples for inp in inputs]
+    new = [phi_flow(p, g, s_grid=grid).samples for p, g in inputs]
     monkeypatch.setattr(flows, "_auto_outer", ref._auto_outer)
-    for inp, samples in zip(inputs, new):
-        if inp.f_atom is None:
-            assert samples == phi_flow(inp, s_grid=grid).samples
+    for (p, g), samples in zip(inputs, new):
+        if not isinstance(g, GaussianAtom):
+            assert samples == phi_flow(p, g, s_grid=grid).samples
         else:
-            for (_, got), want in zip(samples, ref.atom_phi_flow(inp, grid)):
-                assert abs(got - want) <= 1e-14 * want, (inp.f_atom, inp.p)
+            for (_, got), want in zip(samples, ref.atom_phi_flow(p, g, grid)):
+                assert abs(got - want) <= 1e-14 * want, (g, p)
 
 
 def test_phi_flow_atom_matches_nested_split_quad():
     # slowly decaying atoms: the doubled grids gave inf from s = 0.4 on
     # (p = 1.5) and NaN from s = 0.2 on (p = 2)
     inputs = [
-        HYInput(p=1.5, f_atom=GaussianAtom(1.0, 0.02 + 0.2j, 0.0)),
-        HYInput(p=2.0, f_atom=GaussianAtom(1.0, 0.02 + 0.2j, 1.0 + 0.5j)),
+        (1.5, GaussianAtom(1.0, 0.02 + 0.2j, 0.0)),
+        (2.0, GaussianAtom(1.0, 0.02 + 0.2j, 1.0 + 0.5j)),
     ]
     grid = [0.2, 0.5, 0.8]
-    for inp in inputs:
-        for s, got in phi_flow(inp, s_grid=grid).samples:
-            want = split_quad.atom_flow(inp, s)
-            assert abs(got - want) <= 1e-12 * want, (inp.f_atom, inp.p, s)
+    for p, f in inputs:
+        for s, got in phi_flow(p, f, s_grid=grid).samples:
+            want = split_quad.atom_flow(p, f, s)
+            assert abs(got - want) <= 1e-12 * want, (f, p, s)
 
 
 def _exp_families():
@@ -258,19 +258,18 @@ def test_hy_verify_matches_split_quad():
 
 def test_hy_endpoints_matches_reference():
     rng = np.random.default_rng(SEED + 5)
-    for inp in _phi_inputs():
-        if inp.f_atom is not None:
+    for p, g in _phi_inputs():
+        if isinstance(g, GaussianAtom):
             want = (
-                split_quad.atom_norm([fourier_transform_atom(inp.f_atom)], inp.q),
-                hy.sharp_constant(inp.p) * split_quad.atom_norm([inp.f_atom], inp.p),
+                split_quad.atom_norm([fourier_transform_atom(g)], conjugate_exponent(p)),
+                hy.sharp_constant(p) * split_quad.atom_norm([g], p),
             )
-            for got, ref_value in zip(hy_endpoints(inp), want):
+            for got, ref_value in zip(hy_endpoints(p, g), want):
                 assert abs(got - ref_value) <= 1e-12 * ref_value
     for p in (1.2, 4 / 3, 1.5, 1.8, 2.0):
         for degree in (0, 1, 3, 5):
             coeffs = _complex_normal(rng, degree + 1)
-            inp = HYInput(p=p, g_tilde=HermiteSeries(coeffs))
-            for got, want in zip(hy_endpoints(inp), split_quad.hermite_endpoints(p, coeffs)):
+            for got, want in zip(hy_endpoints(p, HermiteSeries(coeffs)), split_quad.hermite_endpoints(p, coeffs)):
                 assert abs(got - want) <= 1e-14 * want, (p, coeffs)
 
 

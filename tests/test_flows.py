@@ -536,6 +536,15 @@ def test_convergence_endpoint_s_one():
     assert all(r.k == r.n for r in table.rows)
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan, 1.5, -0.2])
+def test_convergence_checks_s_before_it_rounds_s_n(s):
+    # before: OverflowError (inf), "cannot convert float NaN to integer" (nan)
+    # and a message on split indices (1.5, -0.2)
+    t = ExponentTriple(1.5, 3.0, 1j * math.sqrt(0.5))
+    with pytest.raises(ValueError, match=r"^flow parameter s must lie in \[0, 1\]$"):
+        convergence_experiment([0.0, 1.0, 0.0, 1.0], t, s, [16, 64])
+
+
 def test_convergence_spec_experiment_slope():
     p = 4 / 3
     t = ExponentTriple(p, 4.0, 1j * math.sqrt(p - 1))

@@ -14,12 +14,13 @@ from hypflow.cube import factored_mixed_norm
 from hypflow.errors import AccuracyError, DomainError
 from hypflow.gaussian_atoms import GaussianAtom
 from hypflow.hausdorff_young import (
+    GAUSSIAN_EXTREMIZER,
     ExpFamily,
-    HYInput,
+    _g_tilde_atom,
     conjugate_exponent,
     exp_flow_phi,
-    gaussian_extremizer_input,
     hy_endpoints,
+    hy_exponents,
     hy_verify,
     lemma_A_check,
     lemma_F_check,
@@ -48,20 +49,28 @@ def test_conjugate_and_constant():
 
 def test_hy_input_validation_and_round_trip():
     with pytest.raises(ValueError):
-        HYInput(p=2.5, f_atom=GaussianAtom(1.0, 1.0, 0.0))
+        phi_flow(2.5, GaussianAtom(1.0, 1.0, 0.0))
     with pytest.raises(ValueError):
-        HYInput(p=1.5)
-    inp = gaussian_extremizer_input(4 / 3)
+        hy_endpoints(2.5, GaussianAtom(1.0, 1.0, 0.0))
+    p = 4 / 3
     # substitution round trip: g~(y) exp(-y^2/2p) (2 pi)^{-1/2p} = f(y)
-    gt = inp.g_tilde_atom()
+    gt = _g_tilde_atom(GAUSSIAN_EXTREMIZER, p)
     y = np.linspace(-2, 2, 9)
-    back = gt(y) * np.exp(-(y**2) / (2 * inp.p)) * (2 * np.pi) ** (-1 / (2 * inp.p))
-    assert np.max(np.abs(back - inp.f_atom(y))) <= 1e-10
+    back = gt(y) * np.exp(-(y**2) / (2 * p)) * (2 * np.pi) ** (-1 / (2 * p))
+    assert np.max(np.abs(back - GAUSSIAN_EXTREMIZER(y))) <= 1e-10
+
+
+@pytest.mark.parametrize("g", [PolySeries([1.0, 1.0]), [1.0, 1.0], None], ids=["PolySeries", "list", "None"])
+def test_hy_input_of_another_type_raises_type_error(g):
+    # a PolySeries holds monomial coefficients: it is neither g~ nor f
+    with pytest.raises(TypeError, match="HermiteSeries g~ or a GaussianAtom f"):
+        phi_flow(1.5, g)
+    with pytest.raises(TypeError, match="HermiteSeries g~ or a GaussianAtom f"):
+        hy_endpoints(1.5, g)
 
 
 def test_hy_endpoints_zero_function():
-    inp = HYInput(p=1.5, f_atom=GaussianAtom(0.0, np.pi, 0.0))
-    lhs, rhs = hy_endpoints(inp)
+    lhs, rhs = hy_endpoints(1.5, GaussianAtom(0.0, np.pi, 0.0))
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -69,27 +78,26 @@ def test_hy_endpoints_gaussian_equality():
     # ||f||_p = p^{-1/2p} and ||fhat||_q = q^{-1/2q} from int exp(-r pi y^2) dy = r^{-1/2}
     for p in [4 / 3, 1.5, 2.0]:
         q = conjugate_exponent(p)
-        lhs, rhs = hy_endpoints(gaussian_extremizer_input(p))
+        lhs, rhs = hy_endpoints(p, GAUSSIAN_EXTREMIZER)
         assert abs(lhs - q ** (-1 / (2 * q))) <= 1e-9
         assert abs(lhs - rhs) <= 1e-8 * rhs
 
 
 def test_hy_endpoints_hermite_strict_gap():
-    inp = HYInput(p=1.5, g_tilde=HermiteSeries([0.0, 1.0]))
-    lhs, rhs = hy_endpoints(inp)
+    lhs, rhs = hy_endpoints(1.5, HermiteSeries([0.0, 1.0]))
     assert lhs < rhs
     assert rhs - lhs > 1e-3
 
 
 def test_phi_flow_zero_function():
-    rep = phi_flow(HYInput(p=1.5, f_atom=GaussianAtom(0.0, np.pi, 0.0)), s_grid=[0, 0.5, 1])
+    rep = phi_flow(1.5, GaussianAtom(0.0, np.pi, 0.0), s_grid=[0, 0.5, 1])
     assert all(v == 0.0 for v in rep.values)
 
 
 def test_phi_flow_gaussian_extremizer_is_constant():
-    inp = gaussian_extremizer_input(4 / 3)
-    rep = phi_flow(inp, s_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
-    want = inp.q ** (-1 / (2 * inp.q))
+    rep = phi_flow(4 / 3, GAUSSIAN_EXTREMIZER, s_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
+    q = conjugate_exponent(4 / 3)
+    want = q ** (-1 / (2 * q))
     assert max(rep.values) - min(rep.values) <= 1e-14 * want
     assert abs(rep.values[0] - want) <= 1e-14 * want
 
@@ -98,9 +106,9 @@ def test_phi_flow_gaussian_extremizer_is_constant():
 def test_phi_flow_gaussian_extremizer_default_grid(p):
     # at p = 2 the atom integrand grows like exp(+c x^2) in x; the closed
     # form integrates it exactly against the Gaussian weight
-    inp = gaussian_extremizer_input(p)
-    rep = phi_flow(inp)
-    want = inp.q ** (-1 / (2 * inp.q))
+    rep = phi_flow(p, GAUSSIAN_EXTREMIZER)
+    q = conjugate_exponent(p)
+    want = q ** (-1 / (2 * q))
     assert all(abs(v - want) <= 1e-14 * want for v in rep.values)
     assert rep.verdict().label == "nondecreasing"
     assert rep.diagnostics == {"cap_hits": []}
@@ -108,9 +116,9 @@ def test_phi_flow_gaussian_extremizer_default_grid(p):
 
 def _random_atom_inputs(rng, p_values):
     return [
-        HYInput(
-            p=float(p),
-            f_atom=GaussianAtom(
+        (
+            float(p),
+            GaussianAtom(
                 complex(rng.normal(), rng.normal()),
                 complex(rng.uniform(0.02, 4.0), rng.normal()),  # slow decay included
                 complex(rng.normal(), rng.normal()),
@@ -123,19 +131,19 @@ def _random_atom_inputs(rng, p_values):
 def test_phi_flow_atom_constant_at_p_2():
     # at p = q = 2, phi(s)^2 is ||fhat||_2^2 for every s (Plancherel)
     rng = np.random.default_rng(29)
-    slow = HYInput(p=2.0, f_atom=GaussianAtom(1.0, 0.02 + 0.2j, 1.0 + 0.5j))  # doubled grids gave NaN
-    for inp in [slow, *_random_atom_inputs(rng, [2.0] * 8)]:
-        values = phi_flow(inp).values
-        assert max(values) - min(values) <= 1e-12 * min(values), inp.f_atom
+    slow = (2.0, GaussianAtom(1.0, 0.02 + 0.2j, 1.0 + 0.5j))  # doubled grids gave NaN
+    for p, f in [slow, *_random_atom_inputs(rng, [2.0] * 8)]:
+        values = phi_flow(p, f).values
+        assert max(values) - min(values) <= 1e-12 * min(values), f
 
 
 def test_phi_flow_atom_endpoints_match_hy_endpoints():
     # the closed form's ends against the graded Legendre engine of hy_endpoints
     rng = np.random.default_rng(31)
-    for inp in _random_atom_inputs(rng, rng.uniform(1.1, 2.0, size=10)):
-        values = phi_flow(inp, s_grid=[0.0, 1.0]).values
-        for got, want in zip(values, hy_endpoints(inp)):
-            assert abs(got - want) <= 1e-13 * want, (inp.f_atom, inp.p)
+    for p, f in _random_atom_inputs(rng, rng.uniform(1.1, 2.0, size=10)):
+        values = phi_flow(p, f, s_grid=[0.0, 1.0]).values
+        for got, want in zip(values, hy_endpoints(p, f)):
+            assert abs(got - want) <= 1e-13 * want, (f, p)
 
 
 def test_phi_flow_atom_builds_no_gh_rule(monkeypatch):
@@ -147,31 +155,31 @@ def test_phi_flow_atom_builds_no_gh_rule(monkeypatch):
 
     for module in (quadrature, flows, hypflow.hausdorff_young):
         monkeypatch.setattr(module, "gh_rule", spy)
-    phi_flow(gaussian_extremizer_input(1.5))
-    phi_flow(HYInput(p=1.7, f_atom=GaussianAtom(0.5 + 1j, 1.3 - 0.4j, 0.2 + 0.7j)))
+    phi_flow(1.5, GAUSSIAN_EXTREMIZER)
+    phi_flow(1.7, GaussianAtom(0.5 + 1j, 1.3 - 0.4j, 0.2 + 0.7j))
     assert calls == []
-    phi_flow(HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 1.0])), s_grid=[0.5])  # the spy sees the grids
+    phi_flow(1.5, HermiteSeries([1.0, 1.0]), s_grid=[0.5])  # the spy sees the grids
     assert calls
 
 
 def test_phi_flow_atom_domain_error_names_s():
     # Re(quad) < 0: |f|^p is not integrable, and E_u diverges at s = 1
-    inp = HYInput(p=1.5, f_atom=GaussianAtom(1.0, -0.1, 0.0))
+    f = GaussianAtom(1.0, -0.1, 0.0)
     with pytest.raises(DomainError, match="s = 1.0"):
-        phi_flow(inp, s_grid=[1.0])
+        phi_flow(1.5, f, s_grid=[1.0])
     with pytest.raises(DomainError):  # and the heat image diverges at s = 0
-        phi_flow(inp, s_grid=[0.0])
+        phi_flow(1.5, f, s_grid=[0.0])
 
 
 def test_phi_flow_hermite_nondecreasing_and_bridges_endpoints():
-    inp = HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 1.0]))
-    rep = phi_flow(inp)
+    g = HermiteSeries([1.0, 1.0])
+    rep = phi_flow(1.5, g)
     assert rep.verdict().nondecreasing
     # endpoints of the flow must reproduce the directly-computed norms.  the
     # s = 0 side is smooth (complex damping keeps |M_z g~| positive); the
     # s = 1 side integrates |1 + y|^{3/2}, whose kink caps the Gaussian-rule
     # accuracy near 1e-4, so that side gets the looser bound
-    norm_fhat, scaled_norm_f = hy_endpoints(inp)
+    norm_fhat, scaled_norm_f = hy_endpoints(1.5, g)
     assert abs(rep.values[0] - norm_fhat) <= 1e-7 * norm_fhat
     assert abs(rep.values[-1] - scaled_norm_f) <= 2e-4 * scaled_norm_f
 
@@ -185,11 +193,10 @@ def test_bridge_identity_against_independent_evaluator():
         coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         p = float(rng.uniform(1.2, 2.0))
         q = conjugate_exponent(p)
-        inp = HYInput(p=p, g_tilde=HermiteSeries(coeffs))
         s = float(rng.uniform(0.0, 1.0))
-        phi_val = phi_flow(inp, s_grid=[s]).values[0]
+        phi_val = phi_flow(p, HermiteSeries(coeffs), s_grid=[s]).values[0]
         j_val = janson_quadrature(
-            PolySeries(coeffs), ExponentTriple(p, q, inp.z), s
+            PolySeries(coeffs), ExponentTriple(p, q, hy_exponents(p).z), s
         )
         assert abs(phi_val**p * q ** (p / (2 * q)) / math.sqrt(p) - j_val) <= 1e-7 * abs(
             j_val
@@ -474,7 +481,7 @@ def test_coarse_engine_flags_the_ends_and_raises_on_norms(monkeypatch):
     with pytest.raises(AccuracyError, match="not resolved"):
         hy_verify(fam, 4 / 3)
     with pytest.raises(AccuracyError, match="not resolved"):
-        hy_endpoints(HYInput(p=1.5, g_tilde=HermiteSeries([1.0, 2.0, 0.0, 1.0])))
+        hy_endpoints(1.5, HermiteSeries([1.0, 2.0, 0.0, 1.0]))
 
 
 def test_exp_flow_endpoint_change_of_variables():
@@ -489,7 +496,7 @@ def test_exp_flow_endpoint_change_of_variables():
 def test_hy_verify_gaussian_equality_and_empty():
     lhs, rhs = hy_verify(ExpFamily(atoms=((1.0, 0.0),)), 4 / 3)
     assert abs(lhs - rhs) <= 1e-8 * rhs
-    assert hy_verify(ExpFamily(atoms=()), 1.5) == (0.0, 0.0)
+    assert hy_verify(ExpFamily(atoms=()), 1.5) is None  # no final form
 
 
 def test_hy_verify_random_family_strict():
@@ -498,8 +505,16 @@ def test_hy_verify_random_family_strict():
 
 
 def test_hy_verify_requires_real_frequencies():
-    with pytest.raises(ValueError):
-        hy_verify(ExpFamily(atoms=((1.0, 0.5j),)), 1.5)
+    # a frequency off the real line leaves the family without a final form
+    assert hy_verify(ExpFamily(atoms=((1.0, 0.5j),)), 1.5) is None
+
+
+def test_hy_endpoints_of_a_modulated_gaussian_is_hy_verify_of_its_atom():
+    # both sides come from one place, so the two routes agree bit for bit
+    for c, t, p in ((1.0, 0.0, 4 / 3), (0.7 - 0.2j, 1.3, 1.5), (-0.4 + 1j, -0.8, 1.81), (2.0, 0.25, 2.0)):
+        c, t = complex(c), complex(t)
+        f = GaussianAtom(c * np.exp(-t * t / 2.0), np.pi, t * math.sqrt(2.0 * np.pi * p))
+        assert hy_endpoints(p, f) == hy_verify(ExpFamily(atoms=((c, t),)), p), (c, t, p)
 
 
 def test_single_modulated_gaussian_is_extremal():
